@@ -1,4 +1,7 @@
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,34 @@ from edlab.cli import (
     run_scenario,
     run_sweep,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def assert_matches_golden(text: str, name: str) -> None:
+    """Compare an output with ``tests/golden/<name>``.
+
+    The text around the numbers must match exactly and every number must
+    agree to 12 significant digits.  Two numbers both below 1e-12 in
+    magnitude count as equal: they are rounding floors of figures that are
+    exactly zero in the continuum.
+    """
+    golden = (GOLDEN / name).read_text()
+    assert _NUMBER.sub("#", text) == _NUMBER.sub("#", golden), name
+    for got, want in zip(_NUMBER.findall(text), _NUMBER.findall(golden)):
+        a, b = float(got), float(want)
+        floor = abs(a) < 1e-12 and abs(b) < 1e-12
+        assert floor or math.isclose(a, b, rel_tol=1e-12), (name, got, want)
+
+
+# figures that are exactly zero at the default scenarios, bit for bit
+EXACT_ZEROS = {
+    "flip": ("w2_disturbance_X",),
+    "slit": ("eta_o_X", "w2_disturbance_X", "w2_disturbance_P"),
+    "vonneumann": ("w2_disturbance_X",),
+}
 
 
 class TestConfig:
@@ -186,10 +217,15 @@ class TestEq2Verb:
 
 class TestDeterminism:
     def test_scenario_outputs_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            assert main(["scenario", "vonneumann", "--out", str(out)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for name, zeros in EXACT_ZEROS.items():
+            a, b = tmp_path / f"{name}_a.json", tmp_path / f"{name}_b.json"
+            for out in (a, b):
+                assert main(["scenario", name, "--format", "json", "--out", str(out)]) == 0
+            assert a.read_bytes() == b.read_bytes(), name
+            assert_matches_golden(a.read_text(), f"scenario_{name}.json")
+            payload = json.loads(a.read_text())
+            for key in zeros:
+                assert payload[key] == 0.0, (name, key)
 
     def test_sweep_outputs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -199,28 +235,14 @@ class TestDeterminism:
                 == 0
             )
         assert a.read_bytes() == b.read_bytes()
+        assert_matches_golden(a.read_text(), "sweep_probe_s.csv")
 
     def test_eq2_outputs_byte_identical(self, tmp_path):
-        blobs = []
-        for name in ("x", "y"):
-            outdir = tmp_path / name
-            assert (
-                main(
-                    [
-                        "eq2",
-                        "--out-dir",
-                        str(outdir),
-                        "--set",
-                        "search_err.max_refine_iters=0",
-                        "--set",
-                        "search_dist.max_refine_iters=0",
-                    ]
-                )
-                == 0
-            )
-            blobs.append(
-                (outdir / "summary.json").read_bytes()
-                + (outdir / "error_landscape.csv").read_bytes()
-                + (outdir / "disturbance_landscape.csv").read_bytes()
-            )
-        assert blobs[0] == blobs[1]
+        names = ("summary.json", "error_landscape.csv", "disturbance_landscape.csv")
+        outdirs = [tmp_path / "x", tmp_path / "y"]
+        for outdir in outdirs:
+            assert main(["eq2", "--out-dir", str(outdir)]) == 0
+        for name in names:
+            first = (outdirs[0] / name).read_text()
+            assert first == (outdirs[1] / name).read_text(), name
+            assert_matches_golden(first, f"eq2/{name}")
