@@ -5,7 +5,6 @@ discretized 1D systems."""
 from .channels import (
     Channel,
     ConfinementError,
-    DensityOperator,
     FlipChannel,
     JointState,
     ProbeSpec,
@@ -15,15 +14,9 @@ from .channels import (
     apply_flip,
     apply_slit,
     apply_von_neumann,
-    density_from_kraus,
     embed_joint,
     kraus_of,
-    make_probe,
-    momentum_distribution_of,
-    position_distribution_of,
     probe_grid_for,
-    reduce_system,
-    trace_distance,
 )
 from .grids import (
     GridSpec,

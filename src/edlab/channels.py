@@ -6,23 +6,19 @@ U = exp(-i g X_s P_p / hbar) on system (x) probe.  The coupling is applied as
 an exact conditional shift: for each system column at x_i the probe is
 translated by g*x_i through momentum-space phases, which is unitary to
 machine precision at any coupling strength.
+
+``kraus_of`` is the one description of a channel that the figures use: its
+Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 
-from .grids import (
-    GridSpec,
-    InvariantViolation,
-    ProbabilityDistribution,
-    WaveFunction,
-    kernel_transform,
-)
+from .grids import GridSpec, InvariantViolation, WaveFunction, kernel_transform
 from .states import gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
@@ -56,10 +52,6 @@ class ProbeSpec:
         if abs(mean) > 1e-10:
             raise InvariantViolation(f"pointer bias <X_probe> = {mean:.3e}")
         object.__setattr__(self, "ready_state", ready)
-
-
-def make_probe(grid: GridSpec, s: float) -> ProbeSpec:
-    return ProbeSpec(grid, float(s))
 
 
 def probe_grid_for(
@@ -133,9 +125,6 @@ class JointState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.measure))
 
-    def system_marginal(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1) * self.probe_grid.dx
-
     def probe_marginal(self) -> np.ndarray:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=0) * self.system_grid.dx
 
@@ -148,11 +137,8 @@ def apply_flip(psi: WaveFunction) -> WaveFunction:
     """
     if psi.space != "position":
         raise ValueError("flip acts on position-space states")
-    if not psi.grid.is_symmetric():
-        raise InvariantViolation(
-            f"flip requires a domain symmetric about 0, got [{psi.grid.x_min}, {psi.grid.x_max}]"
-        )
-    return WaveFunction(psi.grid, psi.amplitudes[::-1].copy(), "position")
+    (flip,), _ = kraus_of(FlipChannel(), psi.grid)
+    return WaveFunction(psi.grid, flip(psi.amplitudes)[:, 0].copy(), "position")
 
 
 @dataclass(frozen=True)
@@ -199,26 +185,21 @@ def embed_joint(psi: WaveFunction, probe: ProbeSpec) -> JointState:
     return JointState(psi.grid, probe.grid, np.outer(psi.amplitudes, probe.ready_state.amplitudes))
 
 
-def apply_von_neumann(joint: JointState, g: float, direction: str = "forward") -> JointState:
-    """Apply U = exp(-i g X_s P_p / hbar) (or its adjoint) exactly.
+def apply_von_neumann(joint: JointState, g: float) -> JointState:
+    """Apply U = exp(-i g X_s P_p / hbar) exactly; its adjoint is gain -g.
 
-    Each system column's probe wave function is translated by +g*x_i
-    (forward) or -g*x_i (adjoint) via momentum-space phase multiplication.
-    Raises ConfinementError when the translated probe carries significant
-    probability at the probe-grid edge.
+    Each system row's probe wave function is translated by g*x_i via
+    momentum-space phase multiplication.  Raises ConfinementError when the
+    translated probe carries significant probability at the probe-grid edge.
     """
-    if direction not in ("forward", "adjoint"):
-        raise ValueError(f"direction must be 'forward' or 'adjoint', got {direction!r}")
     sg, pg = joint.system_grid, joint.probe_grid
-    sgn = 1.0 if direction == "forward" else -1.0
-    phases = np.exp(-1j * sgn * g * np.outer(sg.x, pg.p) / pg.hbar)
+    phases = np.exp(-1j * g * np.outer(sg.x, pg.p) / pg.hbar)
     mom = kernel_transform(joint.amplitudes, 1, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
     out = kernel_transform(mom * phases, 1, pg.p[0], pg.dp, pg.x[0], pg.dx, pg.hbar, +1)
     result = JointState(sg, pg, out)
     # confinement is a state invariant: operator images (unnormalized
     # intermediates inside RMS sandwiches) are exempt from the edge check
-    total = float(np.sum(np.abs(out) ** 2) * result.measure)
-    if abs(total - 1.0) < 1e-6:
+    if abs(result.norm() ** 2 - 1.0) < 1e-6:
         edge = np.concatenate((result.amplitudes[:, :2], result.amplitudes[:, -2:]), axis=1)
         edge_mass = float(np.sum(np.abs(edge) ** 2) * result.measure)
         if edge_mass > CONFINEMENT_TOL:
@@ -229,123 +210,35 @@ def apply_von_neumann(joint: JointState, g: float, direction: str = "forward") -
     return result
 
 
-def translated_pointer_table(channel: VonNeumannChannel, system_grid: GridSpec) -> np.ndarray:
-    """ready(y - g*x_i) for every system point: table of shape (n_s, n_p).
+def kraus_of(
+    channel: Channel, grid: GridSpec
+) -> tuple[list[Callable[[np.ndarray], np.ndarray]], float]:
+    """Kraus family of a channel as blocks, plus the ancilla cell measure.
 
-    Periodic translation through momentum phases, so each row keeps exactly
-    unit norm; this is the ingredient of the pointer-basis Kraus family.
-    """
-    pg = channel.probe.grid
-    ready = channel.probe.ready_state.amplitudes
-    phi = kernel_transform(ready, 0, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
-    phases = np.exp(-1j * channel.g * np.outer(system_grid.x, pg.p) / pg.hbar)
-    return kernel_transform(phi[None, :] * phases, 1, pg.p[0], pg.dp, pg.x[0], pg.dx, pg.hbar, +1)
+    Each block maps system amplitudes a to an (n_s, k) array whose columns
+    are branches K_m a.  A figure sums |.|^2 over the columns of every block
+    and then multiplies by the measure, so that sum_m ||K_m a||^2 = ||a||^2:
 
-
-KrausOperator = Callable[[np.ndarray], np.ndarray]
-
-
-def kraus_of(channel: Channel, grid: GridSpec) -> list[KrausOperator]:
-    """Kraus family of a channel, as functions acting on amplitude arrays.
-
-    flip -> a single unitary; slit -> the projector pair; von_neumann -> one
-    operator per probe pointer-basis point, K_j = sqrt(dy_p) <y_j| U |. , ready>.
+    flip -> one 1-column block (the reversal), measure 1;
+    slit -> two 1-column blocks (pass and fail projectors), measure 1;
+    von_neumann -> one (n_s, n_p) block, U (a (x) ready) from a single
+    forward coupling, with the probe cell dy as measure; column j is
+    K_j a / sqrt(dy) for K_j = sqrt(dy) <y_j| U |., ready>.
     """
     if isinstance(channel, FlipChannel):
-        return [lambda a: a[::-1].copy()]
+        if not grid.is_symmetric():
+            raise InvariantViolation(
+                f"flip requires a domain symmetric about 0, got [{grid.x_min}, {grid.x_max}]"
+            )
+        return [lambda a: a[::-1, None]], 1.0
     if isinstance(channel, SlitChannel):
         mask = slit_mask(grid, channel.center, channel.width)
-        inv = ~mask
-        return [
-            lambda a, m=mask: np.where(m, a, 0.0),
-            lambda a, m=inv: np.where(m, a, 0.0),
-        ]
+        return [lambda a, m=m: np.where(m, a, 0.0)[:, None] for m in (mask, ~mask)], 1.0
     if isinstance(channel, VonNeumannChannel):
-        table = translated_pointer_table(channel, grid)
-        root = np.sqrt(channel.probe.grid.dx)
+        probe = channel.probe
 
-        def make(j: int) -> KrausOperator:
-            col = root * table[:, j]
-            return lambda a, c=col: c * a
+        def couple(a: np.ndarray) -> np.ndarray:
+            return apply_von_neumann(embed_joint(WaveFunction(grid, a), probe), channel.g).amplitudes
 
-        return [make(j) for j in range(channel.probe.grid.n_points)]
+        return [couple], probe.grid.dx
     raise TypeError(f"unknown channel {channel!r}")
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Position-kernel density matrix: trace = sum_i rho[i,i] * dx = 1."""
-
-    grid: GridSpec
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = self.grid.n_points
-        if m.shape != (n, n):
-            raise ValueError(f"density matrix shape {m.shape}, expected ({n}, {n})")
-        tr = float(np.real(np.trace(m)) * self.grid.dx)
-        if abs(tr - 1.0) > 1e-8:
-            raise InvariantViolation(f"density trace {tr!r} deviates from 1")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-            raise InvariantViolation(f"density operator not Hermitian: deviation {herm:.3e}")
-        object.__setattr__(self, "matrix", m)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Occupation probabilities (eigenvalues of the dimensionless matrix)."""
-        vals = np.linalg.eigvalsh(self.matrix * self.grid.dx)
-        if vals.min() < -1e-8:
-            raise InvariantViolation(f"negative eigenvalue {vals.min():.3e}")
-        return vals[::-1]
-
-    def purity(self) -> float:
-        return float(np.sum(self.eigenvalues() ** 2))
-
-
-def reduce_system(joint: JointState) -> DensityOperator:
-    """Partial trace over the probe."""
-    a = joint.amplitudes
-    rho = (a @ a.conj().T) * joint.probe_grid.dx
-    return DensityOperator(joint.system_grid, rho)
-
-
-def pure_density(psi: WaveFunction) -> DensityOperator:
-    return DensityOperator(psi.grid, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-
-
-def density_from_kraus(channel: Channel, psi: WaveFunction) -> DensityOperator:
-    """Nonselective output state sum_m K_m |psi><psi| K_m^dag."""
-    n = psi.grid.n_points
-    rho = np.zeros((n, n), dtype=complex)
-    for k in kraus_of(channel, psi.grid):
-        branch = k(psi.amplitudes)
-        rho += np.outer(branch, branch.conj())
-    return DensityOperator(psi.grid, rho)
-
-
-def position_distribution_of(rho: DensityOperator) -> ProbabilityDistribution:
-    g = rho.grid
-    return ProbabilityDistribution(g.x, np.real(np.diag(rho.matrix)), g.dx)
-
-
-def momentum_distribution_of(rho: DensityOperator) -> ProbabilityDistribution:
-    """Diagonal of F rho F^dag on the momentum grid."""
-    g = rho.grid
-    cols = kernel_transform(rho.matrix, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
-    full = kernel_transform(cols.conj(), 1, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1).conj()
-    return ProbabilityDistribution(g.p, np.real(np.diag(full)), g.dp)
-
-
-def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    diff = (a.matrix - b.matrix) * a.grid.dx
-    vals = np.linalg.eigvalsh(diff)
-    return 0.5 * float(np.sum(np.abs(vals)))
-
-
-def density_spectrum_to_csv(rho: DensityOperator, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "eigenvalue"])
-        for i, v in enumerate(rho.eigenvalues()):
-            w.writerow([i, f"{v:.12g}"])

@@ -374,6 +374,8 @@ def run_sweep(axis: str, values: list[float], base_cfg: dict) -> str:
         raise ConfigError(f"sweep axis {axis!r} is not a numeric config key")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if _SCHEMA[axis] is int and not all(float(v).is_integer() for v in values):
+        raise ConfigError(f"sweep axis {axis!r} takes integer values, got {values!r}")
     rows = []
     for v in sorted(values):
         cfg = dict(base_cfg)

@@ -212,21 +212,6 @@ def to_position(phi: WaveFunction) -> WaveFunction:
     return WaveFunction(g, out, "position")
 
 
-def apply_position_operator(psi: WaveFunction) -> np.ndarray:
-    if psi.space != "position":
-        raise ValueError("position operator acts on position-space states")
-    return psi.grid.x * psi.amplitudes
-
-
-def apply_momentum_operator(psi: WaveFunction) -> np.ndarray:
-    """Apply the momentum operator spectrally (never by finite differences)."""
-    if psi.space != "position":
-        raise ValueError("momentum operator acts on position-space states here")
-    g = psi.grid
-    phi = kernel_transform(psi.amplitudes, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
-    return kernel_transform(g.p * phi, 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, +1)
-
-
 @dataclass(frozen=True)
 class Moments:
     mean_x: float

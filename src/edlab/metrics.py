@@ -3,7 +3,8 @@
 Two families of figures for the same (state, channel) pair:
 
 * RMS noise-operator quantities: the disturbance eta = <(U^dag B U - B)^2>^(1/2)
-  evaluated on the dilated state, and the measurement error
+  evaluated on the dilated state (a sum over the channel's Kraus blocks, see
+  ``channels.kraus_of``), and the measurement error
   eps = <(U^dag (X_p/g) U - X_s)^2>^(1/2) for a pointer coupling.  These are
   properties of the state actually measured.
 * Distribution-distance quantities: Wasserstein-2 distances between the
@@ -23,27 +24,23 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .channels import (
     Channel,
-    FlipChannel,
     JointState,
     SlitChannel,
     VonNeumannChannel,
-    apply_flip,
     apply_von_neumann,
     embed_joint,
     kraus_of,
-    momentum_distribution_of,
-    reduce_system,
 )
 from .grids import (
+    GridSpec,
     ProbabilityDistribution,
     WaveFunction,
-    apply_momentum_operator,
-    apply_position_operator,
     distribution,
     kernel_transform,
     moments,
@@ -83,32 +80,38 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Observable application helpers
+# Observables on Kraus branches
 # ---------------------------------------------------------------------------
 
-def _apply_observable(psi: WaveFunction, observable: ObservableName) -> np.ndarray:
+def _apply_observable(g: GridSpec, amps: np.ndarray, observable: ObservableName) -> np.ndarray:
+    """B_s along the system axis (axis 0) of an amplitude array, spectrally for P."""
+    along = (-1,) + (1,) * (amps.ndim - 1)
     if observable == "X":
-        return apply_position_operator(psi)
+        return g.x.reshape(along) * amps
     if observable == "P":
-        return apply_momentum_operator(psi)
+        mom = kernel_transform(amps, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
+        return kernel_transform(g.p.reshape(along) * mom, 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, +1)
     raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
 
 
-def _apply_observable_joint(joint: JointState, observable: ObservableName) -> JointState:
-    """B_s (x) 1 applied to a joint state, spectrally for P."""
-    sg = joint.system_grid
-    if observable == "X":
-        out = sg.x[:, None] * joint.amplitudes
-    elif observable == "P":
-        mom = kernel_transform(joint.amplitudes, 0, sg.x[0], sg.dx, sg.p[0], sg.dp, sg.hbar, -1)
-        out = kernel_transform(sg.p[:, None] * mom, 0, sg.p[0], sg.dp, sg.x[0], sg.dx, sg.hbar, +1)
-    else:
-        raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
-    return JointState(sg, joint.probe_grid, out)
+def _kraus_sum(
+    channel: Channel,
+    psi: WaveFunction,
+    observable: ObservableName,
+    term: Callable[[np.ndarray, np.ndarray], float],
+) -> float:
+    """sum_m term(B K_m psi, K_m B psi) over the Kraus blocks, times dx_s * dy.
 
-
-def _joint_norm(amplitudes: np.ndarray, joint: JointState) -> float:
-    return float(np.sqrt(np.sum(np.abs(amplitudes) ** 2) * joint.measure))
+    ``term`` reduces one block's pair of branch arrays to a number; the
+    pair is freed before the next block is built.
+    """
+    g = psi.grid
+    blocks, ancilla_measure = kraus_of(channel, g)
+    b_psi = _apply_observable(g, psi.amplitudes, observable)
+    total = 0.0
+    for k in blocks:
+        total += term(_apply_observable(g, k(psi.amplitudes), observable), k(b_psi))
+    return total * g.dx * ancilla_measure
 
 
 # ---------------------------------------------------------------------------
@@ -118,57 +121,27 @@ def _joint_norm(amplitudes: np.ndarray, joint: JointState) -> float:
 def ozawa_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     """RMS difference between the calibrated pointer reading and X_system.
 
-    || (U^dag M U - X_s) |psi, ready> || with M = X_probe / g: apply U,
-    multiply by the pointer coordinate over the gain, apply U^dag, subtract
-    X_s on the input, take the joint norm.
+    || (U^dag M U - X_s) |psi, ready> || with M = X_probe / g.  U commutes
+    with X_s (x) 1, so this equals || (M - X_s) U |psi, ready> ||: one
+    coupling, then a multiplication on the joint grid.
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the RMS measurement error requires a probe coupling")
-    joint = embed_joint(psi, channel.probe)
-    coupled = apply_von_neumann(joint, channel.g, "forward")
-    read = coupled.amplitudes * (channel.probe.grid.x[None, :] / channel.g)
-    back = apply_von_neumann(JointState(joint.system_grid, joint.probe_grid, read), channel.g, "adjoint")
-    diff = back.amplitudes - joint.system_grid.x[:, None] * joint.amplitudes
-    return _joint_norm(diff, joint)
+    coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g)
+    offset = channel.probe.grid.x[None, :] / channel.g - psi.grid.x[:, None]
+    return JointState(psi.grid, channel.probe.grid, offset * coupled.amplitudes).norm()
 
 
-def ozawa_disturbance(
-    channel: Channel,
-    psi: WaveFunction,
-    observable: ObservableName,
-    form: str = "auto",
-) -> float:
+def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: ObservableName) -> float:
     """RMS change of an observable through a channel: <(U^dag B U - B)^2>^(1/2).
 
-    Unitary channels evaluate the operator difference directly.  Kraus
-    channels use the dilation identity
+    Evaluated through the dilation identity
     eta^2 = sum_m || B K_m psi - K_m B psi ||^2, which is exact for any
-    Stinespring dilation of the family.  The probe coupling defaults to the
-    joint-unitary form; pass form="kraus" to cross-check one against the
-    other.
+    Stinespring dilation of the Kraus family.
     """
-    if form not in ("auto", "joint", "kraus"):
-        raise ValueError(f"form must be 'auto', 'joint' or 'kraus', got {form!r}")
-    if isinstance(channel, FlipChannel):
-        flipped = apply_flip(psi)
-        pushed = apply_flip(WaveFunction(psi.grid, _apply_observable(flipped, observable), "position"))
-        diff = pushed.amplitudes - _apply_observable(psi, observable)
-        return float(np.sqrt(np.sum(np.abs(diff) ** 2) * psi.grid.dx))
-    if isinstance(channel, SlitChannel) or (isinstance(channel, VonNeumannChannel) and form == "kraus"):
-        b_psi = _apply_observable(psi, observable)
-        total = 0.0
-        for k in kraus_of(channel, psi.grid):
-            branch = WaveFunction(psi.grid, k(psi.amplitudes), "position")
-            diff = _apply_observable(branch, observable) - k(b_psi)
-            total += float(np.sum(np.abs(diff) ** 2) * psi.grid.dx)
-        return math.sqrt(total)
-    if isinstance(channel, VonNeumannChannel):
-        joint = embed_joint(psi, channel.probe)
-        coupled = apply_von_neumann(joint, channel.g, "forward")
-        pushed = apply_von_neumann(_apply_observable_joint(coupled, observable), channel.g, "adjoint")
-        diff = pushed.amplitudes - _apply_observable_joint(joint, observable).amplitudes
-        return _joint_norm(diff, joint)
-    raise TypeError(f"unknown channel {channel!r}")
+    return math.sqrt(
+        _kraus_sum(channel, psi, observable, lambda b_k, k_b: float(np.sum(np.abs(b_k - k_b) ** 2)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +151,19 @@ def ozawa_disturbance(
 def _post_channel_distribution(
     channel: Channel, psi: WaveFunction, observable: ObservableName
 ) -> ProbabilityDistribution:
-    basis = "position" if observable == "X" else "momentum"
-    if isinstance(channel, FlipChannel):
-        return distribution(apply_flip(psi), basis)
-    if isinstance(channel, SlitChannel):
-        g = psi.grid
-        acc = np.zeros(g.n_points)
-        for k in kraus_of(channel, g):
-            branch = WaveFunction(g, k(psi.amplitudes), "position")
-            rep = branch if basis == "position" else _momentum_rep(branch)
-            acc = acc + np.abs(rep.amplitudes) ** 2
-        support = g.x if basis == "position" else g.p
-        spacing = g.dx if basis == "position" else g.dp
-        return ProbabilityDistribution(support, acc, spacing)
-    if isinstance(channel, VonNeumannChannel):
-        coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g, "forward")
-        if observable == "X":
-            g = psi.grid
-            return ProbabilityDistribution(g.x, coupled.system_marginal(), g.dx)
-        return momentum_distribution_of(reduce_system(coupled))
-    raise TypeError(f"unknown channel {channel!r}")
-
-
-def _momentum_rep(psi: WaveFunction) -> WaveFunction:
+    """Law of X or P in the nonselective output state: sum_m |K_m psi|^2."""
     g = psi.grid
-    amp = kernel_transform(psi.amplitudes, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
-    return WaveFunction(g, amp, "momentum")
+    blocks, ancilla_measure = kraus_of(channel, g)
+    law = np.zeros(g.n_points)
+    for k in blocks:
+        branches = k(psi.amplitudes)
+        if observable == "P":
+            branches = kernel_transform(branches, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
+        # the ancilla measure is applied after the sum over the ancilla axis
+        law = law + np.sum(np.abs(branches) ** 2, axis=1) * ancilla_measure
+    if observable == "X":
+        return ProbabilityDistribution(g.x, law, g.dx)
+    return ProbabilityDistribution(g.p, law, g.dp)
 
 
 def busch_state_disturbance(
@@ -229,7 +189,7 @@ def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the readout-distribution error requires a probe coupling")
-    coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g, "forward")
+    coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g)
     pg = channel.probe.grid
     weights = coupled.probe_marginal()
     support = pg.x / channel.g
@@ -253,33 +213,13 @@ def lund_wiseman_eta(channel: Channel, psi: WaveFunction, observable: Observable
     drive the square slightly negative near zero disturbance, so the raw
     value is clamped at zero (and logged).
     """
-    b_psi = _apply_observable(psi, observable)
+    b_psi = _apply_observable(psi.grid, psi.amplitudes, observable)
     m_in = float(np.sum(np.abs(b_psi) ** 2) * psi.grid.dx)
-    if isinstance(channel, FlipChannel):
-        out = apply_flip(psi)
-        b_out = _apply_observable(out, observable)
-        m_out = float(np.sum(np.abs(b_out) ** 2) * psi.grid.dx)
-        back = apply_flip(WaveFunction(psi.grid, b_out, "position"))
-        cross = float(np.real(np.vdot(b_psi, back.amplitudes)) * psi.grid.dx)
-    elif isinstance(channel, SlitChannel):
-        m_out = 0.0
-        cross = 0.0
-        for k in kraus_of(channel, psi.grid):
-            branch = WaveFunction(psi.grid, k(psi.amplitudes), "position")
-            b_branch = _apply_observable(branch, observable)
-            m_out += float(np.sum(np.abs(b_branch) ** 2) * psi.grid.dx)
-            cross += float(np.real(np.vdot(k(b_psi), b_branch)) * psi.grid.dx)
-    elif isinstance(channel, VonNeumannChannel):
-        joint = embed_joint(psi, channel.probe)
-        coupled = apply_von_neumann(joint, channel.g, "forward")
-        b_coupled = _apply_observable_joint(coupled, observable)
-        m_out = _joint_norm(b_coupled.amplitudes, joint) ** 2
-        b_joint = _apply_observable_joint(joint, observable)
-        forward_of_b = apply_von_neumann(b_joint, channel.g, "forward")
-        cross = float(np.real(np.vdot(forward_of_b.amplitudes, b_coupled.amplitudes)) * joint.measure)
-    else:
-        raise TypeError(f"unknown channel {channel!r}")
-    raw = m_out + m_in - 2.0 * cross
+
+    def out_minus_twice_cross(b_k: np.ndarray, k_b: np.ndarray) -> float:
+        return float(np.sum(np.abs(b_k) ** 2)) - 2.0 * float(np.real(np.vdot(k_b, b_k)))
+
+    raw = m_in + _kraus_sum(channel, psi, observable, out_minus_twice_cross)
     if raw < 0.0:
         logger.debug("weak-valued eta^2 clamped to 0 (raw value %.3e)", raw)
     return math.sqrt(max(raw, 0.0))

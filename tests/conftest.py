@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,36 @@ def random_amplitudes(grid: GridSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
     return a / np.sqrt(np.sum(np.abs(a) ** 2) * grid.dx)
+
+
+def unitary_dft(grid: GridSpec) -> np.ndarray:
+    """Dense unitary DFT matrix from L2-normalized position to momentum vectors."""
+    scale = math.sqrt(grid.dx * grid.dp / (2 * math.pi * grid.hbar))
+    return scale * np.exp(-1j * np.outer(grid.p, grid.x) / grid.hbar)
+
+
+def pointer_kraus_matrices(channel: VonNeumannChannel, grid: GridSpec) -> np.ndarray:
+    """Dense Kraus operators K_j = sqrt(dy) diag(ready(y_j - g x_i)) of the pointer.
+
+    The translated pointer ready(y - g x_i) is the periodic shift of the ready
+    state through momentum phases, built from dense DFT matrices rather than
+    from the package's FFT path.  Returns shape (n_p, n_s, n_s); meant for
+    grids with n <= 64.
+    """
+    pg = channel.probe.grid
+    assert grid.n_points <= 64 and pg.n_points <= 64
+    dft = unitary_dft(pg)
+    phi = dft @ channel.probe.ready_state.amplitudes
+    phases = np.exp(-1j * channel.g * np.outer(grid.x, pg.p) / pg.hbar)
+    table = (phases * phi[None, :]) @ dft.conj()  # row i: ready(y - g x_i)
+    diag = np.sqrt(pg.dx) * table.T  # (n_p, n_s)
+    return diag[:, :, None] * np.eye(grid.n_points)[None, :, :]
+
+
+def dense_pointer_eta_p(channel: VonNeumannChannel, psi) -> float:
+    """eta_P^2 = sum_j ||P K_j psi - K_j P psi||^2 with dense matrices (n <= 64)."""
+    dft = unitary_dft(psi.grid)
+    P = dft.conj().T @ (psi.grid.p[:, None] * dft)
+    v = psi.amplitudes * math.sqrt(psi.grid.dx)
+    Ks = pointer_kraus_matrices(channel, psi.grid)
+    return math.sqrt(sum(np.linalg.norm(P @ K @ v - K @ P @ v) ** 2 for K in Ks))

@@ -42,7 +42,7 @@ from edlab import (
 )
 from edlab.cli import load_config, main, run_scenario
 
-from conftest import rel_err
+from conftest import dense_pointer_eta_p, rel_err
 
 HBAR = 1.0
 
@@ -212,8 +212,8 @@ class TestCriterion6KrausDilation:
             channel = VonNeumannChannel(
                 1.0, ProbeSpec(GridSpec(64, -probe_half, probe_half, HBAR), 0.5)
             )
-            a = ozawa_disturbance(channel, psi, "P", form="joint")
-            b = ozawa_disturbance(channel, psi, "P", form="kraus")
+            a = ozawa_disturbance(channel, psi, "P")
+            b = dense_pointer_eta_p(channel, psi)
             worst = max(worst, rel_err(a, b))
         ok = worst < 1e-7
         announce("C6 Kraus/dilation disturbance equivalence (n <= 64)", ok, f"worst {worst:.2e}")

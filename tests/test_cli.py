@@ -158,10 +158,18 @@ class TestSweep:
         with pytest.raises(ConfigError, match="at least one"):
             run_sweep("probe.s", [], cfg)
 
-    def test_non_numeric_axis_rejected(self):
+    def test_non_numeric_axis_rejected(self, tmp_path):
         cfg = load_config(None, [], None)
         with pytest.raises(ConfigError, match="numeric"):
             run_sweep("state.variant", [1.0], cfg)
+        # an integer axis takes only integral values, as --set does
+        for bad in (256.5, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="integer"):
+                run_sweep("grid.n_points", [256.0, bad], cfg)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--axis", "grid.n_points", "--values", "256.5", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     def test_failing_row_leaves_no_file(self, tmp_path):
         out = tmp_path / "sweep.csv"

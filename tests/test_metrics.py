@@ -27,9 +27,8 @@ from edlab import (
     probe_grid_for,
     wasserstein2,
 )
-from edlab.channels import kraus_of
 
-from conftest import make_vn_channel, rel_err
+from conftest import dense_pointer_eta_p, make_vn_channel, pointer_kraus_matrices, rel_err, unitary_dft
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,8 @@ class TestOzawaDisturbance:
         for spec in (BumpState(0, 2), RandomState(3, 4), RandomState(11, 5)):
             psi = make_state(grid, spec)
             channel = VonNeumannChannel(1.0, ProbeSpec(probe_grid_for(grid, psi, 1.0, 0.5, 64), 0.5))
-            a = ozawa_disturbance(channel, psi, "P", form="joint")
-            b = ozawa_disturbance(channel, psi, "P", form="kraus")
+            a = ozawa_disturbance(channel, psi, "P")
+            b = dense_pointer_eta_p(channel, psi)
             assert rel_err(a, b) < 1e-7
 
 
@@ -255,11 +254,6 @@ class TestBuschStateError:
 # Weak-valued estimator
 # ---------------------------------------------------------------------------
 
-def _unitary_dft(grid):
-    scale = math.sqrt(grid.dx * grid.dp / (2 * math.pi * grid.hbar))
-    return scale * np.exp(-1j * np.outer(grid.p, grid.x) / grid.hbar)
-
-
 def lw_matrix_oracle(kraus_mats, psi_l2, basis_map, b_values) -> float:
     """Brute-force weak-valued joint distribution, all bins materialized."""
     phi = basis_map @ psi_l2
@@ -305,7 +299,7 @@ class TestLundWiseman:
         grid = make_grid(32, -8, 8)
         psi = make_state(grid, BumpState(0, 3))
         psi_l2 = psi.amplitudes * math.sqrt(grid.dx)
-        V = _unitary_dft(grid)
+        V = unitary_dft(grid)
         n = grid.n_points
         flip_mat = np.eye(n)[::-1]
         mask = np.abs(grid.x) <= 1.5
@@ -327,11 +321,8 @@ class TestLundWiseman:
         probe_grid = probe_grid_for(grid, psi, 1.0, 0.5, 64)
         channel = VonNeumannChannel(1.0, ProbeSpec(probe_grid, 0.5))
         psi_l2 = psi.amplitudes * math.sqrt(grid.dx)
-        mats = []
-        for k in kraus_of(channel, grid):
-            cols = np.eye(grid.n_points, dtype=complex)
-            mats.append(np.array([k(cols[:, i]) for i in range(grid.n_points)]).T)
-        V = _unitary_dft(grid)
+        mats = pointer_kraus_matrices(channel, grid)
+        V = unitary_dft(grid)
         oracle = lw_matrix_oracle(mats, psi_l2, V, grid.p)
         value = lund_wiseman_eta(channel, psi, "P")
         assert value == pytest.approx(oracle, rel=1e-8)
