@@ -9,10 +9,7 @@ from .channels import (
     JointState,
     ProbeSpec,
     SlitChannel,
-    SlitOutcome,
     VonNeumannChannel,
-    apply_flip,
-    apply_slit,
     apply_von_neumann,
     embed_joint,
     kraus_of,
@@ -28,7 +25,6 @@ from .grids import (
     make_grid,
     moments,
     to_momentum,
-    to_position,
 )
 from .metrics import (
     EDRReport,

@@ -7,7 +7,7 @@ an exact conditional shift: for each system column at x_i the probe is
 translated by g*x_i through momentum-space phases, which is unitary to
 machine precision at any coupling strength.
 
-``kraus_of`` is the one description of a channel that the figures use: its
+``kraus_of`` is the one implementation of a channel's action on a state: its
 Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
 """
 
@@ -22,7 +22,6 @@ from .grids import GridSpec, InvariantViolation, WaveFunction, kernel_transform
 from .states import gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
-ZERO_BRANCH_TOL = 1e-14
 
 
 class ConfinementError(InvariantViolation):
@@ -47,7 +46,7 @@ class ProbeSpec:
             raise ValueError(f"pointer width must be positive, got {self.s}")
         amp = gaussian_amplitudes(self.grid, 0.0, 0.0, self.s)
         amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * self.grid.dx)
-        ready = WaveFunction(self.grid, amp, "position").validate()
+        ready = WaveFunction(self.grid, amp).validate()
         mean = float(np.sum(self.grid.x * np.abs(ready.amplitudes) ** 2) * self.grid.dx)
         if abs(mean) > 1e-10:
             raise InvariantViolation(f"pointer bias <X_probe> = {mean:.3e}")
@@ -63,16 +62,21 @@ def probe_grid_for(
 ) -> GridSpec:
     """Auto-size a probe grid so the conditional shifts stay confined.
 
-    The half-domain covers the largest significant shift g*|x| (support of
-    psi at the 1e-14 probability level) plus a generous pointer margin.  The
-    ready state's own validation then rejects widths the resulting spacing
-    cannot represent.
+    The half-domain is ``probe_half_width`` at the reach of psi (its support
+    at the 1e-14 probability level).  The ready state's own validation then
+    rejects widths the resulting spacing cannot represent.
     """
     w = np.abs(psi.amplitudes) ** 2 * system_grid.dx
     sig = np.abs(system_grid.x[w > 1e-14])
     reach = float(sig.max()) if sig.size else abs(system_grid.x).max()
-    half = abs(g) * reach + 12.0 * s
+    half = probe_half_width(g, reach, s)
     return GridSpec(n_points, -half, half, system_grid.hbar)
+
+
+def probe_half_width(g: float, reach: float, s: float) -> float:
+    """Probe half-domain that keeps a width-s pointer confined under every
+    shift g*x with |x| <= reach: the largest shift plus a 12 s margin."""
+    return abs(g) * reach + 12.0 * s
 
 
 @dataclass(frozen=True)
@@ -129,26 +133,6 @@ class JointState:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=0) * self.system_grid.dx
 
 
-def apply_flip(psi: WaveFunction) -> WaveFunction:
-    """Reverse the position wave function: psi'(x_i) = psi(x_{n-1-i}).
-
-    Exact index permutation (hence exactly norm-preserving); requires a
-    domain symmetric about 0 so that x_{n-1-i} = -x_i.
-    """
-    if psi.space != "position":
-        raise ValueError("flip acts on position-space states")
-    (flip,), _ = kraus_of(FlipChannel(), psi.grid)
-    return WaveFunction(psi.grid, flip(psi.amplitudes)[:, 0].copy(), "position")
-
-
-@dataclass(frozen=True)
-class SlitOutcome:
-    pass_state: WaveFunction | None
-    pass_probability: float
-    fail_state: WaveFunction | None
-    fail_probability: float
-
-
 def slit_mask(grid: GridSpec, center: float, width: float) -> np.ndarray:
     if center - 0.5 * width < grid.x_min or center + 0.5 * width > grid.x_max:
         raise InvariantViolation(
@@ -156,28 +140,6 @@ def slit_mask(grid: GridSpec, center: float, width: float) -> np.ndarray:
             f"[{grid.x_min}, {grid.x_max}]"
         )
     return np.abs(grid.x - center) <= 0.5 * width
-
-
-def apply_slit(psi: WaveFunction, center: float, width: float) -> SlitOutcome:
-    """Lueders two-outcome measurement: does the particle pass the slit?
-
-    Branch amplitudes are the masked/complement amplitudes renormalized;
-    branch probabilities are the pre-normalization norms squared and sum to 1
-    exactly.  A branch with (near-)zero probability is flagged by returning
-    no state for it rather than renormalizing noise.
-    """
-    g = psi.grid
-    mask = slit_mask(g, center, width)
-    branches: list[tuple[WaveFunction | None, float]] = []
-    for sel in (mask, ~mask):
-        amp = np.where(sel, psi.amplitudes, 0.0)
-        prob = float(np.sum(np.abs(amp) ** 2) * g.dx)
-        if prob < ZERO_BRANCH_TOL:
-            branches.append((None, prob))
-        else:
-            branches.append((WaveFunction(g, amp / np.sqrt(prob), "position"), prob))
-    (ps, pp), (fs, fp) = branches
-    return SlitOutcome(ps, pp, fs, fp)
 
 
 def embed_joint(psi: WaveFunction, probe: ProbeSpec) -> JointState:

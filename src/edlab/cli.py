@@ -14,14 +14,17 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import (
     Channel,
     FlipChannel,
     ProbeSpec,
     SlitChannel,
     VonNeumannChannel,
-    apply_slit,
+    kraus_of,
     probe_grid_for,
+    probe_half_width,
 )
 from .grids import GridSpec, InvariantViolation, WaveFunction, make_grid
 from .metrics import CSV_COLUMNS, EDRReport, compute_report
@@ -254,10 +257,14 @@ def build_scenario(cfg: dict) -> BuiltScenario:
         s = cfg["probe.s"]
         n_probe = cfg["probe.n_points"]
         g = cfg["channel.g"]
-        if "probe.x_min" in cfg and "probe.x_max" in cfg:
+        bounds = [k for k in ("probe.x_min", "probe.x_max") if k in cfg]
+        if len(bounds) == 2:
             probe_grid = _guard(make_grid, n_probe, cfg["probe.x_min"], cfg["probe.x_max"], grid.hbar)
+        elif bounds:
+            missing = "probe.x_max" if bounds == ["probe.x_min"] else "probe.x_min"
+            raise ConfigError(f"{bounds[0]} is set without {missing}; set both probe bounds or neither")
         else:
-            probe_grid = probe_grid_for(grid, psi, g, s, n_probe)
+            probe_grid = _guard(probe_grid_for, grid, psi, g, s, n_probe)
         channel = _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
     else:
         raise ConfigError(f"unknown channel.variant {variant!r}")
@@ -360,9 +367,10 @@ def run_scenario(name: str, cfg: dict) -> tuple[BuiltScenario, EDRReport, str]:
     report = compute_report(built.channel, built.psi)
     extra: list[tuple[str, str]] = []
     if isinstance(built.channel, SlitChannel):
-        outcome = apply_slit(built.psi, built.channel.center, built.channel.width)
-        extra.append(("slit pass probability", _fmt(outcome.pass_probability)))
-        extra.append(("slit fail probability", _fmt(outcome.fail_probability)))
+        blocks, measure = kraus_of(built.channel, built.grid)
+        for outcome, k in zip(("pass", "fail"), blocks):
+            prob = float(np.sum(np.abs(k(built.psi.amplitudes)) ** 2) * built.grid.dx) * measure
+            extra.append((f"slit {outcome} probability", _fmt(prob)))
     table = render_table(built, report, extra)
     return built, report, table
 
@@ -392,7 +400,7 @@ def run_eq2(cfg: dict) -> tuple[Eq2Report, BuiltScenario]:
     cfg = dict(cfg)
     cfg["scenario"] = "vonneumann"
     cfg.update({k: v for k, v in _SCENARIO_DEFAULTS["vonneumann"].items() if k not in cfg})
-    if "probe.x_min" not in cfg or "probe.x_max" not in cfg:
+    if "probe.x_min" not in cfg and "probe.x_max" not in cfg:
         # size the probe for the whole search family, not just the base state
         reach = max(
             abs(cfg["search_err.x0_min"]),
@@ -400,7 +408,7 @@ def run_eq2(cfg: dict) -> tuple[Eq2Report, BuiltScenario]:
             abs(cfg["search_dist.x0_min"]),
             abs(cfg["search_dist.x0_max"]),
         ) + 8.0 * max(cfg["search_err.sigma_max"], cfg["search_dist.sigma_max"])
-        half = abs(cfg["channel.g"]) * reach + 12.0 * cfg["probe.s"]
+        half = probe_half_width(cfg["channel.g"], reach, cfg["probe.s"])
         cfg["probe.x_min"] = -half
         cfg["probe.x_max"] = half
     built = build_scenario(cfg)
@@ -417,12 +425,17 @@ def run_eq2(cfg: dict) -> tuple[Eq2Report, BuiltScenario]:
             max_refine_iters=cfg[f"{prefix}.max_refine_iters"],
         )
 
-    try:
-        spec_err = search_spec("search_err")
-        spec_dist = search_spec("search_dist")
-    except KeyError as exc:
-        raise ConfigError(f"missing search key {exc}") from exc
-    result = eq2_check(built.channel, built.grid, spec_err, spec_dist)
+    specs = []
+    for prefix in ("search_err", "search_dist"):
+        try:
+            spec = search_spec(prefix)
+            spec.validate(built.grid)
+        except KeyError as exc:
+            raise ConfigError(f"missing search key {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}: {exc}") from exc
+        specs.append(spec)
+    result = eq2_check(built.channel, built.grid, *specs)
     return result, built
 
 

@@ -3,14 +3,14 @@
 The position grid uses a half-cell offset, x_i = x_min + (i + 1/2) dx, so
 that on a symmetric domain the reflection x -> -x is an exact index
 reversal.  The conjugate momentum grid p_k = 2*pi*hbar*k/(n*dx) (signed
-index k in [-n/2, n/2)) is stored in ascending order.  Transforms between
-the two representations are unitary with respect to the dx / dp measures,
-so Parseval holds to machine precision.
+index k in [-n/2, n/2)) is stored in ascending order.  States are always
+position amplitudes; ``to_momentum`` maps them to momentum amplitudes on p,
+unitarily with respect to the dx / dp measures, so Parseval holds to machine
+precision.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -89,18 +89,17 @@ def make_grid(n_points: int, x_min: float, x_max: float, hbar: float = 1.0) -> G
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex amplitudes on a grid, in position or momentum representation.
+    """Complex position amplitudes a_i = psi(x_i) on a grid.
 
-    Amplitudes carry units coordinate^(-1/2): sum |a_i|^2 * spacing = 1 for a
+    Amplitudes carry units length^(-1/2): sum |a_i|^2 * dx = 1 for a
     normalized state.  Construction checks only shape and finiteness;
     ``validate`` enforces the full set of state invariants and is called by
-    every state factory.  Channel intermediates (slit branches in
-    particular) deliberately skip revalidation.
+    every state factory.  Channel intermediates (Kraus branches and operator
+    images) deliberately skip revalidation.
     """
 
     grid: GridSpec
     amplitudes: np.ndarray
-    space: BasisName = "position"
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
@@ -112,16 +111,8 @@ class WaveFunction:
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", a)
 
-    @property
-    def coordinates(self) -> np.ndarray:
-        return self.grid.x if self.space == "position" else self.grid.p
-
-    @property
-    def spacing(self) -> float:
-        return self.grid.dx if self.space == "position" else self.grid.dp
-
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.spacing))
+        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx))
 
     def validate(self) -> "WaveFunction":
         """Check normalization, boundary confinement and aliasing control.
@@ -135,16 +126,15 @@ class WaveFunction:
         edge = np.concatenate(
             (self.amplitudes[:N_BOUNDARY_POINTS], self.amplitudes[-N_BOUNDARY_POINTS:])
         )
-        edge_mass = np.abs(edge) ** 2 * self.spacing
+        edge_mass = np.abs(edge) ** 2 * self.grid.dx
         if np.any(edge_mass > BOUNDARY_TOL):
             raise InvariantViolation(
                 f"boundary confinement violated: edge probability {edge_mass.max():.3e} "
                 f"exceeds {BOUNDARY_TOL}"
             )
-        mom = self if self.space == "momentum" else to_momentum(self)
-        p = mom.grid.p
+        p = self.grid.p
         band = np.abs(p) >= 0.9 * np.abs(p).max()
-        band_mass = float(np.sum(np.abs(mom.amplitudes[band]) ** 2) * mom.grid.dp)
+        band_mass = float(np.sum(np.abs(to_momentum(self)[band]) ** 2) * self.grid.dp)
         if band_mass > ALIASING_TOL:
             raise InvariantViolation(
                 f"aliasing control violated: near-Nyquist momentum mass {band_mass:.3e} "
@@ -167,7 +157,7 @@ def kernel_transform(
 
     Computes out_j = src_step / sqrt(2*pi*hbar) * sum_i arr_i *
     exp(sign * 1j * c_j * d_i / hbar) where d_i = src0 + i*src_step are the
-    source coordinates and c_j = dst0 + j*dst_step the destination ones.
+    source grid points and c_j = dst0 + j*dst_step the destination ones.
     Requires the duality condition src_step * dst_step = 2*pi*hbar / n, which
     lets the double sum collapse onto a single FFT with two phase vectors.
     """
@@ -187,29 +177,10 @@ def kernel_transform(
     return (src_step / np.sqrt(2.0 * np.pi * hbar)) * outer.reshape(shape) * core
 
 
-def to_momentum(psi: WaveFunction) -> WaveFunction:
-    """Forward transform onto the conjugate grid.
-
-    Mapping a position-space state yields its momentum representation.
-    Applying the same forward kernel to a momentum-space state lands back in
-    position space with the argument reflected, psi(-x), which is the parity
-    identity of the continuum transform and holds here to grid precision.
-    """
+def to_momentum(psi: WaveFunction) -> np.ndarray:
+    """Momentum amplitudes of a state on ``grid.p``, normalized with measure dp."""
     g = psi.grid
-    if psi.space == "position":
-        out = kernel_transform(psi.amplitudes, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
-        return WaveFunction(g, out, "momentum")
-    out = kernel_transform(psi.amplitudes, 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, -1)
-    return WaveFunction(g, out, "position")
-
-
-def to_position(phi: WaveFunction) -> WaveFunction:
-    """Inverse transform of ``to_momentum`` on a momentum-space state."""
-    if phi.space != "momentum":
-        raise ValueError("to_position expects a momentum-space state")
-    g = phi.grid
-    out = kernel_transform(phi.amplitudes, 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, +1)
-    return WaveFunction(g, out, "position")
+    return kernel_transform(psi.amplitudes, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
 
 
 @dataclass(frozen=True)
@@ -228,18 +199,15 @@ def _mean_std(coords: np.ndarray, weights: np.ndarray, spacing: float) -> tuple[
 
 
 def moments(psi: WaveFunction) -> Moments:
-    """First and second moments of X and P for a position-space state.
+    """First and second moments of X and P.
 
     <P> and Delta P are evaluated by spectral multiplication on the momentum
     grid; compact-support states have slowly decaying momentum tails that a
     finite-difference stencil would misrepresent.
     """
-    if psi.space != "position":
-        raise ValueError("moments expects a position-space state")
     g = psi.grid
     mean_x, delta_x = _mean_std(g.x, np.abs(psi.amplitudes) ** 2, g.dx)
-    phi = to_momentum(psi)
-    mean_p, delta_p = _mean_std(g.p, np.abs(phi.amplitudes) ** 2, g.dp)
+    mean_p, delta_p = _mean_std(g.p, np.abs(to_momentum(psi)) ** 2, g.dp)
     return Moments(mean_x, delta_x, mean_p, delta_p)
 
 
@@ -281,30 +249,10 @@ class ProbabilityDistribution:
 
 
 def distribution(psi: WaveFunction, basis: BasisName) -> ProbabilityDistribution:
-    """|amplitude|^2 on the requested grid."""
-    if basis == psi.space:
-        rep = psi
-    elif basis == "momentum" and psi.space == "position":
-        rep = to_momentum(psi)
-    elif basis == "position" and psi.space == "momentum":
-        rep = to_position(psi)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return ProbabilityDistribution(rep.coordinates, np.abs(rep.amplitudes) ** 2, rep.spacing)
-
-
-def wavefunction_to_csv(psi: WaveFunction, path: str) -> None:
-    """Write (coordinate, re, im) rows; floats carry 12 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["coordinate", "re", "im"])
-        for c, a in zip(psi.coordinates, psi.amplitudes):
-            w.writerow([f"{c:.12g}", f"{a.real:.12g}", f"{a.imag:.12g}"])
-
-
-def distribution_to_csv(dist: ProbabilityDistribution, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["coordinate", "weight"])
-        for c, wt in zip(dist.support, dist.weights):
-            w.writerow([f"{c:.12g}", f"{wt:.12g}"])
+    """|amplitude|^2 on the position grid or, through ``to_momentum``, the momentum grid."""
+    g = psi.grid
+    if basis == "position":
+        return ProbabilityDistribution(g.x, np.abs(psi.amplitudes) ** 2, g.dx)
+    if basis == "momentum":
+        return ProbabilityDistribution(g.p, np.abs(to_momentum(psi)) ** 2, g.dp)
+    raise ValueError(f"unknown basis {basis!r}")

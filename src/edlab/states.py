@@ -66,7 +66,7 @@ def _check_margin(grid: GridSpec, lo: float, hi: float, what: str) -> None:
 
 def _normalized(grid: GridSpec, amplitudes: np.ndarray) -> WaveFunction:
     nrm = np.sqrt(np.sum(np.abs(amplitudes) ** 2) * grid.dx)
-    return WaveFunction(grid, amplitudes / nrm, "position")
+    return WaveFunction(grid, amplitudes / nrm)
 
 
 def gaussian_amplitudes(grid: GridSpec, x0: float, p0: float, sigma: float) -> np.ndarray:
@@ -151,8 +151,6 @@ def is_symmetric(psi: WaveFunction, about: float) -> tuple[bool, float]:
     exact index permutation of the half-offset grid.
     """
     g = psi.grid
-    if psi.space != "position":
-        raise ValueError("is_symmetric expects a position-space state")
     scale = max(abs(g.x_min), abs(g.x_max), 1.0)
     if abs(about - g.center) > 1e-12 * scale:
         raise ValueError(

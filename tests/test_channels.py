@@ -15,8 +15,6 @@ from edlab import (
     SlitChannel,
     VonNeumannChannel,
     WaveFunction,
-    apply_flip,
-    apply_slit,
     apply_von_neumann,
     busch_state_disturbance,
     distribution,
@@ -31,38 +29,44 @@ from edlab import (
 from conftest import make_vn_channel, pointer_kraus_matrices, random_amplitudes, unitary_dft
 
 
+def flip(psi):
+    """The flip's single Kraus branch, as position amplitudes."""
+    (k,), _ = kraus_of(FlipChannel(), psi.grid)
+    return k(psi.amplitudes)[:, 0]
+
+
 class TestFlip:
     def test_reflects_translated_gaussian(self, std_grid):
         psi = make_state(std_grid, GaussianState(1, 0, 1))
         target = make_state(std_grid, GaussianState(-1, 0, 1))
-        assert np.max(np.abs(apply_flip(psi).amplitudes - target.amplitudes)) < 1e-12
+        assert np.max(np.abs(flip(psi) - target.amplitudes)) < 1e-12
 
     def test_fixes_even_gaussian(self, std_grid):
         psi = make_state(std_grid, GaussianState(0, 0, 1))
-        assert np.max(np.abs(apply_flip(psi).amplitudes - psi.amplitudes)) < 1e-12
+        assert np.max(np.abs(flip(psi) - psi.amplitudes)) < 1e-12
 
     def test_reflects_offset_bump(self):
         grid = make_grid(1024, -16, 16)
         psi = make_state(grid, BumpState(0.5, 0.25))
         target = make_state(grid, BumpState(-0.5, 0.25))
-        assert np.max(np.abs(apply_flip(psi).amplitudes - target.amplitudes)) < 1e-12
+        assert np.max(np.abs(flip(psi) - target.amplitudes)) < 1e-12
 
     def test_exact_index_permutation(self, corpus):
         for _, psi in corpus:
-            flipped = apply_flip(psi)
-            assert np.array_equal(flipped.amplitudes, psi.amplitudes[::-1])
+            assert np.array_equal(flip(psi), psi.amplitudes[::-1])
 
     def test_even_state_momentum_distribution_unchanged(self, std_grid):
         psi = make_state(std_grid, GaussianState(0, 0, 1.5))
         before = distribution(psi, "momentum")
-        after = distribution(apply_flip(psi), "momentum")
+        # copy: the branch is a reversed view, which WaveFunction rejects
+        after = distribution(WaveFunction(std_grid, flip(psi).copy()), "momentum")
         assert np.max(np.abs(before.weights - after.weights)) < 1e-12
 
     def test_requires_symmetric_domain(self):
         g = make_grid(256, 0, 32)
         psi = make_state(g, GaussianState(16, 0, 1))
         with pytest.raises(InvariantViolation, match="symmetric"):
-            apply_flip(psi)
+            flip(psi)
 
 
 class TestEmbedJoint:
@@ -131,35 +135,43 @@ class TestVonNeumann:
             assert abs(joint.norm() - 1.0) < 1e-12
 
 
+def slit(psi, center, width):
+    """Pass and fail branches K_m psi of the slit and their probabilities."""
+    blocks, measure = kraus_of(SlitChannel(center, width), psi.grid)
+    branches = [k(psi.amplitudes)[:, 0] for k in blocks]
+    probs = [float(np.sum(np.abs(b) ** 2) * psi.grid.dx) * measure for b in branches]
+    return branches, probs
+
+
 class TestSlit:
     def test_wide_slit_passes_bump_untouched(self, std_grid):
         psi = make_state(std_grid, BumpState(0, 1))
-        out = apply_slit(psi, 0.0, 4.0)
-        assert out.pass_probability == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(out.pass_state.amplitudes - psi.amplitudes)) < 1e-12
-        assert out.fail_state is None  # zero-probability branch flagged
+        (passed, failed), (pass_prob, _) = slit(psi, 0.0, 4.0)
+        assert pass_prob == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(passed - psi.amplitudes)) < 1e-12
+        assert not np.any(failed)  # the fail branch is exactly zero
 
     def test_gaussian_pass_probability_matches_erf(self, std_grid):
         psi = make_state(std_grid, GaussianState(0, 0, 2))
-        out = apply_slit(psi, 0.0, 1.0)
+        _, (pass_prob, _) = slit(psi, 0.0, 1.0)
         oracle = math.erf(0.5 / (2.0 * math.sqrt(2.0)))
-        assert out.pass_probability == pytest.approx(oracle, rel=1e-3)
+        assert pass_prob == pytest.approx(oracle, rel=1e-3)
 
     def test_full_domain_slit(self, std_grid):
         psi = make_state(std_grid, GaussianState(0, 0, 1))
-        out = apply_slit(psi, 0.0, 32.0)
-        assert out.pass_probability == pytest.approx(1.0, abs=1e-12)
-        assert out.fail_probability == 0.0
+        _, (pass_prob, fail_prob) = slit(psi, 0.0, 32.0)
+        assert pass_prob == pytest.approx(1.0, abs=1e-12)
+        assert fail_prob == 0.0
 
     def test_probabilities_sum_to_one(self, corpus):
         for _, psi in corpus:
-            out = apply_slit(psi, 0.5, 2.0)
-            assert out.pass_probability + out.fail_probability == pytest.approx(1.0, abs=1e-12)
+            _, (pass_prob, fail_prob) = slit(psi, 0.5, 2.0)
+            assert pass_prob + fail_prob == pytest.approx(1.0, abs=1e-12)
 
     def test_slit_outside_domain(self, std_grid):
         psi = make_state(std_grid, GaussianState(0, 0, 1))
         with pytest.raises(InvariantViolation, match="domain"):
-            apply_slit(psi, 15.0, 4.0)
+            slit(psi, 15.0, 4.0)
 
     def test_narrow_slit_collapses_passing_state(self, std_grid):
         # the passing branch is confined to the slit: spread ~ width/sqrt(12)
@@ -168,8 +180,8 @@ class TestSlit:
 
         width = 1.0
         psi = make_state(std_grid, GaussianState(0, 0, 2))
-        out = apply_slit(psi, 0.0, width)
-        m = moments(out.pass_state)
+        (passed, _), (pass_prob, _) = slit(psi, 0.0, width)
+        m = moments(WaveFunction(std_grid, passed / np.sqrt(pass_prob)))
         assert m.delta_x < width
         assert m.delta_x == pytest.approx(width / math.sqrt(12.0), rel=0.2)
         assert m.delta_x * m.delta_p >= 0.5 * (1 - 1e-9)

@@ -121,10 +121,26 @@ class TestScenarios:
     def test_grid_spec_error_is_config_error(self, capsys):
         assert main(["scenario", "flip", "--set", "grid.n_points=100"]) == 1
 
-    def test_bad_channel_params_are_config_errors(self, capsys):
+    def test_bad_channel_params_are_config_errors(self, tmp_path, capsys):
         assert main(["scenario", "slit", "--set", "channel.width=-1"]) == 1
         assert main(["scenario", "vonneumann", "--set", "channel.g=0"]) == 1
         assert main(["scenario", "slit", "--set", "state.halfwidth=-1"]) == 1
+        # bad values on the auto-sized probe path
+        for bad in ("probe.n_points=100", "channel.g=nan", "probe.s=-1"):
+            assert main(["scenario", "vonneumann", "--set", bad]) == 1, bad
+        out = tmp_path / "sweep.csv"
+        for axis, value in (("probe.n_points", "100"), ("channel.g", "nan")):
+            assert main(["sweep", "--axis", axis, "--values", value, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_lone_probe_bound_is_config_error(self, tmp_path, capsys):
+        for given, missing in (("probe.x_min=-20", "probe.x_max"), ("probe.x_max=20", "probe.x_min")):
+            assert main(["scenario", "vonneumann", "--set", given]) == 1
+            assert missing in capsys.readouterr().err
+            assert main(["eq2", "--out-dir", str(tmp_path / "eq2"), "--set", given]) == 1
+            assert missing in capsys.readouterr().err
+        assert not (tmp_path / "eq2").exists()
 
 
 class TestSweep:
@@ -221,6 +237,21 @@ class TestEq2Verb:
         err_rows = (outdir / "error_landscape.csv").read_text().splitlines()
         assert err_rows[0] == "x0,p0,sigma,value"
         assert len(err_rows) - 1 == summary["evaluations_error"]
+
+
+    def test_bad_search_params_are_config_errors(self, tmp_path, capsys):
+        outdir = tmp_path / "eq2"
+        for bad in (
+            "search_err.sigma_min=0.01",
+            "search_err.n_x0=0",
+            "search_dist.refine_tol=0",
+            "search_dist.max_refine_iters=-1",
+            "search_dist.x0_min=2",
+        ):
+            assert main(["eq2", "--out-dir", str(outdir), "--set", bad]) == 1, bad
+            err = capsys.readouterr().err
+            assert "config error" in err and bad.partition(".")[0] in err, err
+        assert not outdir.exists()
 
 
 class TestDeterminism:

@@ -13,9 +13,8 @@ from edlab import (
     make_state,
     moments,
     to_momentum,
-    to_position,
 )
-from edlab.grids import wavefunction_to_csv, distribution_to_csv
+from edlab.grids import kernel_transform
 
 from conftest import random_amplitudes, rel_err
 
@@ -58,28 +57,28 @@ class TestToMomentum:
         base = make_state(std_grid, GaussianState(0, 0, 1))
         shift_cells = 8
         p0 = shift_cells * std_grid.dp  # on-grid boost: exact index shift
-        boosted = WaveFunction(
-            std_grid, base.amplitudes * np.exp(1j * p0 * std_grid.x), "position"
-        )
+        boosted = WaveFunction(std_grid, base.amplitudes * np.exp(1j * p0 * std_grid.x))
         d0 = distribution(base, "momentum")
         d1 = distribution(boosted, "momentum")
         assert np.allclose(np.roll(d0.weights, shift_cells), d1.weights, atol=1e-12)
 
     def test_parseval_random_states(self, std_grid):
         for seed in range(100):
-            psi = WaveFunction(std_grid, random_amplitudes(std_grid, seed), "position")
-            assert abs(to_momentum(psi).norm() - 1.0) < 1e-12
+            phi = to_momentum(WaveFunction(std_grid, random_amplitudes(std_grid, seed)))
+            assert abs(np.sqrt(np.sum(np.abs(phi) ** 2) * std_grid.dp) - 1.0) < 1e-12
 
     def test_roundtrip(self, std_grid):
-        psi = WaveFunction(std_grid, random_amplitudes(std_grid, 7), "position")
-        back = to_position(to_momentum(psi))
-        assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-11
+        g = std_grid
+        psi = WaveFunction(g, random_amplitudes(g, 7))
+        back = kernel_transform(to_momentum(psi), 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, +1)
+        assert np.max(np.abs(back - psi.amplitudes)) < 1e-11
 
     def test_double_transform_is_parity(self, corpus):
+        # the forward kernel applied to momentum amplitudes gives psi(-x)
         for _, psi in corpus:
-            twice = to_momentum(to_momentum(psi))
-            assert twice.space == "position"
-            assert np.max(np.abs(twice.amplitudes - psi.amplitudes[::-1])) < 1e-10
+            g = psi.grid
+            twice = kernel_transform(to_momentum(psi), 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, -1)
+            assert np.max(np.abs(twice - psi.amplitudes[::-1])) < 1e-10
 
 
 COS4_NORM = 3.0 / 4.0  # integral of cos^4(pi x / 2) over [-1, 1]
@@ -147,14 +146,14 @@ class TestDistribution:
 
 class TestWaveFunctionInvariants:
     def test_norm_gate(self, std_grid):
-        bad = WaveFunction(std_grid, 2.0 * random_amplitudes(std_grid, 1), "position")
+        bad = WaveFunction(std_grid, 2.0 * random_amplitudes(std_grid, 1))
         with pytest.raises(InvariantViolation, match="norm"):
             bad.validate()
 
     def test_boundary_gate(self, std_grid):
         amp = np.zeros(std_grid.n_points, complex)
         amp[0] = 1.0
-        psi = WaveFunction(std_grid, amp / np.sqrt(std_grid.dx), "position")
+        psi = WaveFunction(std_grid, amp / np.sqrt(std_grid.dx))
         with pytest.raises(InvariantViolation, match="confinement"):
             psi.validate()
 
@@ -164,22 +163,5 @@ class TestWaveFunctionInvariants:
         amp = np.exp(-(x**2) / 4) * np.exp(1j * 0.97 * p_nyq * x)
         amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * std_grid.dx)
         with pytest.raises(InvariantViolation, match="aliasing"):
-            WaveFunction(std_grid, amp, "position").validate()
+            WaveFunction(std_grid, amp).validate()
 
-
-class TestSerialization:
-    def test_wavefunction_csv(self, std_grid, tmp_path):
-        psi = make_state(std_grid, GaussianState(0, 0, 1))
-        path = tmp_path / "wf.csv"
-        wavefunction_to_csv(psi, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "coordinate,re,im"
-        assert len(lines) == std_grid.n_points + 1
-
-    def test_distribution_csv(self, std_grid, tmp_path):
-        d = distribution(make_state(std_grid, GaussianState(0, 0, 1)), "momentum")
-        path = tmp_path / "dist.csv"
-        distribution_to_csv(d, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "coordinate,weight"
-        assert len(lines) == std_grid.n_points + 1
