@@ -1,18 +1,20 @@
 """Scenario runner, sweep engine and worst-case search driver.
 
 Config files are flat ``key=value`` lines with dotted section paths
-(``grid.n_points=256``), diff-friendly for sweeps; unknown keys are
-rejected.  Exit codes: 0 success, 1 config error, 2 physics-invariant
-violation.  All emitted files are byte-deterministic (floats fixed at 12
-significant digits).
+(``grid.n_points=256``), diff-friendly for sweeps.  A verb accepts only the
+keys it reads with the selected state and channel variants; unknown and
+unread keys are rejected.  Exit codes: 0 success, 1 config error, 2
+physics-invariant violation.  All emitted files are byte-deterministic
+(floats fixed at 12 significant digits).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,8 +42,29 @@ from .supsearch import Eq2Report, SearchSpec, eq2_check, trace_to_csv
 
 
 class ConfigError(ValueError):
-    """Malformed or unknown configuration input."""
+    """Malformed, unknown or unread configuration input."""
 
+
+# The two searches of eq2 share every default but sigma_max and n_sigma.
+_SEARCH_SHARED = {
+    "x0_min": -1.0,
+    "x0_max": 1.0,
+    "p0_min": -1.0,
+    "p0_max": 1.0,
+    "sigma_min": 1.0,
+    "n_x0": 3,
+    "n_p0": 3,
+    "refine_tol": 1e-4,
+    "max_refine_iters": 3,
+}
+_SEARCH_DEFAULTS = {
+    f"{search}.{key}": value
+    for search, own in (
+        ("search_err", {"sigma_max": 2.0, "n_sigma": 5}),
+        ("search_dist", {"sigma_max": 4.0, "n_sigma": 7}),
+    )
+    for key, value in {**_SEARCH_SHARED, **own}.items()
+}
 
 _SCHEMA: dict[str, type] = {
     "scenario": str,
@@ -66,30 +89,27 @@ _SCHEMA: dict[str, type] = {
     "probe.n_points": int,
     "probe.x_min": float,
     "probe.x_max": float,
-    "search_err.x0_min": float,
-    "search_err.x0_max": float,
-    "search_err.p0_min": float,
-    "search_err.p0_max": float,
-    "search_err.sigma_min": float,
-    "search_err.sigma_max": float,
-    "search_err.n_x0": int,
-    "search_err.n_p0": int,
-    "search_err.n_sigma": int,
-    "search_err.refine_tol": float,
-    "search_err.max_refine_iters": int,
-    "search_dist.x0_min": float,
-    "search_dist.x0_max": float,
-    "search_dist.p0_min": float,
-    "search_dist.p0_max": float,
-    "search_dist.sigma_min": float,
-    "search_dist.sigma_max": float,
-    "search_dist.n_x0": int,
-    "search_dist.n_p0": int,
-    "search_dist.n_sigma": int,
-    "search_dist.refine_tol": float,
-    "search_dist.max_refine_iters": int,
-    "output.path": str,
-    "output.format": str,
+    **{key: type(value) for key, value in _SEARCH_DEFAULTS.items()},
+}
+
+# state.variant -> spec class; the variant reads state.<field> for each field
+_STATES = {
+    "gaussian": GaussianState,
+    "bump": BumpState,
+    "symmetric_pair": SymmetricPairState,
+    "random": RandomState,
+}
+_PROBE_BOUNDS = ("probe.x_min", "probe.x_max")  # optional: unset, the probe is auto-sized
+# selector key -> {variant: the keys it reads}
+_VARIANT_KEYS = {
+    "state.variant": {
+        name: tuple(f"state.{f.name}" for f in fields(spec)) for name, spec in _STATES.items()
+    },
+    "channel.variant": {
+        "flip": (),
+        "slit": ("channel.center", "channel.width"),
+        "von_neumann": ("channel.g", "probe.s", "probe.n_points", *_PROBE_BOUNDS),
+    },
 }
 
 _BASE_DEFAULTS = {
@@ -97,6 +117,7 @@ _BASE_DEFAULTS = {
     "grid.x_min": -16.0,
     "grid.x_max": 16.0,
     "grid.hbar": 1.0,
+    "state.smoothness": 6,
 }
 
 _SCENARIO_DEFAULTS = {
@@ -125,31 +146,6 @@ _SCENARIO_DEFAULTS = {
         "state.p0": 0.0,
         "state.sigma": 1.0,
     },
-}
-
-_EQ2_DEFAULTS = {
-    "search_err.x0_min": -1.0,
-    "search_err.x0_max": 1.0,
-    "search_err.p0_min": -1.0,
-    "search_err.p0_max": 1.0,
-    "search_err.sigma_min": 1.0,
-    "search_err.sigma_max": 2.0,
-    "search_err.n_x0": 3,
-    "search_err.n_p0": 3,
-    "search_err.n_sigma": 5,
-    "search_err.refine_tol": 1e-4,
-    "search_err.max_refine_iters": 3,
-    "search_dist.x0_min": -1.0,
-    "search_dist.x0_max": 1.0,
-    "search_dist.p0_min": -1.0,
-    "search_dist.p0_max": 1.0,
-    "search_dist.sigma_min": 1.0,
-    "search_dist.sigma_max": 4.0,
-    "search_dist.n_x0": 3,
-    "search_dist.n_p0": 3,
-    "search_dist.n_sigma": 7,
-    "search_dist.refine_tol": 1e-4,
-    "search_dist.max_refine_iters": 3,
 }
 
 SCENARIO_NAMES = tuple(_SCENARIO_DEFAULTS)
@@ -182,46 +178,77 @@ def parse_config_text(text: str) -> dict:
     return cfg
 
 
-def load_config(path: str | None, sets: list[str], scenario: str | None) -> dict:
-    cfg = dict(_BASE_DEFAULTS)
-    cfg.update(_EQ2_DEFAULTS)
-    from_file: dict = {}
+def _read_keys(cfg: dict, verb: str) -> set[str]:
+    """The keys ``verb`` reads with the variants selected in cfg.
+
+    eq2 reads no state: its states come from the two searches.  Raises
+    ConfigError for an unknown variant or a read key without a value.
+    """
+    keys = {"scenario", "grid.n_points", "grid.x_min", "grid.x_max", "grid.hbar"}
+    selectors = ["channel.variant"]
+    if verb == "eq2":
+        if cfg["channel.variant"] != "von_neumann":
+            raise ConfigError("eq2 requires a von_neumann channel")
+        keys.update(_SEARCH_DEFAULTS)
+    else:
+        selectors.append("state.variant")
+    for selector in selectors:
+        variant = cfg[selector]
+        if variant not in _VARIANT_KEYS[selector]:
+            raise ConfigError(f"unknown {selector} {variant!r}")
+        reads = _VARIANT_KEYS[selector][variant]
+        missing = [k for k in reads if k not in cfg and k not in _PROBE_BOUNDS]
+        if missing:
+            raise ConfigError(f"{selector}={variant} missing field {missing[0]!r}")
+        keys.update(reads, [selector])
+    return keys
+
+
+def _not_read(what: str, cfg: dict, verb: str) -> ConfigError:
+    state = "" if verb == "eq2" else f"state.variant={cfg['state.variant']}, "
+    return ConfigError(
+        f"{what} is not read by the {verb} verb with scenario={cfg['scenario']}, "
+        f"{state}channel.variant={cfg['channel.variant']}"
+    )
+
+
+def load_config(path: str | None, sets: list[str], scenario: str | None, verb: str = "scenario") -> dict:
+    """Defaults, then the scenario's preset, then ``--config``, then ``--set``.
+
+    A key from the file or from ``--set`` that ``verb`` does not read is a
+    ConfigError.  eq2 fills keys the named preset lacks from vonneumann's.
+    """
+    given: dict = {}
     if path is not None:
         try:
             with open(path) as fh:
-                from_file = parse_config_text(fh.read())
+                given = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    set_scenario = [v.partition("=")[2] for v in sets if v.startswith("scenario=")]
-    name = scenario or (set_scenario[-1] if set_scenario else None) or from_file.get("scenario") or "vonneumann"
-    if name not in _SCENARIO_DEFAULTS:
-        raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
-    cfg["scenario"] = name
-    cfg.update(_SCENARIO_DEFAULTS[name])
-    cfg.update(from_file)
-    cfg["scenario"] = name
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        cfg[key.strip()] = _coerce(key.strip(), raw.strip())
+        given[key.strip()] = _coerce(key.strip(), raw.strip())
+    name = scenario or given.get("scenario") or "vonneumann"
+    if name not in _SCENARIO_DEFAULTS:
+        raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    presets = ("vonneumann", name) if verb == "eq2" else (name,)
+    cfg = {**_BASE_DEFAULTS, **_SEARCH_DEFAULTS}
+    for preset in presets:
+        cfg.update(_SCENARIO_DEFAULTS[preset])
+    cfg.update(given)
+    cfg["scenario"] = name
+    reads = _read_keys(cfg, verb)
+    unread = [k for k in given if k not in reads]
+    if unread:
+        raise _not_read(f"key {unread[0]}", cfg, verb)
     return cfg
 
 
 def _state_spec_from(cfg: dict) -> StateSpec:
-    variant = cfg.get("state.variant")
-    try:
-        if variant == "gaussian":
-            return GaussianState(cfg["state.x0"], cfg["state.p0"], cfg["state.sigma"])
-        if variant == "bump":
-            return BumpState(cfg["state.center"], cfg["state.halfwidth"])
-        if variant == "symmetric_pair":
-            return SymmetricPairState(cfg["state.separation"], cfg["state.sigma"])
-        if variant == "random":
-            return RandomState(cfg["state.seed"], cfg.get("state.smoothness", 6))
-    except KeyError as exc:
-        raise ConfigError(f"state.variant={variant} missing field {exc}") from exc
-    raise ConfigError(f"unknown state.variant {variant!r}")
+    spec = _STATES[cfg["state.variant"]]
+    return spec(*(cfg[key] for key in _VARIANT_KEYS["state.variant"][cfg["state.variant"]]))
 
 
 @dataclass(frozen=True)
@@ -243,32 +270,35 @@ def _guard(fn, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def build_scenario(cfg: dict) -> BuiltScenario:
-    grid = _guard(
-        make_grid, cfg["grid.n_points"], cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.hbar"]
-    )
-    psi = _guard(make_state, grid, _state_spec_from(cfg))
+def _grid_from(cfg: dict) -> GridSpec:
+    return _guard(make_grid, cfg["grid.n_points"], cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.hbar"])
+
+
+def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channel:
+    """The selected channel; psi sizes the probe when no probe bounds are set."""
     variant = cfg["channel.variant"]
     if variant == "flip":
-        channel: Channel = FlipChannel()
-    elif variant == "slit":
-        channel = _guard(SlitChannel, cfg["channel.center"], cfg["channel.width"])
-    elif variant == "von_neumann":
-        s = cfg["probe.s"]
-        n_probe = cfg["probe.n_points"]
-        g = cfg["channel.g"]
-        bounds = [k for k in ("probe.x_min", "probe.x_max") if k in cfg]
-        if len(bounds) == 2:
-            probe_grid = _guard(make_grid, n_probe, cfg["probe.x_min"], cfg["probe.x_max"], grid.hbar)
-        elif bounds:
-            missing = "probe.x_max" if bounds == ["probe.x_min"] else "probe.x_min"
-            raise ConfigError(f"{bounds[0]} is set without {missing}; set both probe bounds or neither")
-        else:
-            probe_grid = _guard(probe_grid_for, grid, psi, g, s, n_probe)
-        channel = _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
+        return FlipChannel()
+    if variant == "slit":
+        return _guard(SlitChannel, cfg["channel.center"], cfg["channel.width"])
+    s = cfg["probe.s"]
+    n_probe = cfg["probe.n_points"]
+    g = cfg["channel.g"]
+    bounds = [k for k in _PROBE_BOUNDS if k in cfg]
+    if len(bounds) == 2:
+        probe_grid = _guard(make_grid, n_probe, cfg["probe.x_min"], cfg["probe.x_max"], grid.hbar)
+    elif bounds:
+        missing = "probe.x_max" if bounds == ["probe.x_min"] else "probe.x_min"
+        raise ConfigError(f"{bounds[0]} is set without {missing}; set both probe bounds or neither")
     else:
-        raise ConfigError(f"unknown channel.variant {variant!r}")
-    return BuiltScenario(cfg["scenario"], grid, psi, channel)
+        probe_grid = _guard(probe_grid_for, grid, psi, g, s, n_probe)
+    return _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
+
+
+def build_scenario(cfg: dict) -> BuiltScenario:
+    grid = _grid_from(cfg)
+    psi = _guard(make_state, grid, _state_spec_from(cfg))
+    return BuiltScenario(cfg["scenario"], grid, psi, _channel_from(cfg, grid, psi))
 
 
 def _fmt(value) -> str:
@@ -305,16 +335,8 @@ def render_table(built: BuiltScenario, report: EDRReport, extra: list[tuple[str,
         ("channel", _describe_channel(built.channel)),
     ]
     rows.extend(extra)
-    for col in (
-        "epsilon_o",
-        "eta_o_P",
-        "eta_o_X",
-        "delta_X",
-        "delta_P",
-        "w2_error_X",
-        "w2_disturbance_P",
-        "w2_disturbance_X",
-    ):
+    # the figures: every report column before the relation columns
+    for col in CSV_COLUMNS[: CSV_COLUMNS.index("lhs_eq5")]:
         rows.append((col, _fmt(getattr(report, col))))
     rows.append(("epsilon convention", report.epsilon_convention))
     rows.append(("hbar/2", _fmt(report.hbar_over_2)))
@@ -380,6 +402,8 @@ def run_sweep(axis: str, values: list[float], base_cfg: dict) -> str:
     computed before anything is written, so a failing row leaves no file."""
     if axis not in _SCHEMA or _SCHEMA[axis] not in (int, float):
         raise ConfigError(f"sweep axis {axis!r} is not a numeric config key")
+    if axis not in _read_keys(base_cfg, "sweep"):
+        raise _not_read(f"sweep axis {axis}", base_cfg, "sweep")
     if not values:
         raise ConfigError("sweep needs at least one value")
     if _SCHEMA[axis] is int and not all(float(v).is_integer() for v in values):
@@ -396,12 +420,12 @@ def run_sweep(axis: str, values: list[float], base_cfg: dict) -> str:
     return _report_csv_lines(rows, [axis])
 
 
-def run_eq2(cfg: dict) -> tuple[Eq2Report, BuiltScenario]:
+def run_eq2(cfg: dict) -> Eq2Report:
+    """The worst-case search on the grid and pointer coupling of a config
+    from ``load_config(..., "eq2")``."""
     cfg = dict(cfg)
-    cfg["scenario"] = "vonneumann"
-    cfg.update({k: v for k, v in _SCENARIO_DEFAULTS["vonneumann"].items() if k not in cfg})
     if "probe.x_min" not in cfg and "probe.x_max" not in cfg:
-        # size the probe for the whole search family, not just the base state
+        # size the probe for the whole search family
         reach = max(
             abs(cfg["search_err.x0_min"]),
             abs(cfg["search_err.x0_max"]),
@@ -411,12 +435,11 @@ def run_eq2(cfg: dict) -> tuple[Eq2Report, BuiltScenario]:
         half = probe_half_width(cfg["channel.g"], reach, cfg["probe.s"])
         cfg["probe.x_min"] = -half
         cfg["probe.x_max"] = half
-    built = build_scenario(cfg)
-    if not isinstance(built.channel, VonNeumannChannel):
-        raise ConfigError("eq2 requires a von_neumann channel")
-
-    def search_spec(prefix: str) -> SearchSpec:
-        return SearchSpec(
+    grid = _grid_from(cfg)
+    channel = _channel_from(cfg, grid, None)
+    specs = []
+    for prefix in ("search_err", "search_dist"):
+        spec = SearchSpec(
             x0_bounds=(cfg[f"{prefix}.x0_min"], cfg[f"{prefix}.x0_max"]),
             p0_bounds=(cfg[f"{prefix}.p0_min"], cfg[f"{prefix}.p0_max"]),
             sigma_bounds=(cfg[f"{prefix}.sigma_min"], cfg[f"{prefix}.sigma_max"]),
@@ -424,19 +447,12 @@ def run_eq2(cfg: dict) -> tuple[Eq2Report, BuiltScenario]:
             refine_tol=cfg[f"{prefix}.refine_tol"],
             max_refine_iters=cfg[f"{prefix}.max_refine_iters"],
         )
-
-    specs = []
-    for prefix in ("search_err", "search_dist"):
         try:
-            spec = search_spec(prefix)
-            spec.validate(built.grid)
-        except KeyError as exc:
-            raise ConfigError(f"missing search key {exc}") from exc
+            spec.validate(grid)
         except ValueError as exc:
             raise ConfigError(f"{prefix}: {exc}") from exc
         specs.append(spec)
-    result = eq2_check(built.channel, built.grid, *specs)
-    return result, built
+    return eq2_check(channel, grid, *specs)
 
 
 def _gauss_params(s: GaussianState) -> dict:
@@ -496,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     p_scn.add_argument("--config")
     p_scn.add_argument("--set", action="append", default=[], dest="sets", metavar="KEY=VALUE")
     p_scn.add_argument("--out")
-    p_scn.add_argument("--format", choices=("csv", "json"), default=None)
+    p_scn.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_swp = sub.add_parser("sweep", help="sweep one config key over values")
     p_swp.add_argument("--axis", required=True)
@@ -514,21 +530,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.verb == "scenario":
             cfg = load_config(args.config, args.sets, args.name)
-            fmt = args.format or cfg.get("output.format", "csv")
-            if fmt not in ("csv", "json"):
-                raise ConfigError(f"unknown output format {fmt!r}")
-            built, report, table = run_scenario(args.name, cfg)
+            _, report, table = run_scenario(args.name, cfg)
             print(table)
-            out = args.out or cfg.get("output.path")
-            if out:
-                if fmt == "csv":
+            if args.out:
+                if args.format == "csv":
                     text = _report_csv_lines([report.as_dict()], [])
                 else:
                     text = report_to_json(report)
-                with open(out, "w", newline="") as fh:
+                with open(args.out, "w", newline="") as fh:
                     fh.write(text)
         elif args.verb == "sweep":
-            cfg = load_config(args.config, args.sets, None)
+            cfg = load_config(args.config, args.sets, None, "sweep")
             try:
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
@@ -538,10 +550,7 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
             print(f"wrote {len(text.splitlines()) - 1} rows to {args.out}")
         else:
-            import os
-
-            cfg = load_config(args.config, args.sets, None)
-            result, built = run_eq2(cfg)
+            result = run_eq2(load_config(args.config, args.sets, None, "eq2"))
             os.makedirs(args.out_dir, exist_ok=True)
             trace_to_csv(result.error_search, os.path.join(args.out_dir, "error_landscape.csv"))
             trace_to_csv(

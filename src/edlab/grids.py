@@ -107,7 +107,7 @@ class WaveFunction:
             raise ValueError(
                 f"amplitudes shape {a.shape} does not match grid ({self.grid.n_points},)"
             )
-        if not np.all(np.isfinite(a.view(float))):
+        if not np.all(np.isfinite(a)):
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", a)
 
@@ -238,14 +238,6 @@ class ProbabilityDistribution:
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "spacing", spacing)
-
-    def mean(self) -> float:
-        return float(np.sum(self.support * self.weights) * self.spacing)
-
-    def std(self) -> float:
-        m = self.mean()
-        var = float(np.sum(self.support**2 * self.weights) * self.spacing) - m * m
-        return float(np.sqrt(max(var, 0.0)))
 
 
 def distribution(psi: WaveFunction, basis: BasisName) -> ProbabilityDistribution:

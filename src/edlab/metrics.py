@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -253,16 +253,20 @@ def evaluate_relations(
     as are the bare product eps*eta and the spread product DeltaX*DeltaP.
     A channel with eps = eta = 0 conveys no position information at all, so
     the error-disturbance relations are reported as not applicable rather
-    than violated ("not a position measurement").
+    than violated ("not a position measurement").  eps = NaN means the
+    channel has no readout: the relations are not applicable and the
+    products involving eps are NaN.
     """
-    for name, v in (("epsilon", epsilon), ("eta", eta), ("delta_x", delta_x), ("delta_p", delta_p)):
+    readout = not math.isnan(epsilon)
+    for name, v in (("epsilon", epsilon if readout else 0.0), ("eta", eta),
+                    ("delta_x", delta_x), ("delta_p", delta_p)):
         if v < 0 or not np.isfinite(v):
             raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     rhs = 0.5 * hbar
     lhs = epsilon * eta + epsilon * delta_p + eta * delta_x
     product = epsilon * eta
     robertson = delta_x * delta_p
-    applicable = (epsilon > 0) or (eta > 0)
+    applicable = readout and (epsilon > 0 or eta > 0)
     return RelationReport(
         lhs_eq5=lhs,
         product_eq2_form=product,
@@ -281,27 +285,6 @@ def evaluate_relations(
 # ---------------------------------------------------------------------------
 # Full per-pair report
 # ---------------------------------------------------------------------------
-
-CSV_COLUMNS = [
-    "epsilon_o",
-    "eta_o_P",
-    "eta_o_X",
-    "delta_X",
-    "delta_P",
-    "w2_error_X",
-    "w2_disturbance_P",
-    "w2_disturbance_X",
-    "lhs_eq5",
-    "product_eq2_form",
-    "robertson_product",
-    "hbar_over_2",
-    "robertson_satisfied",
-    "eq2_form_satisfied",
-    "eq5_applicable",
-    "eq5_satisfied",
-    "epsilon_convention",
-]
-
 
 @dataclass(frozen=True)
 class EDRReport:
@@ -327,6 +310,10 @@ class EDRReport:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
+
+
+# the report schema: one column per field, in declaration order
+CSV_COLUMNS = [f.name for f in fields(EDRReport)]
 
 
 def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
@@ -355,19 +342,7 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
         eps = float("nan")
         convention = "none"
         w2_err = float("nan")
-    if np.isfinite(eps):
-        rel = evaluate_relations(eps, eta_p, mom.delta_x, mom.delta_p, hbar)
-        lhs, product = rel.lhs_eq5, rel.product_eq2_form
-        applicable, satisfied = rel.applicable, rel.eq5_satisfied
-        eq2_ok = rel.eq2_form_satisfied
-        robertson_ok = rel.robertson_satisfied
-        robertson = rel.robertson_product
-    else:
-        lhs = product = float("nan")
-        applicable = satisfied = False
-        robertson = mom.delta_x * mom.delta_p
-        robertson_ok = bool(robertson >= 0.5 * hbar * (1.0 - 1e-12))
-        eq2_ok = False
+    rel = evaluate_relations(eps, eta_p, mom.delta_x, mom.delta_p, hbar)
     return EDRReport(
         epsilon_o=eps,
         eta_o_P=eta_p,
@@ -377,13 +352,13 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
         w2_error_X=w2_err,
         w2_disturbance_P=w2_p,
         w2_disturbance_X=w2_x,
-        lhs_eq5=lhs,
-        product_eq2_form=product,
-        robertson_product=robertson,
-        hbar_over_2=0.5 * hbar,
-        robertson_satisfied=robertson_ok,
-        eq2_form_satisfied=eq2_ok,
-        eq5_applicable=applicable,
-        eq5_satisfied=satisfied,
+        lhs_eq5=rel.lhs_eq5,
+        product_eq2_form=rel.product_eq2_form,
+        robertson_product=rel.robertson_product,
+        hbar_over_2=rel.rhs,
+        robertson_satisfied=rel.robertson_satisfied,
+        eq2_form_satisfied=rel.eq2_form_satisfied,
+        eq5_applicable=rel.applicable,
+        eq5_satisfied=rel.eq5_satisfied,
         epsilon_convention=convention,
     )

@@ -13,6 +13,7 @@ canonical 256-point grid:
   so no desk-scale grid reaches within 1% of hbar/2 (analysis in the test).
 """
 
+import json
 import math
 
 import numpy as np
@@ -289,6 +290,32 @@ class TestCriterion8Robertson:
         ok = worst < 1e-6
         announce("C8 Gaussian saturation of the spread product", ok, f"worst rel {worst:.2e}")
         assert ok
+
+
+class TestHbarNotOne:
+    """The closed forms at hbar = 2 through the command line, at the
+    tolerances of criteria 1, 3 and 8."""
+
+    def _report(self, tmp_path, name, *sets):
+        out = tmp_path / f"{name}.json"
+        flags = [a for kv in ("grid.hbar=2", *sets) for a in ("--set", kv)]
+        assert main(["scenario", name, *flags, "--format", "json", "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_pointer(self, tmp_path):
+        hbar, s, g = 2.0, 0.5, 1.0
+        r = self._report(tmp_path, "vonneumann")
+        assert r["hbar_over_2"] == 0.5 * hbar
+        assert rel_err(r["epsilon_o"], s / abs(g)) < 1e-3
+        assert rel_err(r["eta_o_P"], abs(g) * hbar / (2 * s)) < 1e-3
+        assert rel_err(r["robertson_product"], 0.5 * hbar) < 1e-6
+
+    def test_flip(self, tmp_path):
+        hbar, p0, sigma = 2.0, 1.0, 1.0
+        r = self._report(tmp_path, "flip", f"state.p0={p0}")
+        assert rel_err(r["eta_o_P"], 2.0 * math.sqrt(p0**2 + hbar**2 / (4 * sigma**2))) < 1e-6
+        assert rel_err(r["eta_o_X"], 2.0 * sigma) < 1e-6
+        assert rel_err(r["robertson_product"], 0.5 * hbar) < 1e-6
 
 
 class TestCriterion9Determinism:

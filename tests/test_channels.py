@@ -58,8 +58,7 @@ class TestFlip:
     def test_even_state_momentum_distribution_unchanged(self, std_grid):
         psi = make_state(std_grid, GaussianState(0, 0, 1.5))
         before = distribution(psi, "momentum")
-        # copy: the branch is a reversed view, which WaveFunction rejects
-        after = distribution(WaveFunction(std_grid, flip(psi).copy()), "momentum")
+        after = distribution(WaveFunction(std_grid, flip(psi)), "momentum")
         assert np.max(np.abs(before.weights - after.weights)) < 1e-12
 
     def test_requires_symmetric_domain(self):

@@ -145,6 +145,17 @@ class TestDistribution:
 
 
 class TestWaveFunctionInvariants:
+    def test_non_contiguous_amplitudes(self, std_grid):
+        a = make_state(std_grid, GaussianState(1, 0, 1)).amplitudes
+        block = np.stack([a, 2 * a], axis=1)
+        # a reversed view (the flip's branch) and one column of a block
+        for view in (a[::-1], block[:, 0]):
+            assert np.array_equal(WaveFunction(std_grid, view).amplitudes, view)
+        bad = a.copy()
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            WaveFunction(std_grid, bad[::-1])
+
     def test_norm_gate(self, std_grid):
         bad = WaveFunction(std_grid, 2.0 * random_amplitudes(std_grid, 1))
         with pytest.raises(InvariantViolation, match="norm"):

@@ -355,6 +355,12 @@ class TestEvaluateRelations:
         rel = evaluate_relations(0.0, 0.0, 1.0, 0.5, 1.0)
         assert not rel.applicable
         assert rel.lhs_eq5 == 0.0
+        # eps = NaN: a channel with no readout, such as the flip
+        rel = evaluate_relations(math.nan, 1.0, 1.0, 0.5, 1.0)
+        assert not rel.applicable
+        assert math.isnan(rel.lhs_eq5) and math.isnan(rel.product_eq2_form)
+        assert not rel.eq5_satisfied and not rel.eq2_form_satisfied
+        assert rel.robertson_product == 0.5 and rel.robertson_satisfied
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
