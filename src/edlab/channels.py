@@ -5,7 +5,9 @@ projective Kraus pair), and the von Neumann position-probe coupling
 U = exp(-i g X_s P_p / hbar) on system (x) probe.  The coupling is applied as
 an exact conditional shift: for each system column at x_i the probe is
 translated by g*x_i through momentum-space phases, which is unitary to
-machine precision at any coupling strength.
+machine precision at any coupling strength.  Since U is a conditional
+shift, U (a (x) ready) = a[:, None] * T, where row i of the table T is the
+translated ready state; each channel builds T once per system grid.
 
 ``kraus_of`` is the one implementation of a channel's action on a state: its
 Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
@@ -14,7 +16,7 @@ Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -95,13 +97,45 @@ class SlitChannel:
 
 
 @dataclass(frozen=True)
+class PointerTable:
+    """A pointer coupling on one system grid: U(a (x) ready) = a[:, None] * amplitudes.
+
+    Row i of ``amplitudes`` is the ready state translated by g*x_i.
+    ``row_mass`` and ``row_edge`` are sums of |row|^2 over the whole probe
+    grid and over its two cells at each end (times dy for probabilities).
+    A row beyond the reach of the states coupled may wrap around the probe
+    grid; ``check_confinement`` judges each state by its own weights.
+    """
+
+    amplitudes: np.ndarray
+    row_mass: np.ndarray
+    row_edge: np.ndarray
+
+
+@dataclass(frozen=True)
 class VonNeumannChannel:
     g: float
     probe: ProbeSpec
+    # PointerTable per system grid, built on first use
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g == 0:
             raise ValueError("coupling gain g must be nonzero")
+
+    def table(self, grid: GridSpec) -> PointerTable:
+        """The coupling's PointerTable on a system grid, built once per grid."""
+        table = self._tables.get(grid)
+        if table is None:
+            pg = self.probe.grid
+            ready = self.probe.ready_state.amplitudes
+            mom = kernel_transform(ready, 0, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
+            amplitudes = _conditional_shift(mom, grid, pg, self.g)
+            density = np.abs(amplitudes) ** 2
+            edge = density[:, :2].sum(axis=1) + density[:, -2:].sum(axis=1)
+            table = PointerTable(amplitudes, density.sum(axis=1), edge)
+            self._tables[grid] = table
+        return table
 
 
 Channel = Union[FlipChannel, SlitChannel, VonNeumannChannel]
@@ -147,34 +181,81 @@ def embed_joint(psi: WaveFunction, probe: ProbeSpec) -> JointState:
     return JointState(psi.grid, probe.grid, np.outer(psi.amplitudes, probe.ready_state.amplitudes))
 
 
+def _conditional_shift(
+    mom: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec, g: float
+) -> np.ndarray:
+    """Probe momentum amplitudes along axis 1 (or one row to broadcast) to an
+    (n_s, n_p) array of probe position amplitudes, row i translated by g*x_i
+    through momentum-space phases."""
+    pg = probe_grid
+    phases = np.exp(-1j * g * np.outer(system_grid.x, pg.p) / pg.hbar)
+    return kernel_transform(mom * phases, 1, pg.p[0], pg.dp, pg.x[0], pg.dx, pg.hbar, +1)
+
+
+def _raise_if_unconfined(edge_mass: float, probe_grid: GridSpec, g: float) -> None:
+    if edge_mass > CONFINEMENT_TOL:
+        raise ConfinementError(
+            f"probe confinement violated after shift: edge mass {edge_mass:.3e} "
+            f"(probe domain [{probe_grid.x_min}, {probe_grid.x_max}], gain {g})"
+        )
+
+
 def apply_von_neumann(joint: JointState, g: float) -> JointState:
-    """Apply U = exp(-i g X_s P_p / hbar) exactly; its adjoint is gain -g.
+    """Apply U = exp(-i g X_s P_p / hbar) exactly to a joint array; its adjoint is gain -g.
 
     Each system row's probe wave function is translated by g*x_i via
-    momentum-space phase multiplication.  Raises ConfinementError when the
-    translated probe carries significant probability at the probe-grid edge.
+    momentum-space phase multiplication.  An input of unit norm is taken to
+    be a state and raises ConfinementError when the translated probe carries
+    more than CONFINEMENT_TOL of probability in the two cells at each end of
+    the probe grid.  Of the figures in ``metrics`` only ``ozawa_error``
+    calls this; the others read the coupling from the channel's cached
+    ``PointerTable``.
     """
     sg, pg = joint.system_grid, joint.probe_grid
-    phases = np.exp(-1j * g * np.outer(sg.x, pg.p) / pg.hbar)
     mom = kernel_transform(joint.amplitudes, 1, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
-    out = kernel_transform(mom * phases, 1, pg.p[0], pg.dp, pg.x[0], pg.dx, pg.hbar, +1)
-    result = JointState(sg, pg, out)
-    # confinement is a state invariant: operator images (unnormalized
-    # intermediates inside RMS sandwiches) are exempt from the edge check
+    result = JointState(sg, pg, _conditional_shift(mom, sg, pg, g))
     if abs(result.norm() ** 2 - 1.0) < 1e-6:
         edge = np.concatenate((result.amplitudes[:, :2], result.amplitudes[:, -2:]), axis=1)
-        edge_mass = float(np.sum(np.abs(edge) ** 2) * result.measure)
-        if edge_mass > CONFINEMENT_TOL:
-            raise ConfinementError(
-                f"probe confinement violated after shift: edge mass {edge_mass:.3e} "
-                f"(probe domain [{pg.x_min}, {pg.x_max}], gain {g})"
-            )
+        _raise_if_unconfined(float(np.sum(np.abs(edge) ** 2) * result.measure), pg, g)
     return result
 
 
-def kraus_of(
-    channel: Channel, grid: GridSpec
-) -> tuple[list[Callable[[np.ndarray], np.ndarray]], float]:
+def check_confinement(channel: Channel, psi: WaveFunction) -> None:
+    """Raise ConfinementError when a pointer coupling of the state psi leaves
+    more than CONFINEMENT_TOL of probe probability in the two cells at each
+    end of the probe grid.  Only the state is judged, never an operator image
+    such as X psi; channels without a probe always pass."""
+    if isinstance(channel, VonNeumannChannel):
+        pg = channel.probe.grid
+        row_edge = channel.table(psi.grid).row_edge
+        edge_mass = float(np.sum(np.abs(psi.amplitudes) ** 2 * row_edge) * psi.grid.dx * pg.dx)
+        _raise_if_unconfined(edge_mass, pg, channel.g)
+
+
+@dataclass(frozen=True)
+class KrausBlock:
+    """Branches K_m a as the columns of a[::step, None] * weights.
+
+    Every channel here keeps or reverses the order of the system points
+    (step -1 is the flip) and then weights each branch pointwise; no weights
+    means one unweighted branch.  ``row_mass`` is the sum over the columns of
+    |weights|^2, so the position law of the branches,
+    |a[::step]|^2 * row_mass, needs no branch array.
+    """
+
+    step: int = 1
+    weights: np.ndarray | None = None
+    row_mass: np.ndarray | float = 1.0
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        branches = a[:: self.step, None]
+        return branches if self.weights is None else branches * self.weights
+
+    def position_mass(self, a: np.ndarray) -> np.ndarray:
+        return np.abs(a[:: self.step]) ** 2 * self.row_mass
+
+
+def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]:
     """Kraus family of a channel as blocks, plus the ancilla cell measure.
 
     Each block maps system amplitudes a to an (n_s, k) array whose columns
@@ -183,24 +264,23 @@ def kraus_of(
 
     flip -> one 1-column block (the reversal), measure 1;
     slit -> two 1-column blocks (pass and fail projectors), measure 1;
-    von_neumann -> one (n_s, n_p) block, U (a (x) ready) from a single
-    forward coupling, with the probe cell dy as measure; column j is
-    K_j a / sqrt(dy) for K_j = sqrt(dy) <y_j| U |., ready>.
+    von_neumann -> one (n_s, n_p) block a[:, None] * T = U (a (x) ready),
+    with T the channel's cached ``PointerTable`` on this grid and the probe
+    cell dy as measure; column j is K_j a / sqrt(dy) for
+    K_j = sqrt(dy) <y_j| U |., ready>.  The block does not check
+    confinement: ``check_confinement`` judges the state a figure is about.
     """
     if isinstance(channel, FlipChannel):
         if not grid.is_symmetric():
             raise InvariantViolation(
                 f"flip requires a domain symmetric about 0, got [{grid.x_min}, {grid.x_max}]"
             )
-        return [lambda a: a[::-1, None]], 1.0
+        return [KrausBlock(step=-1)], 1.0
     if isinstance(channel, SlitChannel):
         mask = slit_mask(grid, channel.center, channel.width)
-        return [lambda a, m=m: np.where(m, a, 0.0)[:, None] for m in (mask, ~mask)], 1.0
+        return [KrausBlock(weights=m[:, None], row_mass=m) for m in (mask, ~mask)], 1.0
     if isinstance(channel, VonNeumannChannel):
-        probe = channel.probe
-
-        def couple(a: np.ndarray) -> np.ndarray:
-            return apply_von_neumann(embed_joint(WaveFunction(grid, a), probe), channel.g).amplitudes
-
-        return [couple], probe.grid.dx
+        table = channel.table(grid)
+        block = KrausBlock(weights=table.amplitudes, row_mass=table.row_mass)
+        return [block], channel.probe.grid.dx
     raise TypeError(f"unknown channel {channel!r}")

@@ -181,10 +181,14 @@ def parse_config_text(text: str) -> dict:
 def _read_keys(cfg: dict, verb: str) -> set[str]:
     """The keys ``verb`` reads with the variants selected in cfg.
 
-    eq2 reads no state: its states come from the two searches.  Raises
-    ConfigError for an unknown variant or a read key without a value.
+    eq2 reads no state: its states come from the two searches.  The
+    scenario verb takes its scenario from its positional name, not from the
+    ``scenario`` key.  Raises ConfigError for an unknown variant or a read
+    key without a value.
     """
-    keys = {"scenario", "grid.n_points", "grid.x_min", "grid.x_max", "grid.hbar"}
+    keys = {"grid.n_points", "grid.x_min", "grid.x_max", "grid.hbar"}
+    if verb != "scenario":
+        keys.add("scenario")
     selectors = ["channel.variant"]
     if verb == "eq2":
         if cfg["channel.variant"] != "von_neumann":

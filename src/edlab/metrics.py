@@ -34,6 +34,7 @@ from .channels import (
     SlitChannel,
     VonNeumannChannel,
     apply_von_neumann,
+    check_confinement,
     embed_joint,
     kraus_of,
 )
@@ -106,6 +107,7 @@ def _kraus_sum(
     pair is freed before the next block is built.
     """
     g = psi.grid
+    check_confinement(channel, psi)
     blocks, ancilla_measure = kraus_of(channel, g)
     b_psi = _apply_observable(g, psi.amplitudes, observable)
     total = 0.0
@@ -151,16 +153,23 @@ def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: Observabl
 def _post_channel_distribution(
     channel: Channel, psi: WaveFunction, observable: ObservableName
 ) -> ProbabilityDistribution:
-    """Law of X or P in the nonselective output state: sum_m |K_m psi|^2."""
+    """Law of X or P in the nonselective output state: sum_m |K_m psi|^2.
+
+    The X law needs no branches (``KrausBlock.position_mass``); the P law
+    transforms each block along the system axis.
+    """
     g = psi.grid
+    check_confinement(channel, psi)
     blocks, ancilla_measure = kraus_of(channel, g)
     law = np.zeros(g.n_points)
     for k in blocks:
-        branches = k(psi.amplitudes)
-        if observable == "P":
-            branches = kernel_transform(branches, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
+        if observable == "X":
+            mass = k.position_mass(psi.amplitudes)
+        else:
+            mom = kernel_transform(k(psi.amplitudes), 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
+            mass = np.sum(np.abs(mom) ** 2, axis=1)
         # the ancilla measure is applied after the sum over the ancilla axis
-        law = law + np.sum(np.abs(branches) ** 2, axis=1) * ancilla_measure
+        law = law + mass * ancilla_measure
     if observable == "X":
         return ProbabilityDistribution(g.x, law, g.dx)
     return ProbabilityDistribution(g.p, law, g.dp)
@@ -185,13 +194,15 @@ def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     """W2 distance between the calibrated readout and the ideal position law.
 
     The readout distribution is the probe position marginal after the
-    coupling, with the coordinate divided by the gain.
+    coupling, (|psi|^2 dx) @ |T|^2 for the channel's table T, with the
+    coordinate divided by the gain.
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the readout-distribution error requires a probe coupling")
-    coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g)
+    check_confinement(channel, psi)
+    table = channel.table(psi.grid).amplitudes
     pg = channel.probe.grid
-    weights = coupled.probe_marginal()
+    weights = (np.abs(psi.amplitudes) ** 2 * psi.grid.dx) @ np.abs(table) ** 2
     support = pg.x / channel.g
     scaled = weights * abs(channel.g)
     if channel.g < 0:

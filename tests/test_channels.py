@@ -12,20 +12,25 @@ from edlab import (
     ProbabilityDistribution,
     ProbeSpec,
     RandomState,
+    SearchSpec,
     SlitChannel,
     VonNeumannChannel,
     WaveFunction,
     apply_von_neumann,
     busch_state_disturbance,
+    compute_report,
     distribution,
     embed_joint,
+    eq2_check,
     kraus_of,
     make_grid,
     make_state,
+    ozawa_disturbance,
     probe_grid_for,
     wasserstein2,
 )
 
+from edlab.channels import check_confinement
 from conftest import make_vn_channel, pointer_kraus_matrices, random_amplitudes, unitary_dft
 
 
@@ -209,12 +214,11 @@ class TestKraus:
             assert np.sum(np.abs(k(amp)) ** 2) == pytest.approx(np.sum(np.abs(amp) ** 2))
 
     def test_von_neumann_completeness(self, std_grid, vn_default):
-        # the block is a confinement-checked coupling, so the probe domain
+        # figures check the confinement of their state, so the probe domain
         # must cover the shifts of states spread over the whole system grid
         spread = WaveFunction(std_grid, random_amplitudes(std_grid, 0))
-        (narrow,), _ = kraus_of(vn_default[0], std_grid)
         with pytest.raises(ConfinementError):
-            narrow(spread.amplitudes)
+            ozawa_disturbance(vn_default[0], spread, "P")
         channel = make_vn_channel(std_grid, spread, 1.0, 0.5)
         (k,), measure = kraus_of(channel, std_grid)
         assert measure == channel.probe.grid.dx
@@ -222,6 +226,65 @@ class TestKraus:
             amp = random_amplitudes(std_grid, seed)
             assert k(amp).shape == (256, channel.probe.grid.n_points)
             assert self.completeness_defect(channel, std_grid, amp) < 1e-8
+
+
+class TestPointerTable:
+    def test_block_matches_dense_kraus_operators(self):
+        # column j of the table block times sqrt(dy) is K_j a, for states and
+        # for operator images alike, including rows that wrap around the probe
+        grid = make_grid(64, -8, 8)
+        psi = make_state(grid, BumpState(0.0, 2.0))
+        channel = make_vn_channel(grid, psi, 1.0, 0.5, 64)
+        (block,), measure = kraus_of(channel, grid)
+        dense = pointer_kraus_matrices(channel, grid)
+        for seed in range(3):
+            a = random_amplitudes(grid, seed)
+            for amp in (a, grid.x * a):
+                oracle = np.einsum("jik,k->ij", dense, amp)
+                assert np.max(np.abs(block(amp) * np.sqrt(measure) - oracle)) < 1e-12
+
+    def test_one_shift_per_channel_and_grid(self, std_grid, vn_default, monkeypatch):
+        from edlab import channels
+
+        shifted = []
+        shift = channels._conditional_shift
+
+        def counted(mom, system_grid, probe_grid, g):
+            shifted.append(system_grid)
+            return shift(mom, system_grid, probe_grid, g)
+
+        monkeypatch.setattr(channels, "_conditional_shift", counted)
+        channel, psi = vn_default
+        compute_report(VonNeumannChannel(channel.g, channel.probe), psi)
+        assert len(shifted) <= 2  # the table and ozawa_error's direct coupling
+        shifted.clear()
+        grid = make_grid(128, -16.0, 16.0)
+        spec = SearchSpec((-1.0, 1.0), (0.0, 0.0), (2.0, 3.0), (3, 1, 2), 1e-2, 1)
+        report = eq2_check(VonNeumannChannel(channel.g, channel.probe), grid, spec, spec)
+        evaluations = len(report.error_search.trace) + len(report.disturbance_search.trace)
+        assert evaluations > 10 and shifted == [grid]
+
+    def test_state_confinement_matches_direct_coupling(self, std_grid):
+        # the state's edge mass from the table's rows gates exactly where the
+        # direct coupling of the state does (edge masses 3e-5 ... 5e-26)
+        psi = make_state(std_grid, GaussianState(1.0, 0.0, 1.0))
+        verdicts = []
+        for half in (5.0, 6.0, 7.0, 8.0, 10.0, 12.0):
+            channel = VonNeumannChannel(1.0, ProbeSpec(make_grid(256, -half, half), 0.25))
+            rejected = []
+            for figure in (
+                lambda: apply_von_neumann(embed_joint(psi, channel.probe), 1.0),
+                lambda: check_confinement(channel, psi),
+            ):
+                try:
+                    figure()
+                except ConfinementError:
+                    rejected.append(True)
+                else:
+                    rejected.append(False)
+            assert rejected[0] == rejected[1], half
+            verdicts.append(rejected[0])
+        assert verdicts == [True, True, True, False, False, False]
 
 
 def _reduced_density(joint):

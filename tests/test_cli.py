@@ -71,7 +71,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "verb, scenario, n_read",
-        [("scenario", "flip", 10), ("scenario", "slit", 11), ("scenario", "vonneumann", 15),
+        [("scenario", "flip", 9), ("scenario", "slit", 10), ("scenario", "vonneumann", 14),
          ("sweep", None, 15), ("eq2", None, 33)],
     )
     def test_each_verb_accepts_only_the_keys_it_reads(self, verb, scenario, n_read):
@@ -89,6 +89,7 @@ class TestConfig:
 
     def test_unread_keys_are_config_errors(self, tmp_path, capsys):
         for name, given in (
+            ("flip", "scenario=slit"),
             ("flip", "channel.width=-3"),
             ("flip", "probe.s=-1"),
             ("slit", "state.sigma=2"),
@@ -184,18 +185,9 @@ class TestScenarios:
             assert missing in capsys.readouterr().err
         assert not (tmp_path / "eq2").exists()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "apply_von_neumann checks probe confinement only when the coupled "
-            "array's norm is within 1e-6 of 1, to exempt operator images; but "
-            "X psi has norm 1 whenever <X^2> = 1, so the image U(X psi (x) ready) "
-            "of the sigma = 1 Gaussian is gated and fails on edge mass 1.1e-9, "
-            "while psi's own coupled edge mass is 3.0e-11"
-        ),
-    )
     def test_operator_image_is_not_confinement_gated(self, capsys):
-        # exits 2; with state.sigma=1.001, where <X^2> != 1, the same run exits 0
+        # U(X psi (x) ready) leaves edge mass 1.1e-9, but X psi is an operator
+        # image (of norm 1, since <X^2> = 1); psi's own edge mass is 3.0e-11
         argv = ["scenario", "vonneumann", "--set", "probe.x_min=-7.5", "--set", "probe.x_max=7.5"]
         assert main(argv) == 0
 
