@@ -163,9 +163,6 @@ class JointState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.measure))
 
-    def probe_marginal(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=0) * self.system_grid.dx
-
 
 def slit_mask(grid: GridSpec, center: float, width: float) -> np.ndarray:
     if center - 0.5 * width < grid.x_min or center + 0.5 * width > grid.x_max:

@@ -170,11 +170,15 @@ def kernel_transform(
     shape = [1] * arr.ndim
     shape[axis] = n
     work = arr * inner.reshape(shape)
-    if sign < 0:
-        core = np.fft.fft(work, axis=axis)
-    else:
-        core = np.fft.ifft(work, axis=axis) * n
-    return (src_step / np.sqrt(2.0 * np.pi * hbar)) * outer.reshape(shape) * core
+    core = np.fft.fft(work, axis=axis) if sign < 0 else np.fft.ifft(work, axis=axis)
+    del work
+    if sign > 0:
+        core *= n
+    # in place, so that one array of the input's size is alive rather than
+    # three; numpy's complex product is not bitwise commutative, so the
+    # phases stay the first operand
+    phases = (src_step / np.sqrt(2.0 * np.pi * hbar)) * outer.reshape(shape)
+    return np.multiply(phases, core, out=core)
 
 
 def to_momentum(psi: WaveFunction) -> np.ndarray:

@@ -168,6 +168,7 @@ def _post_channel_distribution(
         else:
             mom = kernel_transform(k(psi.amplitudes), 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
             mass = np.sum(np.abs(mom) ** 2, axis=1)
+            del mom  # freed before the next block is built
         # the ancilla measure is applied after the sum over the ancilla axis
         law = law + mass * ancilla_measure
     if observable == "X":

@@ -83,7 +83,7 @@ class TestEmbedJoint:
         channel, psi = vn_default
         joint = embed_joint(psi, channel.probe)
         sys_m = np.sum(np.abs(joint.amplitudes) ** 2, axis=1) * channel.probe.grid.dx
-        probe_m = joint.probe_marginal()
+        probe_m = np.sum(np.abs(joint.amplitudes) ** 2, axis=0) * psi.grid.dx
         assert np.max(np.abs(sys_m - np.abs(psi.amplitudes) ** 2)) < 1e-12
         assert np.max(np.abs(probe_m - np.abs(channel.probe.ready_state.amplitudes) ** 2)) < 1e-12
 
@@ -95,7 +95,7 @@ class TestVonNeumann:
         psi = make_state(grid, GaussianState(2.0, 0.0, 0.1))
         channel = make_vn_channel(grid, psi, 1.0, 0.5)
         joint = apply_von_neumann(embed_joint(psi, channel.probe), 1.0)
-        probe_m = joint.probe_marginal()
+        probe_m = np.sum(np.abs(joint.amplitudes) ** 2, axis=0) * grid.dx
         mean = np.sum(channel.probe.grid.x * probe_m) * channel.probe.grid.dx
         assert mean == pytest.approx(2.0, abs=1e-9)
         var = np.sum(channel.probe.grid.x**2 * probe_m) * channel.probe.grid.dx - mean**2
