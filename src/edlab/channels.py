@@ -131,9 +131,8 @@ class VonNeumannChannel:
             ready = self.probe.ready_state.amplitudes
             mom = kernel_transform(ready, 0, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
             amplitudes = _conditional_shift(mom, grid, pg, self.g)
-            density = np.abs(amplitudes) ** 2
-            edge = density[:, :2].sum(axis=1) + density[:, -2:].sum(axis=1)
-            table = PointerTable(amplitudes, density.sum(axis=1), edge)
+            row_mass = np.sum(np.abs(amplitudes) ** 2, axis=1)
+            table = PointerTable(amplitudes, row_mass, _row_edge(amplitudes))
             self._tables[grid] = table
         return table
 
@@ -189,6 +188,12 @@ def _conditional_shift(
     return kernel_transform(mom * phases, 1, pg.p[0], pg.dp, pg.x[0], pg.dx, pg.hbar, +1)
 
 
+def _row_edge(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2 of an (n_s, n_p) array summed over the two probe cells at
+    each end of the probe grid, per system row."""
+    return np.sum(np.abs(amps[:, :2]) ** 2, axis=1) + np.sum(np.abs(amps[:, -2:]) ** 2, axis=1)
+
+
 def _raise_if_unconfined(edge_mass: float, probe_grid: GridSpec, g: float) -> None:
     if edge_mass > CONFINEMENT_TOL:
         raise ConfinementError(
@@ -212,8 +217,7 @@ def apply_von_neumann(joint: JointState, g: float) -> JointState:
     mom = kernel_transform(joint.amplitudes, 1, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
     result = JointState(sg, pg, _conditional_shift(mom, sg, pg, g))
     if abs(result.norm() ** 2 - 1.0) < 1e-6:
-        edge = np.concatenate((result.amplitudes[:, :2], result.amplitudes[:, -2:]), axis=1)
-        _raise_if_unconfined(float(np.sum(np.abs(edge) ** 2) * result.measure), pg, g)
+        _raise_if_unconfined(float(np.sum(_row_edge(result.amplitudes)) * result.measure), pg, g)
     return result
 
 
