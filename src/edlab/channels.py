@@ -7,7 +7,10 @@ an exact conditional shift: for each system column at x_i the probe is
 translated by g*x_i through momentum-space phases, which is unitary to
 machine precision at any coupling strength.  Since U is a conditional
 shift, U (a (x) ready) = a[:, None] * T, where row i of the table T is the
-translated ready state; each channel builds T once per system grid.
+translated ready state; each channel builds T once per system grid.  The
+shifts are unitary translations, so the overlap of rows i and i' depends only
+on the lag i - i': the system's post-coupling state is rho o Toeplitz(c), and
+its momentum law needs no (n_s, n_p) transform.
 
 ``kraus_of`` is the one implementation of a channel's action on a state: its
 Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
@@ -16,6 +19,7 @@ Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -103,6 +107,11 @@ class PointerTable:
     Row i of ``amplitudes`` is the ready state translated by g*x_i.
     ``row_mass`` and ``row_edge`` are sums of |row|^2 over the whole probe
     grid and over its two cells at each end (times dy for probabilities).
+    ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j) of rows l
+    apart, for lags -(n_s - 1) <= l < n_s in numpy's index order (a negative
+    lag is a negative index); times dy it is the characteristic function of
+    the kick g*P_probe at g*l*dx.  The translations are unitary on the
+    periodic probe grid, so it depends on the lag alone, on every grid.
     A row beyond the reach of the states coupled may wrap around the probe
     grid; ``check_confinement`` judges each state by its own weights.
     """
@@ -110,6 +119,13 @@ class PointerTable:
     amplitudes: np.ndarray
     row_mass: np.ndarray
     row_edge: np.ndarray
+    coherence: np.ndarray
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """|amplitudes|^2, built on first use: a pointer report that reads no
+        readout law never holds a second (n_s, n_p) array."""
+        return np.abs(self.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
@@ -132,7 +148,10 @@ class VonNeumannChannel:
             mom = kernel_transform(ready, 0, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
             amplitudes = _conditional_shift(mom, grid, pg, self.g)
             row_mass = np.sum(np.abs(amplitudes) ** 2, axis=1)
-            table = PointerTable(amplitudes, row_mass, _row_edge(amplitudes))
+            # one matvec; amplitudes.conj() @ ... would copy the whole table
+            lags = amplitudes @ amplitudes[0].conj()
+            coherence = np.concatenate((lags, lags[:0:-1].conj()))
+            table = PointerTable(amplitudes, row_mass, _row_edge(amplitudes), coherence)
             self._tables[grid] = table
         return table
 
@@ -241,12 +260,16 @@ class KrausBlock:
     (step -1 is the flip) and then weights each branch pointwise; no weights
     means one unweighted branch.  ``row_mass`` is the sum over the columns of
     |weights|^2, so the position law of the branches,
-    |a[::step]|^2 * row_mass, needs no branch array.
+    |a[::step]|^2 * row_mass, needs no branch array.  A block with a
+    ``coherence`` kernel (the pointer's, see ``PointerTable``) holds the
+    lagged column sums of weights * conj(weights), so its momentum law needs
+    no branch array either.
     """
 
     step: int = 1
     weights: np.ndarray | None = None
     row_mass: np.ndarray | float = 1.0
+    coherence: np.ndarray | None = None
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         branches = a[:: self.step, None]
@@ -254,6 +277,26 @@ class KrausBlock:
 
     def position_mass(self, a: np.ndarray) -> np.ndarray:
         return np.abs(a[:: self.step]) ** 2 * self.row_mass
+
+    def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
+        """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
+
+        Without a kernel each branch is transformed along the system axis.
+        With one, the law is dx^2/(2 pi hbar) times the DFT of
+        sum_l A(l) c(l) over l = q (mod n), where A is the linear
+        autocorrelation of a (one zero-padded FFT of length 2n) and c the
+        kernel; grid.p starts at -n/2 dp, so the DFT is read fftshifted.
+        """
+        if self.coherence is None:
+            mom = kernel_transform(self(a), 0, grid.x[0], grid.dx, grid.p[0], grid.dp, grid.hbar, -1)
+            return np.sum(np.abs(mom) ** 2, axis=1)
+        n = grid.n_points
+        # lag l at index l mod 2n: sum_i a_i conj(a_(i-l)), zero at lag n
+        lagged = np.fft.ifft(np.abs(np.fft.fft(a, 2 * n)) ** 2)
+        folded = lagged[:n] * self.coherence[:n]
+        folded[1:] += lagged[n + 1 :] * self.coherence[n:]
+        law = np.fft.fft(folded).real * (grid.dx**2 / (2.0 * np.pi * grid.hbar))
+        return np.fft.fftshift(law)
 
 
 def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]:
@@ -268,8 +311,10 @@ def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]
     von_neumann -> one (n_s, n_p) block a[:, None] * T = U (a (x) ready),
     with T the channel's cached ``PointerTable`` on this grid and the probe
     cell dy as measure; column j is K_j a / sqrt(dy) for
-    K_j = sqrt(dy) <y_j| U |., ready>.  The block does not check
-    confinement: ``check_confinement`` judges the state a figure is about.
+    K_j = sqrt(dy) <y_j| U |., ready>.  The block carries the table's row
+    masses and coherence kernel, so neither law builds it.  The block does
+    not check confinement: ``check_confinement`` judges the state a figure
+    is about.
     """
     if isinstance(channel, FlipChannel):
         if not grid.is_symmetric():
@@ -282,6 +327,8 @@ def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]
         return [KrausBlock(weights=m[:, None], row_mass=m) for m in (mask, ~mask)], 1.0
     if isinstance(channel, VonNeumannChannel):
         table = channel.table(grid)
-        block = KrausBlock(weights=table.amplitudes, row_mass=table.row_mass)
+        block = KrausBlock(
+            weights=table.amplitudes, row_mass=table.row_mass, coherence=table.coherence
+        )
         return [block], channel.probe.grid.dx
     raise TypeError(f"unknown channel {channel!r}")

@@ -12,6 +12,7 @@ precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -40,6 +41,8 @@ class GridSpec:
     n_points : number of grid points, a power of two >= 16
     x_min, x_max : domain edges (grid points sit strictly inside)
     hbar : value of the reduced Planck constant (default 1)
+
+    ``x`` and ``p`` are built once per grid object and are read-only.
     """
 
     n_points: int
@@ -60,18 +63,18 @@ class GridSpec:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_points
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.n_points) + 0.5) * self.dx
+        return _read_only(self.x_min + (np.arange(self.n_points) + 0.5) * self.dx)
 
     @property
     def dp(self) -> float:
         return 2.0 * np.pi * self.hbar / (self.n_points * self.dx)
 
-    @property
+    @cached_property
     def p(self) -> np.ndarray:
         """Momentum grid in ascending order, signed index in [-n/2, n/2)."""
-        return (np.arange(self.n_points) - self.n_points // 2) * self.dp
+        return _read_only((np.arange(self.n_points) - self.n_points // 2) * self.dp)
 
     @property
     def center(self) -> float:
@@ -80,6 +83,11 @@ class GridSpec:
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         scale = max(abs(self.x_min), abs(self.x_max), 1.0)
         return abs(self.x_min + self.x_max) <= tol * scale
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def make_grid(n_points: int, x_min: float, x_max: float, hbar: float = 1.0) -> GridSpec:

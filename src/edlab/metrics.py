@@ -155,8 +155,8 @@ def _post_channel_distribution(
 ) -> ProbabilityDistribution:
     """Law of X or P in the nonselective output state: sum_m |K_m psi|^2.
 
-    The X law needs no branches (``KrausBlock.position_mass``); the P law
-    transforms each block along the system axis.
+    Each block gives its own mass (``KrausBlock.position_mass`` and
+    ``momentum_mass``); neither builds the pointer's branch array.
     """
     g = psi.grid
     check_confinement(channel, psi)
@@ -166,9 +166,7 @@ def _post_channel_distribution(
         if observable == "X":
             mass = k.position_mass(psi.amplitudes)
         else:
-            mom = kernel_transform(k(psi.amplitudes), 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
-            mass = np.sum(np.abs(mom) ** 2, axis=1)
-            del mom  # freed before the next block is built
+            mass = k.momentum_mass(psi.amplitudes, g)
         # the ancilla measure is applied after the sum over the ancilla axis
         law = law + mass * ancilla_measure
     if observable == "X":
@@ -195,15 +193,15 @@ def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     """W2 distance between the calibrated readout and the ideal position law.
 
     The readout distribution is the probe position marginal after the
-    coupling, (|psi|^2 dx) @ |T|^2 for the channel's table T, with the
-    coordinate divided by the gain.
+    coupling, (|psi|^2 dx) @ |T|^2 for the channel's table T (its cached
+    ``density``), with the coordinate divided by the gain.
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the readout-distribution error requires a probe coupling")
     check_confinement(channel, psi)
-    table = channel.table(psi.grid).amplitudes
+    density = channel.table(psi.grid).density
     pg = channel.probe.grid
-    weights = (np.abs(psi.amplitudes) ** 2 * psi.grid.dx) @ np.abs(table) ** 2
+    weights = (np.abs(psi.amplitudes) ** 2 * psi.grid.dx) @ density
     support = pg.x / channel.g
     scaled = weights * abs(channel.g)
     if channel.g < 0:

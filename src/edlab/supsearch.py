@@ -71,7 +71,6 @@ class SupResult:
     value: float
     argmax: GaussianState
     trace: tuple[TraceEntry, ...]
-    lower_bound_disclaimer: bool = True
     n_excluded: int = 0
 
 
@@ -183,7 +182,6 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
         value=float(best_v),
         argmax=GaussianState(float(point[0]), float(point[1]), float(point[2])),
         trace=tuple(trace),
-        lower_bound_disclaimer=True,
         n_excluded=n_excluded,
     )
 

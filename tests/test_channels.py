@@ -31,6 +31,8 @@ from edlab import (
 )
 
 from edlab.channels import check_confinement
+from edlab.grids import kernel_transform
+from edlab.states import gaussian_amplitudes
 from conftest import make_vn_channel, pointer_kraus_matrices, random_amplitudes, unitary_dft
 
 
@@ -243,8 +245,34 @@ class TestPointerTable:
                 oracle = np.einsum("jik,k->ij", dense, amp)
                 assert np.max(np.abs(block(amp) * np.sqrt(measure) - oracle)) < 1e-12
 
+    def test_momentum_law_matches_branch_transform(self):
+        # the block's P law from the coherence kernel against the transform
+        # of its branch array a[:, None] * T along the system axis.  A
+        # pointer at rest has an even kick law and so a real kernel; the
+        # boosted pointer tells the kernel from its conjugate (gain -g).  On
+        # the narrow probe domain the rows beyond psi's reach wrap around.
+        for hbar in (1.0, 2.0):
+            grid = make_grid(128, -12.0, 12.0, hbar)
+            psi = make_state(grid, GaussianState(1.0, 1.5, 1.5))
+            for g in (0.5, 1.0, 2.0, -1.0):
+                for probe_grid in (probe_grid_for(grid, psi, g, 0.5, 128), make_grid(128, -4.0, 4.0, hbar)):
+                    for boost in (0.0, 1.0):
+                        probe = ProbeSpec(probe_grid, 0.5)
+                        ready = gaussian_amplitudes(probe_grid, 0.0, boost, 0.5)
+                        ready = ready / np.sqrt(np.sum(np.abs(ready) ** 2) * probe_grid.dx)
+                        object.__setattr__(probe, "ready_state", WaveFunction(probe_grid, ready))
+                        channel = VonNeumannChannel(g, probe)
+                        (block,), dy = kraus_of(channel, grid)
+                        for a in (psi.amplitudes, random_amplitudes(grid, 0)):
+                            mom = kernel_transform(
+                                block(a), 0, grid.x[0], grid.dx, grid.p[0], grid.dp, hbar, -1
+                            )
+                            oracle = np.sum(np.abs(mom) ** 2, axis=1) * dy
+                            law = block.momentum_mass(a, grid) * dy
+                            assert np.max(np.abs(law - oracle)) < 1e-14, (hbar, g, probe_grid, boost)
+
     def test_one_shift_per_channel_and_grid(self, std_grid, vn_default, monkeypatch):
-        from edlab import channels
+        from edlab import channels, grids, metrics
 
         shifted = []
         shift = channels._conditional_shift
@@ -258,11 +286,23 @@ class TestPointerTable:
         compute_report(VonNeumannChannel(channel.g, channel.probe), psi)
         assert len(shifted) <= 2  # the table and ozawa_error's direct coupling
         shifted.clear()
+
+        # the only (n_s, n_p) transform of a search is the table's shift
+        transformed = []
+
+        def counted_transform(arr, *args):
+            if arr.ndim == 2:
+                transformed.append(arr.shape)
+            return kernel_transform(arr, *args)
+
+        for module in (grids, channels, metrics):
+            monkeypatch.setattr(module, "kernel_transform", counted_transform)
         grid = make_grid(128, -16.0, 16.0)
         spec = SearchSpec((-1.0, 1.0), (0.0, 0.0), (2.0, 3.0), (3, 1, 2), 1e-2, 1)
         report = eq2_check(VonNeumannChannel(channel.g, channel.probe), grid, spec, spec)
         evaluations = len(report.error_search.trace) + len(report.disturbance_search.trace)
         assert evaluations > 10 and shifted == [grid]
+        assert transformed == [(128, channel.probe.grid.n_points)]
 
     def test_state_confinement_matches_direct_coupling(self, std_grid):
         # the state's edge mass from the table's rows gates exactly where the
