@@ -123,8 +123,9 @@ class PointerTable:
 
     @cached_property
     def density(self) -> np.ndarray:
-        """|amplitudes|^2, built on first use: a pointer report that reads no
-        readout law never holds a second (n_s, n_p) array."""
+        """|amplitudes|^2 for the readout law, built on first use rather than
+        with the table, so that it is not alive while the other figures of a
+        report hold their (n_s, n_p) temporaries."""
         return np.abs(self.amplitudes) ** 2
 
 
