@@ -44,7 +44,6 @@ from .states import (
     RandomState,
     StateSpec,
     SymmetricPairState,
-    is_symmetric,
     make_state,
 )
 from .supsearch import Eq2Report, SearchSpec, SupResult, eq2_check, maximize

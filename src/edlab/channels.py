@@ -101,32 +101,76 @@ class SlitChannel:
 
 
 @dataclass(frozen=True)
-class PointerTable:
-    """A pointer coupling on one system grid: U(a (x) ready) = a[:, None] * amplitudes.
+class KrausBlock:
+    """Branches K_m a as the columns of a[::step, None] * weights.
 
-    Row i of ``amplitudes`` is the ready state translated by g*x_i.
-    ``row_mass`` and ``row_edge`` are sums of |row|^2 over the whole probe
-    grid and over its two cells at each end (times dy for probabilities).
-    ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j) of rows l
-    apart, for lags -(n_s - 1) <= l < n_s in numpy's index order (a negative
-    lag is a negative index); times dy it is the characteristic function of
-    the kick g*P_probe at g*l*dx.  The translations are unitary on the
-    periodic probe grid, so it depends on the lag alone, on every grid.
-    A row beyond the reach of the states coupled may wrap around the probe
-    grid; ``check_confinement`` judges each state by its own weights.
+    Every channel here keeps or reverses the order of the system points
+    (step -1 is the flip) and then weights each branch pointwise; no weights
+    means one unweighted branch.  ``row_mass`` is the sum over the columns of
+    |weights|^2, so the position law of the branches,
+    |a[::step]|^2 * row_mass, needs no branch array.  A block with a
+    ``coherence`` kernel (the pointer's ``PointerTable``, the one subclass)
+    holds the lagged column sums of weights * conj(weights), so its momentum
+    law needs no branch array either.
     """
 
-    amplitudes: np.ndarray
-    row_mass: np.ndarray
+    step: int = 1
+    weights: np.ndarray | None = None
+    row_mass: np.ndarray | float = 1.0
+    coherence: np.ndarray | None = None
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        branches = a[:: self.step, None]
+        return branches if self.weights is None else branches * self.weights
+
+    def position_mass(self, a: np.ndarray) -> np.ndarray:
+        return np.abs(a[:: self.step]) ** 2 * self.row_mass
+
+    def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
+        """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
+
+        Without a kernel each branch is transformed along the system axis.
+        With one, the law is dx^2/(2 pi hbar) times the DFT of
+        sum_l A(l) c(l) over l = q (mod n), where A is the linear
+        autocorrelation of a (one zero-padded FFT of length 2n) and c the
+        kernel; grid.p starts at -n/2 dp, so the DFT is read fftshifted.
+        """
+        if self.coherence is None:
+            mom = kernel_transform(self(a), 0, grid, -1)
+            return np.sum(np.abs(mom) ** 2, axis=1)
+        n = grid.n_points
+        # lag l at index l mod 2n: sum_i a_i conj(a_(i-l)), zero at lag n
+        lagged = np.fft.ifft(np.abs(np.fft.fft(a, 2 * n)) ** 2)
+        folded = lagged[:n] * self.coherence[:n]
+        folded[1:] += lagged[n + 1 :] * self.coherence[n:]
+        law = np.fft.fft(folded).real * (grid.dx**2 / (2.0 * np.pi * grid.hbar))
+        return np.fft.fftshift(law)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PointerTable(KrausBlock):
+    """The pointer's Kraus block on one system grid: U(a (x) ready) = a[:, None] * weights.
+
+    Row i of the table T = ``weights`` is the ready state translated by
+    g*x_i.  ``row_mass`` and ``row_edge`` are sums of |row|^2 over the whole
+    probe grid and over its two cells at each end (times dy for
+    probabilities).  ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j)
+    of rows l apart, for lags -(n_s - 1) <= l < n_s in numpy's index order (a
+    negative lag is a negative index); times dy it is the characteristic
+    function of the kick g*P_probe at g*l*dx.  The translations are unitary
+    on the periodic probe grid, so it depends on the lag alone, on every
+    grid.  A row beyond the reach of the states coupled may wrap around the
+    probe grid; ``check_confinement`` judges each state by its own weights.
+    """
+
     row_edge: np.ndarray
-    coherence: np.ndarray
 
     @cached_property
     def density(self) -> np.ndarray:
-        """|amplitudes|^2 for the readout law, built on first use rather than
+        """|weights|^2 for the readout law, built on first use rather than
         with the table, so that it is not alive while the other figures of a
         report hold their (n_s, n_p) temporaries."""
-        return np.abs(self.amplitudes) ** 2
+        return np.abs(self.weights) ** 2
 
 
 @dataclass(frozen=True)
@@ -145,14 +189,17 @@ class VonNeumannChannel:
         table = self._tables.get(grid)
         if table is None:
             pg = self.probe.grid
-            ready = self.probe.ready_state.amplitudes
-            mom = kernel_transform(ready, 0, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
-            amplitudes = _conditional_shift(mom, grid, pg, self.g)
-            row_mass = np.sum(np.abs(amplitudes) ** 2, axis=1)
-            # one matvec; amplitudes.conj() @ ... would copy the whole table
-            lags = amplitudes @ amplitudes[0].conj()
+            mom = kernel_transform(self.probe.ready_state.amplitudes, 0, pg, -1)
+            weights = _conditional_shift(mom, grid, pg, self.g)
+            row_mass = np.sum(np.abs(weights) ** 2, axis=1)
+            row_edge = np.sum(np.abs(weights[:, :2]) ** 2, axis=1)
+            row_edge += np.sum(np.abs(weights[:, -2:]) ** 2, axis=1)
+            # one matvec; weights.conj() @ ... would copy the whole table
+            lags = weights @ weights[0].conj()
             coherence = np.concatenate((lags, lags[:0:-1].conj()))
-            table = PointerTable(amplitudes, row_mass, _row_edge(amplitudes), coherence)
+            table = PointerTable(
+                weights=weights, row_mass=row_mass, coherence=coherence, row_edge=row_edge
+            )
             self._tables[grid] = table
         return table
 
@@ -205,99 +252,44 @@ def _conditional_shift(
     through momentum-space phases."""
     pg = probe_grid
     phases = np.exp(-1j * g * np.outer(system_grid.x, pg.p) / pg.hbar)
-    return kernel_transform(mom * phases, 1, pg.p[0], pg.dp, pg.x[0], pg.dx, pg.hbar, +1)
-
-
-def _row_edge(amps: np.ndarray) -> np.ndarray:
-    """|amps|^2 of an (n_s, n_p) array summed over the two probe cells at
-    each end of the probe grid, per system row."""
-    return np.sum(np.abs(amps[:, :2]) ** 2, axis=1) + np.sum(np.abs(amps[:, -2:]) ** 2, axis=1)
-
-
-def _raise_if_unconfined(edge_mass: float, probe_grid: GridSpec, g: float) -> None:
-    if edge_mass > CONFINEMENT_TOL:
-        raise ConfinementError(
-            f"probe confinement violated after shift: edge mass {edge_mass:.3e} "
-            f"(probe domain [{probe_grid.x_min}, {probe_grid.x_max}], gain {g})"
-        )
+    return kernel_transform(mom * phases, 1, pg, +1)
 
 
 def apply_von_neumann(joint: JointState, g: float) -> JointState:
     """Apply U = exp(-i g X_s P_p / hbar) exactly to a joint array; its adjoint is gain -g.
 
     Each system row's probe wave function is translated by g*x_i via
-    momentum-space phase multiplication.  An input of unit norm is taken to
-    be a state and raises ConfinementError when the translated probe carries
-    more than CONFINEMENT_TOL of probability in the two cells at each end of
-    the probe grid.  Of the figures in ``metrics`` only ``ozawa_error``
-    calls this; the others read the coupling from the channel's cached
-    ``PointerTable``.
+    momentum-space phase multiplication.  This is the plain unitary: it
+    judges no confinement, for states and operator images alike; the figure
+    that couples a state calls ``check_confinement`` on it first.  Of the
+    figures in ``metrics`` only ``ozawa_error`` calls this; the others read
+    the coupling from the channel's cached ``PointerTable``.
     """
     sg, pg = joint.system_grid, joint.probe_grid
-    mom = kernel_transform(joint.amplitudes, 1, pg.x[0], pg.dx, pg.p[0], pg.dp, pg.hbar, -1)
-    result = JointState(sg, pg, _conditional_shift(mom, sg, pg, g))
-    if abs(result.norm() ** 2 - 1.0) < 1e-6:
-        _raise_if_unconfined(float(np.sum(_row_edge(result.amplitudes)) * result.measure), pg, g)
-    return result
+    mom = kernel_transform(joint.amplitudes, 1, pg, -1)
+    return JointState(sg, pg, _conditional_shift(mom, sg, pg, g))
 
 
 def check_confinement(channel: Channel, psi: WaveFunction) -> None:
     """Raise ConfinementError when a pointer coupling of the state psi leaves
     more than CONFINEMENT_TOL of probe probability in the two cells at each
-    end of the probe grid.  Only the state is judged, never an operator image
-    such as X psi; channels without a probe always pass."""
+    end of the probe grid.
+
+    This is the one confinement rule: every pointer figure, the RMS error
+    included, calls it once on its state before it couples.  The edge mass
+    is the table's ``row_edge`` weighted by |psi|^2, so only the state is
+    judged, never an operator image such as X psi.  Channels without a probe
+    always pass.
+    """
     if isinstance(channel, VonNeumannChannel):
         pg = channel.probe.grid
         row_edge = channel.table(psi.grid).row_edge
         edge_mass = float(np.sum(np.abs(psi.amplitudes) ** 2 * row_edge) * psi.grid.dx * pg.dx)
-        _raise_if_unconfined(edge_mass, pg, channel.g)
-
-
-@dataclass(frozen=True)
-class KrausBlock:
-    """Branches K_m a as the columns of a[::step, None] * weights.
-
-    Every channel here keeps or reverses the order of the system points
-    (step -1 is the flip) and then weights each branch pointwise; no weights
-    means one unweighted branch.  ``row_mass`` is the sum over the columns of
-    |weights|^2, so the position law of the branches,
-    |a[::step]|^2 * row_mass, needs no branch array.  A block with a
-    ``coherence`` kernel (the pointer's, see ``PointerTable``) holds the
-    lagged column sums of weights * conj(weights), so its momentum law needs
-    no branch array either.
-    """
-
-    step: int = 1
-    weights: np.ndarray | None = None
-    row_mass: np.ndarray | float = 1.0
-    coherence: np.ndarray | None = None
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        branches = a[:: self.step, None]
-        return branches if self.weights is None else branches * self.weights
-
-    def position_mass(self, a: np.ndarray) -> np.ndarray:
-        return np.abs(a[:: self.step]) ** 2 * self.row_mass
-
-    def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
-        """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
-
-        Without a kernel each branch is transformed along the system axis.
-        With one, the law is dx^2/(2 pi hbar) times the DFT of
-        sum_l A(l) c(l) over l = q (mod n), where A is the linear
-        autocorrelation of a (one zero-padded FFT of length 2n) and c the
-        kernel; grid.p starts at -n/2 dp, so the DFT is read fftshifted.
-        """
-        if self.coherence is None:
-            mom = kernel_transform(self(a), 0, grid.x[0], grid.dx, grid.p[0], grid.dp, grid.hbar, -1)
-            return np.sum(np.abs(mom) ** 2, axis=1)
-        n = grid.n_points
-        # lag l at index l mod 2n: sum_i a_i conj(a_(i-l)), zero at lag n
-        lagged = np.fft.ifft(np.abs(np.fft.fft(a, 2 * n)) ** 2)
-        folded = lagged[:n] * self.coherence[:n]
-        folded[1:] += lagged[n + 1 :] * self.coherence[n:]
-        law = np.fft.fft(folded).real * (grid.dx**2 / (2.0 * np.pi * grid.hbar))
-        return np.fft.fftshift(law)
+        if edge_mass > CONFINEMENT_TOL:
+            raise ConfinementError(
+                f"probe confinement violated after shift: edge mass {edge_mass:.3e} "
+                f"(probe domain [{pg.x_min}, {pg.x_max}], gain {channel.g})"
+            )
 
 
 def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]:
@@ -309,13 +301,13 @@ def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]
 
     flip -> one 1-column block (the reversal), measure 1;
     slit -> two 1-column blocks (pass and fail projectors), measure 1;
-    von_neumann -> one (n_s, n_p) block a[:, None] * T = U (a (x) ready),
-    with T the channel's cached ``PointerTable`` on this grid and the probe
-    cell dy as measure; column j is K_j a / sqrt(dy) for
-    K_j = sqrt(dy) <y_j| U |., ready>.  The block carries the table's row
-    masses and coherence kernel, so neither law builds it.  The block does
-    not check confinement: ``check_confinement`` judges the state a figure
-    is about.
+    von_neumann -> one (n_s, n_p) block, the channel's cached
+    ``PointerTable`` on this grid itself: a[:, None] * T = U (a (x) ready),
+    with the probe cell dy as measure; column j is K_j a / sqrt(dy) for
+    K_j = sqrt(dy) <y_j| U |., ready>.  The table carries its row masses
+    and coherence kernel, so neither law builds the branch array.  The
+    block does not check confinement: ``check_confinement`` judges the state
+    a figure is about.
     """
     if isinstance(channel, FlipChannel):
         if not grid.is_symmetric():
@@ -327,9 +319,5 @@ def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]
         mask = slit_mask(grid, channel.center, channel.width)
         return [KrausBlock(weights=m[:, None], row_mass=m) for m in (mask, ~mask)], 1.0
     if isinstance(channel, VonNeumannChannel):
-        table = channel.table(grid)
-        block = KrausBlock(
-            weights=table.amplitudes, row_mass=table.row_mass, coherence=table.coherence
-        )
-        return [block], channel.probe.grid.dx
+        return [channel.table(grid)], channel.probe.grid.dx
     raise TypeError(f"unknown channel {channel!r}")

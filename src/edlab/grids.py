@@ -11,7 +11,7 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
@@ -80,9 +80,9 @@ class GridSpec:
     def center(self) -> float:
         return 0.5 * (self.x_min + self.x_max)
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         scale = max(abs(self.x_min), abs(self.x_max), 1.0)
-        return abs(self.x_min + self.x_max) <= tol * scale
+        return abs(self.x_min + self.x_max) <= 1e-12 * scale
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -151,27 +151,22 @@ class WaveFunction:
         return self
 
 
-def kernel_transform(
-    arr: np.ndarray,
-    axis: int,
-    src0: float,
-    src_step: float,
-    dst0: float,
-    dst_step: float,
-    hbar: float,
-    sign: int,
-) -> np.ndarray:
-    """Unitary plane-wave transform along one axis of an array.
+def kernel_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> np.ndarray:
+    """Unitary plane-wave transform along one axis between a grid's x and p.
 
-    Computes out_j = src_step / sqrt(2*pi*hbar) * sum_i arr_i *
-    exp(sign * 1j * c_j * d_i / hbar) where d_i = src0 + i*src_step are the
-    source grid points and c_j = dst0 + j*dst_step the destination ones.
-    Requires the duality condition src_step * dst_step = 2*pi*hbar / n, which
+    Sign -1 maps amplitudes on ``grid.x`` to amplitudes on ``grid.p`` and +1
+    maps back: out_j = src_step / sqrt(2*pi*hbar) * sum_i arr_i *
+    exp(sign * 1j * c_j * d_i / hbar), where d_i = src0 + i*src_step are the
+    source grid points and c_j = dst0 + j*dst_step the destination ones.  The
+    two grids of one GridSpec are conjugate, dx * dp = 2*pi*hbar / n, which
     lets the double sum collapse onto a single FFT with two phase vectors.
     """
-    n = arr.shape[axis]
-    if abs(src_step * dst_step * n / (2.0 * np.pi * hbar) - 1.0) > 1e-9:
-        raise ValueError("grids are not conjugate: src_step * dst_step != 2*pi*hbar/n")
+    if sign < 0:
+        src0, src_step, dst0, dst_step = grid.x[0], grid.dx, grid.p[0], grid.dp
+    else:
+        src0, src_step, dst0, dst_step = grid.p[0], grid.dp, grid.x[0], grid.dx
+    hbar = grid.hbar
+    n = grid.n_points
     idx = np.arange(n)
     inner = np.exp(sign * 1j * dst0 * (src0 + idx * src_step) / hbar)
     outer = np.exp(sign * 1j * (idx * dst_step) * src0 / hbar)
@@ -191,8 +186,7 @@ def kernel_transform(
 
 def to_momentum(psi: WaveFunction) -> np.ndarray:
     """Momentum amplitudes of a state on ``grid.p``, normalized with measure dp."""
-    g = psi.grid
-    return kernel_transform(psi.amplitudes, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
+    return kernel_transform(psi.amplitudes, 0, psi.grid, -1)
 
 
 @dataclass(frozen=True)
@@ -233,23 +227,21 @@ class ProbabilityDistribution:
 
     support: np.ndarray
     weights: np.ndarray
-    spacing: float = field(default=0.0)
+    spacing: float
 
     def __post_init__(self):
         s = np.asarray(self.support, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         if s.shape != w.shape or s.ndim != 1:
             raise ValueError("support and weights must be 1D arrays of equal length")
-        spacing = self.spacing if self.spacing else float(s[1] - s[0])
         if np.min(w) < -1e-10:
             raise InvariantViolation(f"negative weight {w.min():.3e} below tolerance")
         w = np.maximum(w, 0.0)
-        total = float(np.sum(w) * spacing)
+        total = float(np.sum(w) * self.spacing)
         if abs(total - 1.0) > NORM_TOL:
             raise InvariantViolation(f"distribution mass {total!r} deviates from 1")
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "spacing", spacing)
 
 
 def distribution(psi: WaveFunction, basis: BasisName) -> ProbabilityDistribution:

@@ -90,8 +90,7 @@ def _apply_observable(g: GridSpec, amps: np.ndarray, observable: ObservableName)
     if observable == "X":
         return g.x.reshape(along) * amps
     if observable == "P":
-        mom = kernel_transform(amps, 0, g.x[0], g.dx, g.p[0], g.dp, g.hbar, -1)
-        return kernel_transform(g.p.reshape(along) * mom, 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, +1)
+        return kernel_transform(g.p.reshape(along) * kernel_transform(amps, 0, g, -1), 0, g, +1)
     raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
 
 
@@ -125,10 +124,12 @@ def ozawa_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
 
     || (U^dag M U - X_s) |psi, ready> || with M = X_probe / g.  U commutes
     with X_s (x) 1, so this equals || (M - X_s) U |psi, ready> ||: one
-    coupling, then a multiplication on the joint grid.
+    coupling, then a multiplication on the joint grid.  Like every other
+    pointer figure, it first judges psi with ``check_confinement``.
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the RMS measurement error requires a probe coupling")
+    check_confinement(channel, psi)
     coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g)
     offset = channel.probe.grid.x[None, :] / channel.g - psi.grid.x[:, None]
     return JointState(psi.grid, channel.probe.grid, offset * coupled.amplitudes).norm()

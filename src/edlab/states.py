@@ -142,21 +142,3 @@ def make_state(grid: GridSpec, spec: StateSpec) -> WaveFunction:
         raise TypeError(f"unknown state spec {spec!r}")
     return _normalized(grid, amp).validate()
 
-
-def is_symmetric(psi: WaveFunction, about: float) -> tuple[bool, float]:
-    """Test amplitude-level evenness about the domain center.
-
-    Returns (flag, asymmetry_norm) with asymmetry = ||psi(x) - psi(2*about - x)||.
-    The reflection axis must be the domain center: only there is reflection an
-    exact index permutation of the half-offset grid.
-    """
-    g = psi.grid
-    scale = max(abs(g.x_min), abs(g.x_max), 1.0)
-    if abs(about - g.center) > 1e-12 * scale:
-        raise ValueError(
-            f"reflection axis {about} is not the domain center {g.center}; "
-            "reflection would require interpolation"
-        )
-    diff = psi.amplitudes - psi.amplitudes[::-1]
-    asym = float(np.sqrt(np.sum(np.abs(diff) ** 2) * g.dx))
-    return asym < 1e-10, asym

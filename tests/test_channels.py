@@ -26,11 +26,12 @@ from edlab import (
     make_grid,
     make_state,
     ozawa_disturbance,
+    ozawa_error,
     probe_grid_for,
     wasserstein2,
 )
 
-from edlab.channels import check_confinement
+from edlab.channels import CONFINEMENT_TOL, check_confinement
 from edlab.grids import kernel_transform
 from edlab.states import gaussian_amplitudes
 from conftest import make_vn_channel, pointer_kraus_matrices, random_amplitudes, unitary_dft
@@ -128,11 +129,12 @@ class TestVonNeumann:
             assert delta == pytest.approx(g, rel=1e-3)
 
     def test_confinement_error_raised(self, std_grid):
+        # the RMS error judges its state by the same rule as every other figure
         psi = make_state(std_grid, GaussianState(0, 0, 1))
         small = make_grid(256, -2, 2)
         channel = VonNeumannChannel(1.0, ProbeSpec(small, 0.25))
         with pytest.raises(InvariantViolation, match="confinement"):
-            apply_von_neumann(embed_joint(psi, channel.probe), 1.0)
+            ozawa_error(channel, psi)
 
     def test_unitary_on_corpus(self, std_grid, corpus):
         for _, psi in corpus[:6]:
@@ -264,9 +266,7 @@ class TestPointerTable:
                         channel = VonNeumannChannel(g, probe)
                         (block,), dy = kraus_of(channel, grid)
                         for a in (psi.amplitudes, random_amplitudes(grid, 0)):
-                            mom = kernel_transform(
-                                block(a), 0, grid.x[0], grid.dx, grid.p[0], grid.dp, hbar, -1
-                            )
+                            mom = kernel_transform(block(a), 0, grid, -1)
                             oracle = np.sum(np.abs(mom) ** 2, axis=1) * dy
                             law = block.momentum_mass(a, grid) * dy
                             assert np.max(np.abs(law - oracle)) < 1e-14, (hbar, g, probe_grid, boost)
@@ -306,24 +306,23 @@ class TestPointerTable:
 
     def test_state_confinement_matches_direct_coupling(self, std_grid):
         # the state's edge mass from the table's rows gates exactly where the
-        # direct coupling of the state does (edge masses 3e-5 ... 5e-26)
+        # edge mass of the direct coupling U(psi (x) ready) crosses the
+        # tolerance (edge masses 3e-5 ... 5e-26)
         psi = make_state(std_grid, GaussianState(1.0, 0.0, 1.0))
         verdicts = []
         for half in (5.0, 6.0, 7.0, 8.0, 10.0, 12.0):
             channel = VonNeumannChannel(1.0, ProbeSpec(make_grid(256, -half, half), 0.25))
-            rejected = []
-            for figure in (
-                lambda: apply_von_neumann(embed_joint(psi, channel.probe), 1.0),
-                lambda: check_confinement(channel, psi),
-            ):
-                try:
-                    figure()
-                except ConfinementError:
-                    rejected.append(True)
-                else:
-                    rejected.append(False)
-            assert rejected[0] == rejected[1], half
-            verdicts.append(rejected[0])
+            coupled = apply_von_neumann(embed_joint(psi, channel.probe), 1.0)
+            edges = np.abs(coupled.amplitudes[:, [0, 1, -2, -1]]) ** 2
+            direct = float(np.sum(edges) * coupled.measure) > CONFINEMENT_TOL
+            try:
+                check_confinement(channel, psi)
+            except ConfinementError:
+                rejected = True
+            else:
+                rejected = False
+            assert rejected == direct, half
+            verdicts.append(rejected)
         assert verdicts == [True, True, True, False, False, False]
 
 

@@ -70,14 +70,15 @@ class TestToMomentum:
     def test_roundtrip(self, std_grid):
         g = std_grid
         psi = WaveFunction(g, random_amplitudes(g, 7))
-        back = kernel_transform(to_momentum(psi), 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, +1)
+        back = kernel_transform(to_momentum(psi), 0, g, +1)
         assert np.max(np.abs(back - psi.amplitudes)) < 1e-11
 
     def test_double_transform_is_parity(self, corpus):
-        # the forward kernel applied to momentum amplitudes gives psi(-x)
+        # the forward kernel applied to momentum amplitudes gives psi(-x);
+        # on the momentum grid it is the conjugate of the inverse kernel
         for _, psi in corpus:
             g = psi.grid
-            twice = kernel_transform(to_momentum(psi), 0, g.p[0], g.dp, g.x[0], g.dx, g.hbar, -1)
+            twice = np.conj(kernel_transform(np.conj(to_momentum(psi)), 0, g, +1))
             assert np.max(np.abs(twice - psi.amplitudes[::-1])) < 1e-10
 
 

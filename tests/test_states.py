@@ -7,7 +7,6 @@ from edlab import (
     InvariantViolation,
     RandomState,
     SymmetricPairState,
-    is_symmetric,
     make_grid,
     make_state,
     moments,
@@ -58,9 +57,14 @@ class TestMakeState:
             make_state(std_grid, BumpState(15.5, 1.0))
 
     def test_symmetric_pair_is_even(self, std_grid):
-        psi = make_state(std_grid, SymmetricPairState(3.0, 1.0))
-        flag, asym = is_symmetric(psi, 0.0)
-        assert flag and asym < 1e-12
+        # reflection about the domain center is the index reversal
+        for grid, spec in (
+            (std_grid, SymmetricPairState(3.0, 1.0)),
+            (std_grid, GaussianState(0.0, 0.0, 1.0)),
+            (make_grid(256, 0.0, 32.0), GaussianState(16.0, 0.0, 1.0)),
+        ):
+            a = make_state(grid, spec).amplitudes
+            assert np.max(np.abs(a - a[::-1])) < 1e-12, spec
 
     def test_random_reproducible(self, std_grid):
         a = make_state(std_grid, RandomState(42, 6))
@@ -69,36 +73,3 @@ class TestMakeState:
         c = make_state(std_grid, RandomState(43, 6))
         assert not np.array_equal(a.amplitudes, c.amplitudes)
 
-
-class TestIsSymmetric:
-    def test_even_gaussian(self, std_grid):
-        psi = make_state(std_grid, GaussianState(0, 0, 1))
-        flag, asym = is_symmetric(psi, 0.0)
-        assert flag and asym < 1e-12
-
-    def test_translated_gaussian(self, std_grid):
-        psi = make_state(std_grid, GaussianState(1, 0, 1))
-        flag, _ = is_symmetric(psi, 0.0)
-        assert not flag
-
-    def test_boosted_gaussian_phase_breaks_evenness(self, std_grid):
-        # |psi|^2 is even but the amplitude e^{i 2 x} is not
-        psi = make_state(std_grid, GaussianState(0, 2, 1))
-        flag, asym = is_symmetric(psi, 0.0)
-        assert not flag
-        # direct evaluation of || psi(x) - psi(-x) ||
-        expected = np.sqrt(
-            np.sum(np.abs(psi.amplitudes - psi.amplitudes[::-1]) ** 2) * std_grid.dx
-        )
-        assert asym == pytest.approx(expected)
-
-    def test_off_center_axis_rejected(self, std_grid):
-        psi = make_state(std_grid, GaussianState(0, 0, 1))
-        with pytest.raises(ValueError, match="center"):
-            is_symmetric(psi, 1.0)
-
-    def test_asymmetric_domain_center(self):
-        g = make_grid(256, 0.0, 32.0)
-        psi = make_state(g, GaussianState(16.0, 0, 1))
-        flag, _ = is_symmetric(psi, 16.0)
-        assert flag
