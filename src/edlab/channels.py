@@ -120,8 +120,9 @@ class KrausBlock:
     coherence: np.ndarray | None = None
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
+        """The (n_s, k) branch array, a new array that the caller may overwrite."""
         branches = a[:: self.step, None]
-        return branches if self.weights is None else branches * self.weights
+        return branches.copy() if self.weights is None else branches * self.weights
 
     def position_mass(self, a: np.ndarray) -> np.ndarray:
         return np.abs(a[:: self.step]) ** 2 * self.row_mass
@@ -247,23 +248,44 @@ def embed_joint(psi: WaveFunction, probe: ProbeSpec) -> JointState:
 def _conditional_shift(
     mom: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec, g: float
 ) -> np.ndarray:
-    """Probe momentum amplitudes along axis 1 (or one row to broadcast) to an
-    (n_s, n_p) array of probe position amplitudes, row i translated by g*x_i
-    through momentum-space phases."""
+    """Probe momentum amplitudes, one row to broadcast or an (n_s, n_p) array
+    that is overwritten, to an (n_s, n_p) array of probe position amplitudes,
+    row i translated by g*x_i through the momentum-space phases
+    exp(-1j*g*x_i*p_j/hbar).
+
+    The phases are a two-level product: with b = 2^floor(log2(n_s)/2), row
+    a*b + r is anchor row a (at x_(a*b)) times offset row r (a shift of
+    r*dx), so n_s/b + b rows of ``exp`` and one complex product per element
+    build them, straight into the array that is then transformed in place.
+    The amplitudes stay the first operand, so the anchor rows (offset
+    exactly 1) are bit-identical to one ``exp`` per element.
+    """
     pg = probe_grid
-    phases = np.exp(-1j * g * np.outer(system_grid.x, pg.p) / pg.hbar)
-    return kernel_transform(mom * phases, 1, pg, +1)
+    n = system_grid.n_points
+    b = 1 << (n.bit_length() - 1) // 2
+    anchors = np.exp(-1j * g * np.outer(system_grid.x[::b], pg.p) / pg.hbar)[:, None]
+    offsets = np.exp(-1j * g * np.outer(np.arange(b) * system_grid.dx, pg.p) / pg.hbar)
+    blocks = (n // b, b, pg.n_points)
+    if mom.ndim == 1:
+        shifted = np.multiply(mom * offsets, anchors, out=np.empty(blocks, complex))
+    else:
+        shifted = mom.reshape(blocks)
+        shifted *= anchors
+        shifted *= offsets
+    shifted = shifted.reshape(n, pg.n_points)
+    return kernel_transform(shifted, 1, pg, +1, out=shifted)
 
 
 def apply_von_neumann(joint: JointState, g: float) -> JointState:
     """Apply U = exp(-i g X_s P_p / hbar) exactly to a joint array; its adjoint is gain -g.
 
     Each system row's probe wave function is translated by g*x_i via
-    momentum-space phase multiplication.  This is the plain unitary: it
-    judges no confinement, for states and operator images alike; the figure
-    that couples a state calls ``check_confinement`` on it first.  Of the
-    figures in ``metrics`` only ``ozawa_error`` calls this; the others read
-    the coupling from the channel's cached ``PointerTable``.
+    momentum-space phase multiplication, on one copy of the joint array
+    transformed in place.  This is the plain unitary: it judges no
+    confinement, for states and operator images alike; the figure that
+    couples a state calls ``check_confinement`` on it first.  Of the figures
+    in ``metrics`` only ``ozawa_error`` calls this; the others read the
+    coupling from the channel's cached ``PointerTable``.
     """
     sg, pg = joint.system_grid, joint.probe_grid
     mom = kernel_transform(joint.amplitudes, 1, pg, -1)

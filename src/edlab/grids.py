@@ -151,7 +151,9 @@ class WaveFunction:
         return self
 
 
-def kernel_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> np.ndarray:
+def kernel_transform(
+    arr: np.ndarray, axis: int, grid: GridSpec, sign: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Unitary plane-wave transform along one axis between a grid's x and p.
 
     Sign -1 maps amplitudes on ``grid.x`` to amplitudes on ``grid.p`` and +1
@@ -160,6 +162,11 @@ def kernel_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> n
     source grid points and c_j = dst0 + j*dst_step the destination ones.  The
     two grids of one GridSpec are conjugate, dx * dp = 2*pi*hbar / n, which
     lets the double sum collapse onto a single FFT with two phase vectors.
+
+    ``out`` follows numpy's idiom: the result is written into it and
+    returned, so ``out=arr`` transforms in place.  Without it, one new array
+    of the input's size holds the result and ``arr`` is left untouched; the
+    FFT and both phase products run inside that one array.
     """
     if sign < 0:
         src0, src_step, dst0, dst_step = grid.x[0], grid.dx, grid.p[0], grid.dp
@@ -172,16 +179,16 @@ def kernel_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> n
     outer = np.exp(sign * 1j * (idx * dst_step) * src0 / hbar)
     shape = [1] * arr.ndim
     shape[axis] = n
-    work = arr * inner.reshape(shape)
-    core = np.fft.fft(work, axis=axis) if sign < 0 else np.fft.ifft(work, axis=axis)
-    del work
-    if sign > 0:
-        core *= n
-    # in place, so that one array of the input's size is alive rather than
-    # three; numpy's complex product is not bitwise commutative, so the
-    # phases stay the first operand
+    work = np.multiply(arr, inner.reshape(shape), out=out)
+    if sign < 0:
+        np.fft.fft(work, axis=axis, out=work)
+    else:
+        np.fft.ifft(work, axis=axis, out=work)
+        work *= n
+    # numpy's complex product is not bitwise commutative, so the phases stay
+    # the first operand
     phases = (src_step / np.sqrt(2.0 * np.pi * hbar)) * outer.reshape(shape)
-    return np.multiply(phases, core, out=core)
+    return np.multiply(phases, work, out=work)
 
 
 def to_momentum(psi: WaveFunction) -> np.ndarray:

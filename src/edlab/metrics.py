@@ -30,7 +30,6 @@ import numpy as np
 
 from .channels import (
     Channel,
-    JointState,
     SlitChannel,
     VonNeumannChannel,
     apply_von_neumann,
@@ -84,13 +83,18 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
 # Observables on Kraus branches
 # ---------------------------------------------------------------------------
 
-def _apply_observable(g: GridSpec, amps: np.ndarray, observable: ObservableName) -> np.ndarray:
-    """B_s along the system axis (axis 0) of an amplitude array, spectrally for P."""
+def _apply_observable(
+    g: GridSpec, amps: np.ndarray, observable: ObservableName, out: np.ndarray | None = None
+) -> np.ndarray:
+    """B_s along the system axis (axis 0) of an amplitude array, spectrally
+    for P; ``out=amps`` applies it in place."""
     along = (-1,) + (1,) * (amps.ndim - 1)
     if observable == "X":
-        return g.x.reshape(along) * amps
+        return np.multiply(g.x.reshape(along), amps, out=out)
     if observable == "P":
-        return kernel_transform(g.p.reshape(along) * kernel_transform(amps, 0, g, -1), 0, g, +1)
+        mom = kernel_transform(amps, 0, g, -1, out=out)
+        mom *= g.p.reshape(along)
+        return kernel_transform(mom, 0, g, +1, out=mom)
     raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
 
 
@@ -99,11 +103,14 @@ def _kraus_sum(
     psi: WaveFunction,
     observable: ObservableName,
     term: Callable[[np.ndarray, np.ndarray], float],
+    skip_commuting: bool = False,
 ) -> float:
     """sum_m term(B K_m psi, K_m B psi) over the Kraus blocks, times dx_s * dy.
 
-    ``term`` reduces one block's pair of branch arrays to a number; the
-    pair is freed before the next block is built.
+    ``term`` reduces one block's pair of branch arrays to a number and may
+    overwrite them; the pair is freed before the next block is built.  With
+    ``skip_commuting``, a block that commutes with B adds nothing and is not
+    built: a block of step 1 weights each system point, so it commutes with X.
     """
     g = psi.grid
     check_confinement(channel, psi)
@@ -111,7 +118,10 @@ def _kraus_sum(
     b_psi = _apply_observable(g, psi.amplitudes, observable)
     total = 0.0
     for k in blocks:
-        total += term(_apply_observable(g, k(psi.amplitudes), observable), k(b_psi))
+        if skip_commuting and observable == "X" and k.step == 1:
+            continue
+        branches = k(psi.amplitudes)
+        total += term(_apply_observable(g, branches, observable, out=branches), k(b_psi))
     return total * g.dx * ancilla_measure
 
 
@@ -124,7 +134,7 @@ def ozawa_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
 
     || (U^dag M U - X_s) |psi, ready> || with M = X_probe / g.  U commutes
     with X_s (x) 1, so this equals || (M - X_s) U |psi, ready> ||: one
-    coupling, then a multiplication on the joint grid.  Like every other
+    coupling, then a multiplication in place on the coupled joint array.  Like every other
     pointer figure, it first judges psi with ``check_confinement``.
     """
     if not isinstance(channel, VonNeumannChannel):
@@ -132,7 +142,8 @@ def ozawa_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     check_confinement(channel, psi)
     coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g)
     offset = channel.probe.grid.x[None, :] / channel.g - psi.grid.x[:, None]
-    return JointState(psi.grid, channel.probe.grid, offset * coupled.amplitudes).norm()
+    np.multiply(coupled.amplitudes, offset, out=coupled.amplitudes)
+    return coupled.norm()
 
 
 def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: ObservableName) -> float:
@@ -142,9 +153,10 @@ def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: Observabl
     eta^2 = sum_m || B K_m psi - K_m B psi ||^2, which is exact for any
     Stinespring dilation of the Kraus family.
     """
-    return math.sqrt(
-        _kraus_sum(channel, psi, observable, lambda b_k, k_b: float(np.sum(np.abs(b_k - k_b) ** 2)))
-    )
+    def term(b_k: np.ndarray, k_b: np.ndarray) -> float:
+        return float(np.sum(np.abs(np.subtract(b_k, k_b, out=b_k)) ** 2))
+
+    return math.sqrt(_kraus_sum(channel, psi, observable, term, skip_commuting=True))
 
 
 # ---------------------------------------------------------------------------

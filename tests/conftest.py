@@ -15,6 +15,7 @@ from edlab import (
     make_state,
     probe_grid_for,
 )
+from edlab.grids import kernel_transform
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +69,20 @@ def unitary_dft(grid: GridSpec) -> np.ndarray:
     return scale * np.exp(-1j * np.outer(grid.p, grid.x) / grid.hbar)
 
 
+def direct_phases(system_grid: GridSpec, probe_grid: GridSpec, g: float) -> np.ndarray:
+    """The shift phases exp(-i g x_i p_j / hbar), one ``exp`` per element."""
+    return np.exp(-1j * g * np.outer(system_grid.x, probe_grid.p) / probe_grid.hbar)
+
+
+def direct_conditional_shift(
+    mom: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec, g: float
+) -> np.ndarray:
+    """Probe momentum amplitudes (a row or an (n_s, n_p) array) translated by
+    g*x_i in row i, from the direct phases; the oracle of the package's
+    two-level phase product."""
+    return kernel_transform(mom * direct_phases(system_grid, probe_grid, g), 1, probe_grid, +1)
+
+
 def pointer_kraus_matrices(channel: VonNeumannChannel, grid: GridSpec) -> np.ndarray:
     """Dense Kraus operators K_j = sqrt(dy) diag(ready(y_j - g x_i)) of the pointer.
 
@@ -80,8 +95,7 @@ def pointer_kraus_matrices(channel: VonNeumannChannel, grid: GridSpec) -> np.nda
     assert grid.n_points <= 64 and pg.n_points <= 64
     dft = unitary_dft(pg)
     phi = dft @ channel.probe.ready_state.amplitudes
-    phases = np.exp(-1j * channel.g * np.outer(grid.x, pg.p) / pg.hbar)
-    table = (phases * phi[None, :]) @ dft.conj()  # row i: ready(y - g x_i)
+    table = (direct_phases(grid, pg, channel.g) * phi[None, :]) @ dft.conj()  # row i: ready(y - g x_i)
     diag = np.sqrt(pg.dx) * table.T  # (n_p, n_s)
     return diag[:, :, None] * np.eye(grid.n_points)[None, :, :]
 

@@ -31,10 +31,16 @@ from edlab import (
     wasserstein2,
 )
 
-from edlab.channels import CONFINEMENT_TOL, check_confinement
+from edlab.channels import CONFINEMENT_TOL, _conditional_shift, check_confinement
 from edlab.grids import kernel_transform
 from edlab.states import gaussian_amplitudes
-from conftest import make_vn_channel, pointer_kraus_matrices, random_amplitudes, unitary_dft
+from conftest import (
+    direct_conditional_shift,
+    make_vn_channel,
+    pointer_kraus_matrices,
+    random_amplitudes,
+    unitary_dft,
+)
 
 
 def flip(psi):
@@ -141,6 +147,28 @@ class TestVonNeumann:
             channel = make_vn_channel(std_grid, psi, 1.0, 0.5)
             joint = apply_von_neumann(embed_joint(psi, channel.probe), 1.0)
             assert abs(joint.norm() - 1.0) < 1e-12
+
+
+class TestConditionalShift:
+    def test_two_level_phases_match_direct_phases(self):
+        # anchor rows times in-block offsets against one exp per element, on
+        # a row to broadcast (the table) and on a full array (the direct
+        # coupling, which is overwritten); on the narrow probe domain the
+        # shifts wrap around
+        rng = np.random.default_rng(5)
+        for n in (16, 64, 256):
+            for hbar in (1.0, 2.0):
+                grid = make_grid(n, -12.0, 12.0, hbar)
+                spread = WaveFunction(grid, random_amplitudes(grid, 0))
+                for g in (0.5, 1.0, 2.0, -1.0):
+                    for pg in (probe_grid_for(grid, spread, g, 0.5, 128), make_grid(128, -4.0, 4.0, hbar)):
+                        row = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+                        full = rng.standard_normal((n, 128)) + 1j * rng.standard_normal((n, 128))
+                        for mom in (row, full):
+                            oracle = direct_conditional_shift(mom, grid, pg, g)
+                            shifted = _conditional_shift(mom.copy(), grid, pg, g)
+                            err = np.max(np.abs(shifted - oracle))
+                            assert err <= 1e-13 * np.max(np.abs(oracle)), (n, hbar, g, pg)
 
 
 def slit(psi, center, width):
@@ -290,10 +318,10 @@ class TestPointerTable:
         # the only (n_s, n_p) transform of a search is the table's shift
         transformed = []
 
-        def counted_transform(arr, *args):
+        def counted_transform(arr, *args, **kwargs):
             if arr.ndim == 2:
                 transformed.append(arr.shape)
-            return kernel_transform(arr, *args)
+            return kernel_transform(arr, *args, **kwargs)
 
         for module in (grids, channels, metrics):
             monkeypatch.setattr(module, "kernel_transform", counted_transform)

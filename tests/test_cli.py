@@ -40,7 +40,7 @@ def assert_matches_golden(text: str, name: str) -> None:
 EXACT_ZEROS = {
     "flip": ("w2_disturbance_X",),
     "slit": ("eta_o_X", "w2_disturbance_X", "w2_disturbance_P"),
-    "vonneumann": ("w2_disturbance_X",),
+    "vonneumann": ("eta_o_X", "w2_disturbance_X"),
 }
 
 
@@ -339,6 +339,14 @@ class TestDeterminism:
             payload = json.loads(a.read_text())
             for key in zeros:
                 assert payload[key] == 0.0, (name, key)
+
+    def test_pointer_eta_x_is_exactly_zero(self, tmp_path):
+        # the coupling weights each system point, so it commutes with X
+        out = tmp_path / "r.json"
+        for given in ("grid.n_points=2048", "grid.hbar=2"):
+            argv = ["scenario", "vonneumann", "--set", given, "--format", "json", "--out", str(out)]
+            assert main(argv) == 0
+            assert json.loads(out.read_text())["eta_o_X"] == 0.0, given
 
     def test_sweep_outputs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -82,6 +82,23 @@ class TestToMomentum:
             assert np.max(np.abs(twice - psi.amplitudes[::-1])) < 1e-10
 
 
+class TestKernelTransformOut:
+    @pytest.mark.parametrize("n", (256, 2**18))
+    def test_in_place_is_bit_identical(self, n):
+        # 1-D input and 2-D input along either axis, both directions
+        g = make_grid(n, -16.0, 16.0)
+        rng = np.random.default_rng(n)
+        for shape, axis in (((n,), 0), ((n, 3), 0), ((3, n), 1)):
+            arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for sign in (-1, +1):
+                kept = arr.copy()
+                fresh = kernel_transform(arr, axis, g, sign)
+                assert np.array_equal(arr, kept)  # out=None leaves the input alone
+                result = kernel_transform(arr, axis, g, sign, out=arr)
+                assert result is arr and np.array_equal(result, fresh), (shape, sign)
+                arr = kept
+
+
 COS4_NORM = 3.0 / 4.0  # integral of cos^4(pi x / 2) over [-1, 1]
 
 
