@@ -95,7 +95,8 @@ def pointer_kraus_matrices(channel: VonNeumannChannel, grid: GridSpec) -> np.nda
     assert grid.n_points <= 64 and pg.n_points <= 64
     dft = unitary_dft(pg)
     phi = dft @ channel.probe.ready_state.amplitudes
-    table = (direct_phases(grid, pg, channel.g) * phi[None, :]) @ dft.conj()  # row i: ready(y - g x_i)
+    # row i: ready(y - g x_i)
+    table = (direct_phases(grid, pg, channel.g) * phi[None, :]) @ dft.conj()
     diag = np.sqrt(pg.dx) * table.T  # (n_p, n_s)
     return diag[:, :, None] * np.eye(grid.n_points)[None, :, :]
 
