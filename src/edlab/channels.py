@@ -98,34 +98,33 @@ class SlitChannel:
     def __post_init__(self):
         if not self.width > 0:
             raise ValueError(f"slit width must be positive, got {self.width}")
+        if not np.isfinite(self.center):
+            raise ValueError(f"slit center must be finite, got {self.center}")
 
 
 @dataclass(frozen=True)
 class KrausBlock:
-    """Branches K_m a as the columns of a[::step, None] * weights.
+    """Branches K_m a as the columns of a[::step, None] * weights, each with
+    the ancilla cell ``measure``.
 
     Every channel here keeps or reverses the order of the system points
     (step -1 is the flip) and then weights each branch pointwise; no weights
-    means one unweighted branch.  ``row_mass`` is the sum over the columns of
-    |weights|^2, so the position law of the branches,
-    |a[::step]|^2 * row_mass, needs no branch array.  A block with a
-    ``coherence`` kernel (the pointer's ``PointerTable``, the one subclass)
-    holds the lagged column sums of weights * conj(weights), so its momentum
-    law needs no branch array either.
+    means one unweighted branch.  A figure sums |.|^2 over the columns and
+    multiplies by ``measure``.  A block with a ``coherence`` kernel (the
+    pointer's ``PointerTable``, the one subclass) holds the lagged column
+    sums of weights * conj(weights), so its momentum law needs no branch
+    array.
     """
 
     step: int = 1
     weights: np.ndarray | None = None
-    row_mass: np.ndarray | float = 1.0
+    measure: float = 1.0
     coherence: np.ndarray | None = None
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         """The (n_s, k) branch array, a new array that the caller may overwrite."""
         branches = a[:: self.step, None]
         return branches.copy() if self.weights is None else branches * self.weights
-
-    def position_mass(self, a: np.ndarray) -> np.ndarray:
-        return np.abs(a[:: self.step]) ** 2 * self.row_mass
 
     def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
         """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
@@ -153,8 +152,8 @@ class PointerTable(KrausBlock):
     """The pointer's Kraus block on one system grid: U(a (x) ready) = a[:, None] * weights.
 
     Row i of the table T = ``weights`` is the ready state translated by
-    g*x_i.  ``row_mass`` and ``row_edge`` are sums of |row|^2 over the whole
-    probe grid and over its two cells at each end (times dy for
+    g*x_i, and ``measure`` is the probe cell dy.  ``row_edge`` is the sum of
+    |row|^2 over the two probe cells at each end (times dy for
     probabilities).  ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j)
     of rows l apart, for lags -(n_s - 1) <= l < n_s in numpy's index order (a
     negative lag is a negative index); times dy it is the characteristic
@@ -182,8 +181,8 @@ class VonNeumannChannel:
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.g == 0:
-            raise ValueError("coupling gain g must be nonzero")
+        if self.g == 0 or not np.isfinite(self.g):
+            raise ValueError(f"coupling gain g must be finite and nonzero, got {self.g}")
 
     def table(self, grid: GridSpec) -> PointerTable:
         """The coupling's PointerTable on a system grid, built once per grid."""
@@ -192,14 +191,13 @@ class VonNeumannChannel:
             pg = self.probe.grid
             mom = kernel_transform(self.probe.ready_state.amplitudes, 0, pg, -1)
             weights = _conditional_shift(mom, grid, pg, self.g)
-            row_mass = np.sum(np.abs(weights) ** 2, axis=1)
             row_edge = np.sum(np.abs(weights[:, :2]) ** 2, axis=1)
             row_edge += np.sum(np.abs(weights[:, -2:]) ** 2, axis=1)
             # one matvec; weights.conj() @ ... would copy the whole table
             lags = weights @ weights[0].conj()
             coherence = np.concatenate((lags, lags[:0:-1].conj()))
             table = PointerTable(
-                weights=weights, row_mass=row_mass, coherence=coherence, row_edge=row_edge
+                weights=weights, measure=pg.dx, coherence=coherence, row_edge=row_edge
             )
             self._tables[grid] = table
         return table
@@ -314,20 +312,22 @@ def check_confinement(channel: Channel, psi: WaveFunction) -> None:
             )
 
 
-def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]:
-    """Kraus family of a channel as blocks, plus the ancilla cell measure.
+def kraus_of(channel: Channel, grid: GridSpec) -> list[KrausBlock]:
+    """Kraus family of a channel as blocks, each with its ancilla cell measure.
 
     Each block maps system amplitudes a to an (n_s, k) array whose columns
-    are branches K_m a.  A figure sums |.|^2 over the columns of every block
-    and then multiplies by the measure, so that sum_m ||K_m a||^2 = ||a||^2:
+    are branches K_m a.  A figure sums |.|^2 over the columns of a block and
+    multiplies by its measure, so that sum_m ||K_m a||^2 = ||a||^2.  Every
+    block of one channel has the same step, so by completeness the position
+    law after the channel is |a[::step]|^2:
 
     flip -> one 1-column block (the reversal), measure 1;
     slit -> two 1-column blocks (pass and fail projectors), measure 1;
     von_neumann -> one (n_s, n_p) block, the channel's cached
     ``PointerTable`` on this grid itself: a[:, None] * T = U (a (x) ready),
     with the probe cell dy as measure; column j is K_j a / sqrt(dy) for
-    K_j = sqrt(dy) <y_j| U |., ready>.  The table carries its row masses
-    and coherence kernel, so neither law builds the branch array.  The
+    K_j = sqrt(dy) <y_j| U |., ready>.  The table carries its coherence
+    kernel, so the momentum law does not build the branch array.  The
     block does not check confinement: ``check_confinement`` judges the state
     a figure is about.
     """
@@ -336,10 +336,10 @@ def kraus_of(channel: Channel, grid: GridSpec) -> tuple[list[KrausBlock], float]
             raise InvariantViolation(
                 f"flip requires a domain symmetric about 0, got [{grid.x_min}, {grid.x_max}]"
             )
-        return [KrausBlock(step=-1)], 1.0
+        return [KrausBlock(step=-1)]
     if isinstance(channel, SlitChannel):
         mask = slit_mask(grid, channel.center, channel.width)
-        return [KrausBlock(weights=m[:, None], row_mass=m) for m in (mask, ~mask)], 1.0
+        return [KrausBlock(weights=m[:, None]) for m in (mask, ~mask)]
     if isinstance(channel, VonNeumannChannel):
-        return [channel.table(grid)], channel.probe.grid.dx
+        return [channel.table(grid)]
     raise TypeError(f"unknown channel {channel!r}")

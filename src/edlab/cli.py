@@ -393,9 +393,8 @@ def run_scenario(name: str, cfg: dict) -> tuple[BuiltScenario, EDRReport, str]:
     report = compute_report(built.channel, built.psi)
     extra: list[tuple[str, str]] = []
     if isinstance(built.channel, SlitChannel):
-        blocks, measure = kraus_of(built.channel, built.grid)
-        for outcome, k in zip(("pass", "fail"), blocks):
-            prob = float(np.sum(np.abs(k(built.psi.amplitudes)) ** 2) * built.grid.dx) * measure
+        for outcome, k in zip(("pass", "fail"), kraus_of(built.channel, built.grid)):
+            prob = float(np.sum(np.abs(k(built.psi.amplitudes)) ** 2) * built.grid.dx) * k.measure
             extra.append((f"slit {outcome} probability", _fmt(prob)))
     table = render_table(built, report, extra)
     return built, report, table

@@ -92,6 +92,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def make_grid(n_points: int, x_min: float, x_max: float, hbar: float = 1.0) -> GridSpec:
     """Build a GridSpec, validating all invariants."""
+    if not float(n_points).is_integer():
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     return GridSpec(int(n_points), float(x_min), float(x_max), float(hbar))
 
 

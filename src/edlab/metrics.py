@@ -105,7 +105,8 @@ def _kraus_sum(
     term: Callable[[np.ndarray, np.ndarray], float],
     skip_commuting: bool = False,
 ) -> float:
-    """sum_m term(B K_m psi, K_m B psi) over the Kraus blocks, times dx_s * dy.
+    """sum_m term(B K_m psi, K_m B psi) over the Kraus blocks, each times dx_s
+    and its measure.
 
     ``term`` reduces one block's pair of branch arrays to a number and may
     overwrite them; the pair is freed before the next block is built.  With
@@ -114,15 +115,15 @@ def _kraus_sum(
     """
     g = psi.grid
     check_confinement(channel, psi)
-    blocks, ancilla_measure = kraus_of(channel, g)
     b_psi = _apply_observable(g, psi.amplitudes, observable)
     total = 0.0
-    for k in blocks:
+    for k in kraus_of(channel, g):
         if skip_commuting and observable == "X" and k.step == 1:
             continue
         branches = k(psi.amplitudes)
-        total += term(_apply_observable(g, branches, observable, out=branches), k(b_psi))
-    return total * g.dx * ancilla_measure
+        b_k = _apply_observable(g, branches, observable, out=branches)
+        total += term(b_k, k(b_psi)) * g.dx * k.measure
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -163,30 +164,6 @@ def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: Observabl
 # Per-state distribution-distance (unmaximized worst-case-style) figures
 # ---------------------------------------------------------------------------
 
-def _post_channel_distribution(
-    channel: Channel, psi: WaveFunction, observable: ObservableName
-) -> ProbabilityDistribution:
-    """Law of X or P in the nonselective output state: sum_m |K_m psi|^2.
-
-    Each block gives its own mass (``KrausBlock.position_mass`` and
-    ``momentum_mass``); neither builds the pointer's branch array.
-    """
-    g = psi.grid
-    check_confinement(channel, psi)
-    blocks, ancilla_measure = kraus_of(channel, g)
-    law = np.zeros(g.n_points)
-    for k in blocks:
-        if observable == "X":
-            mass = k.position_mass(psi.amplitudes)
-        else:
-            mass = k.momentum_mass(psi.amplitudes, g)
-        # the ancilla measure is applied after the sum over the ancilla axis
-        law = law + mass * ancilla_measure
-    if observable == "X":
-        return ProbabilityDistribution(g.x, law, g.dx)
-    return ProbabilityDistribution(g.p, law, g.dp)
-
-
 def busch_state_disturbance(
     channel: Channel, psi: WaveFunction, observable: ObservableName
 ) -> float:
@@ -196,9 +173,22 @@ def busch_state_disturbance(
     the marginal distribution unchanged registers as zero disturbance even
     when the RMS figure does not: this is the definitional contrast the
     package exists to exhibit.
+
+    The law after is sum_m |K_m psi|^2.  For X it is |psi[::step]|^2, since
+    sum_m K_m^dag K_m = 1 and every block of a channel has the same step;
+    for P each block gives its ``momentum_mass``, which does not build the
+    pointer's branch array.
     """
-    before = distribution(psi, "position" if observable == "X" else "momentum")
-    after = _post_channel_distribution(channel, psi, observable)
+    g = psi.grid
+    check_confinement(channel, psi)
+    blocks = kraus_of(channel, g)
+    if observable == "X":
+        before = distribution(psi, "position")
+        after = ProbabilityDistribution(g.x, np.abs(psi.amplitudes[:: blocks[0].step]) ** 2, g.dx)
+    else:
+        before = distribution(psi, "momentum")
+        law = sum(k.momentum_mass(psi.amplitudes, g) * k.measure for k in blocks)
+        after = ProbabilityDistribution(g.p, law, g.dp)
     return wasserstein2(before, after)
 
 

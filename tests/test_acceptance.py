@@ -113,8 +113,8 @@ class TestCriterion2Slit:
         # spectral ringing below 1e-8 * DeltaP, out of reach at n = 256
         grid = make_grid(262144, -16, 16)
         psi = make_state(grid, BumpState(0, 1))
-        (passed, _), measure = kraus_of(SlitChannel(0, 4), grid)
-        pass_prob = float(np.sum(np.abs(passed(psi.amplitudes)) ** 2) * grid.dx) * measure
+        (passed, _) = kraus_of(SlitChannel(0, 4), grid)
+        pass_prob = float(np.sum(np.abs(passed(psi.amplitudes)) ** 2) * grid.dx) * passed.measure
         assert abs(pass_prob - 1.0) < 1e-10
         m = moments(psi)
         eta = ozawa_disturbance(SlitChannel(0, 4), psi, "P")

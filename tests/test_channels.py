@@ -45,7 +45,7 @@ from conftest import (
 
 def flip(psi):
     """The flip's single Kraus branch, as position amplitudes."""
-    (k,), _ = kraus_of(FlipChannel(), psi.grid)
+    (k,) = kraus_of(FlipChannel(), psi.grid)
     return k(psi.amplitudes)[:, 0]
 
 
@@ -173,9 +173,11 @@ class TestConditionalShift:
 
 def slit(psi, center, width):
     """Pass and fail branches K_m psi of the slit and their probabilities."""
-    blocks, measure = kraus_of(SlitChannel(center, width), psi.grid)
+    blocks = kraus_of(SlitChannel(center, width), psi.grid)
     branches = [k(psi.amplitudes)[:, 0] for k in blocks]
-    probs = [float(np.sum(np.abs(b) ** 2) * psi.grid.dx) * measure for b in branches]
+    probs = [
+        float(np.sum(np.abs(b) ** 2) * psi.grid.dx) * k.measure for b, k in zip(branches, blocks)
+    ]
     return branches, probs
 
 
@@ -225,21 +227,22 @@ class TestSlit:
 
 class TestKraus:
     def completeness_defect(self, channel, grid, psi_amp):
-        blocks, measure = kraus_of(channel, grid)
-        total = sum(np.sum(np.abs(k(psi_amp)) ** 2) for k in blocks) * measure * grid.dx
+        blocks = kraus_of(channel, grid)
+        total = sum(np.sum(np.abs(k(psi_amp)) ** 2) * k.measure for k in blocks) * grid.dx
         return abs(total - 1.0)
 
     def test_slit_completeness(self, std_grid):
         channel = SlitChannel(0.0, 3.0)
-        blocks, measure = kraus_of(channel, std_grid)
-        assert [k(std_grid.x).shape for k in blocks] == [(256, 1), (256, 1)] and measure == 1.0
+        blocks = kraus_of(channel, std_grid)
+        assert [k(std_grid.x).shape for k in blocks] == [(256, 1), (256, 1)]
+        assert [k.measure for k in blocks] == [1.0, 1.0]
         for seed in range(50):
             amp = random_amplitudes(std_grid, seed)
             assert self.completeness_defect(channel, std_grid, amp) < 1e-10
 
     def test_flip_kraus_norm_preserving(self, std_grid):
-        (k,), measure = kraus_of(FlipChannel(), std_grid)
-        assert measure == 1.0
+        (k,) = kraus_of(FlipChannel(), std_grid)
+        assert k.measure == 1.0
         for seed in range(50):
             amp = random_amplitudes(std_grid, seed)
             assert k(amp).shape == (256, 1)
@@ -252,12 +255,30 @@ class TestKraus:
         with pytest.raises(ConfinementError):
             ozawa_disturbance(vn_default[0], spread, "P")
         channel = make_vn_channel(std_grid, spread, 1.0, 0.5)
-        (k,), measure = kraus_of(channel, std_grid)
-        assert measure == channel.probe.grid.dx
+        (k,) = kraus_of(channel, std_grid)
+        assert k.measure == channel.probe.grid.dx
         for seed in range(50):
             amp = random_amplitudes(std_grid, seed)
             assert k(amp).shape == (256, channel.probe.grid.n_points)
             assert self.completeness_defect(channel, std_grid, amp) < 1e-8
+
+    def test_position_law_is_completeness(self, std_grid):
+        # sum_m |K_m a|^2 per point, the X law the blocks give, against
+        # |a[::step]|^2, which busch_state_disturbance takes by completeness
+        spread = WaveFunction(std_grid, random_amplitudes(std_grid, 0))
+        pointer = make_vn_channel(std_grid, spread, 1.0, 0.5)
+        for channel, step in ((FlipChannel(), -1), (SlitChannel(0.5, 3.0), 1), (pointer, 1)):
+            blocks = kraus_of(channel, std_grid)
+            for seed in range(5):
+                a = random_amplitudes(std_grid, seed)
+                law = sum(np.sum(np.abs(k(a)) ** 2, axis=1) * k.measure for k in blocks)
+                oracle = np.abs(a[::step]) ** 2
+                assert np.max(np.abs(law - oracle)) <= 1e-14 * np.max(oracle), (channel, seed)
+                psi = WaveFunction(std_grid, a)
+                after = ProbabilityDistribution(std_grid.x, oracle, std_grid.dx)
+                w2 = wasserstein2(distribution(psi, "position"), after)
+                w2_x = busch_state_disturbance(channel, psi, "X")
+                assert w2_x == pytest.approx(w2, rel=1e-12, abs=1e-15), (channel, seed)
 
 
 class TestPointerTable:
@@ -267,13 +288,13 @@ class TestPointerTable:
         grid = make_grid(64, -8, 8)
         psi = make_state(grid, BumpState(0.0, 2.0))
         channel = make_vn_channel(grid, psi, 1.0, 0.5, 64)
-        (block,), measure = kraus_of(channel, grid)
+        (block,) = kraus_of(channel, grid)
         dense = pointer_kraus_matrices(channel, grid)
         for seed in range(3):
             a = random_amplitudes(grid, seed)
             for amp in (a, grid.x * a):
                 oracle = np.einsum("jik,k->ij", dense, amp)
-                assert np.max(np.abs(block(amp) * np.sqrt(measure) - oracle)) < 1e-12
+                assert np.max(np.abs(block(amp) * np.sqrt(block.measure) - oracle)) < 1e-12
 
     def test_momentum_law_matches_branch_transform(self):
         # the block's P law from the coherence kernel against the transform
@@ -292,7 +313,8 @@ class TestPointerTable:
                         ready = ready / np.sqrt(np.sum(np.abs(ready) ** 2) * probe_grid.dx)
                         object.__setattr__(probe, "ready_state", WaveFunction(probe_grid, ready))
                         channel = VonNeumannChannel(g, probe)
-                        (block,), dy = kraus_of(channel, grid)
+                        (block,) = kraus_of(channel, grid)
+                        dy = block.measure
                         for a in (psi.amplitudes, random_amplitudes(grid, 0)):
                             mom = kernel_transform(block(a), 0, grid, -1)
                             oracle = np.sum(np.abs(mom) ** 2, axis=1) * dy

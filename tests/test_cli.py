@@ -171,6 +171,12 @@ class TestScenarios:
         # bad values on the auto-sized probe path
         for bad in ("probe.n_points=100", "channel.g=nan", "probe.s=-1"):
             assert main(["scenario", "vonneumann", "--set", bad]) == 1, bad
+        # a gain or slit centre that is not finite, on a fixed probe grid too
+        fixed = ["--set", "probe.x_min=-10", "--set", "probe.x_max=10"]
+        for bad in ("channel.g=nan", "channel.g=inf"):
+            assert main(["scenario", "vonneumann", "--set", bad, *fixed]) == 1, bad
+        for bad in ("channel.center=nan", "channel.center=inf"):
+            assert main(["scenario", "slit", "--set", bad]) == 1, bad
         out = tmp_path / "sweep.csv"
         for axis, value in (("probe.n_points", "100"), ("channel.g", "nan")):
             assert main(["sweep", "--axis", axis, "--values", value, "--out", str(out)]) == 1
@@ -341,12 +347,15 @@ class TestDeterminism:
                 assert payload[key] == 0.0, (name, key)
 
     def test_pointer_eta_x_is_exactly_zero(self, tmp_path):
-        # the coupling weights each system point, so it commutes with X
+        # the coupling weights each system point, so it commutes with X and
+        # leaves the position law exactly as it was
         out = tmp_path / "r.json"
-        for given in ("grid.n_points=2048", "grid.hbar=2"):
+        for given in ("grid.n_points=512", "grid.n_points=2048", "grid.hbar=2"):
             argv = ["scenario", "vonneumann", "--set", given, "--format", "json", "--out", str(out)]
             assert main(argv) == 0
-            assert json.loads(out.read_text())["eta_o_X"] == 0.0, given
+            payload = json.loads(out.read_text())
+            assert payload["eta_o_X"] == 0.0, given
+            assert payload["w2_disturbance_X"] == 0.0, given
 
     def test_sweep_outputs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

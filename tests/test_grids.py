@@ -36,7 +36,14 @@ class TestMakeGrid:
 
     @pytest.mark.parametrize(
         "args",
-        [(100, -1, 1, 1), (8, -1, 1, 1), (256, 1, -1, 1), (256, -1, 1, 0.0), (256, -1, 1, -2)],
+        [
+            (100, -1, 1, 1),
+            (8, -1, 1, 1),
+            (256, 1, -1, 1),
+            (256, -1, 1, 0.0),
+            (256, -1, 1, -2),
+            (256.5, -1, 1, 1),
+        ],
     )
     def test_rejects_bad_specs(self, args):
         with pytest.raises(ValueError):
