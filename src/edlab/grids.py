@@ -7,6 +7,15 @@ index k in [-n/2, n/2)) is stored in ascending order.  States are always
 position amplitudes; ``to_momentum`` maps them to momentum amplitudes on p,
 unitarily with respect to the dx / dp measures, so Parseval holds to machine
 precision.
+
+Every transform between the two grids goes through ``kernel_transform``.
+Because dx * dp = 2*pi*hbar / n exactly, its plane-wave kernel splits into
+the FFT kernel, an exact real sign (-1)^i * (-1)^j, and one twiddle
+exp(-1j*p_j*c/hbar) with c = center + dx/2.  The twiddle's phase arguments
+are at most pi/2 on a centred grid, so no ``exp`` is evaluated at the large
+arguments p*x/hbar, and it is built from about 2*sqrt(n) ``exp`` values.
+A transform is three full-size passes: input product, FFT in place, and
+output product with the scale folded in.
 """
 
 from __future__ import annotations
@@ -160,37 +169,51 @@ def kernel_transform(
 
     Sign -1 maps amplitudes on ``grid.x`` to amplitudes on ``grid.p`` and +1
     maps back: out_j = src_step / sqrt(2*pi*hbar) * sum_i arr_i *
-    exp(sign * 1j * c_j * d_i / hbar), where d_i = src0 + i*src_step are the
-    source grid points and c_j = dst0 + j*dst_step the destination ones.  The
-    two grids of one GridSpec are conjugate, dx * dp = 2*pi*hbar / n, which
-    lets the double sum collapse onto a single FFT with two phase vectors.
+    exp(sign * 1j * c_j * d_i / hbar), where d_i are the source grid points
+    and c_j the destination ones.
+
+    With x_i = x_min + (i + 1/2) dx, p_j = (j - n/2) dp and dx * dp =
+    2*pi*hbar / n, the forward kernel factors exactly as
+    exp(-1j*p_j*x_i/hbar) = (-1)^i * (-1)^j * e_j * exp(-2j*pi*i*j/n), with
+    the twiddle e_j = exp(-1j*p_j*c/hbar) and c = center + dx/2 (n is a
+    multiple of 4, so the leftover exp(1j*pi*n/2) is 1).  The +1 kernel is
+    its conjugate.  So each direction is one input product (the real sign
+    (-1)^i for -1, (-1)^j times the conjugate twiddle for +1), one FFT in
+    place, and one output product that also carries the scale ((-1)^j e_j
+    for -1, the real sign (-1)^i for +1).  On a centred grid |p_j*c/hbar| <=
+    pi/2, so the twiddle carries no large-argument rounding.  It is built
+    as in ``channels._conditional_shift``: with b = 2^floor(log2(n)/2), e at
+    j = a*b + r is anchor a times offset r, n/b + b calls of ``exp`` and one
+    complex product per element, and b is even, so (-1)^j = (-1)^r is
+    folded into the offsets.
 
     ``out`` follows numpy's idiom: the result is written into it and
     returned, so ``out=arr`` transforms in place.  Without it, one new array
     of the input's size holds the result and ``arr`` is left untouched; the
-    FFT and both phase products run inside that one array.
+    FFT and the output product run inside that one array.
     """
-    if sign < 0:
-        src0, src_step, dst0, dst_step = grid.x[0], grid.dx, grid.p[0], grid.dp
-    else:
-        src0, src_step, dst0, dst_step = grid.p[0], grid.dp, grid.x[0], grid.dx
-    hbar = grid.hbar
     n = grid.n_points
-    idx = np.arange(n)
-    inner = np.exp(sign * 1j * dst0 * (src0 + idx * src_step) / hbar)
-    outer = np.exp(sign * 1j * (idx * dst_step) * src0 / hbar)
+    b = 1 << (n.bit_length() - 1) // 2
+    phase = sign * 1j * (grid.center + 0.5 * grid.dx) / grid.hbar
+    anchors = np.exp(phase * grid.p[::b])
+    offsets = np.exp(phase * (np.arange(b) * grid.dp))
+    offsets[1::2] *= -1.0
+    alternating = np.ones(n)
+    alternating[1::2] = -1.0
     shape = [1] * arr.ndim
     shape[axis] = n
-    work = np.multiply(arr, inner.reshape(shape), out=out)
     if sign < 0:
+        work = np.multiply(arr, alternating.reshape(shape), out=out)
         np.fft.fft(work, axis=axis, out=work)
+        anchors *= grid.dx / np.sqrt(2.0 * np.pi * grid.hbar)
+        outer = np.multiply(anchors[:, None], offsets).reshape(shape)
     else:
+        inner = np.multiply(anchors[:, None], offsets).reshape(shape)
+        work = np.multiply(arr, inner, out=out)
         np.fft.ifft(work, axis=axis, out=work)
-        work *= n
-    # numpy's complex product is not bitwise commutative, so the phases stay
-    # the first operand
-    phases = (src_step / np.sqrt(2.0 * np.pi * hbar)) * outer.reshape(shape)
-    return np.multiply(phases, work, out=work)
+        outer = alternating.reshape(shape)
+        outer *= n * grid.dp / np.sqrt(2.0 * np.pi * grid.hbar)
+    return np.multiply(outer, work, out=work)
 
 
 def to_momentum(psi: WaveFunction) -> np.ndarray:

@@ -69,6 +69,35 @@ def unitary_dft(grid: GridSpec) -> np.ndarray:
     return scale * np.exp(-1j * np.outer(grid.p, grid.x) / grid.hbar)
 
 
+def two_exp_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> np.ndarray:
+    """``kernel_transform`` as two n-point phase vectors around one FFT, each
+    an ``exp`` per element at arguments up to |p_0 x|/hbar; the reference
+    for the package's sign/twiddle factorisation."""
+    if sign < 0:
+        src0, src_step, dst0, dst_step = grid.x[0], grid.dx, grid.p[0], grid.dp
+    else:
+        src0, src_step, dst0, dst_step = grid.p[0], grid.dp, grid.x[0], grid.dx
+    n = grid.n_points
+    idx = np.arange(n)
+    shape = [1] * arr.ndim
+    shape[axis] = n
+    inner = np.exp(sign * 1j * dst0 * (src0 + idx * src_step) / grid.hbar).reshape(shape)
+    outer = np.exp(sign * 1j * (idx * dst_step) * src0 / grid.hbar).reshape(shape)
+    if sign < 0:
+        work = np.fft.fft(arr * inner, axis=axis)
+    else:
+        work = np.fft.ifft(arr * inner, axis=axis) * n
+    return src_step / math.sqrt(2 * math.pi * grid.hbar) * outer * work
+
+
+def dense_kernel(grid: GridSpec, sign: int) -> np.ndarray:
+    """Dense matrix of ``kernel_transform``: src_step / sqrt(2*pi*hbar) *
+    exp(sign * 1j * c_j * d_i / hbar), destination points c_j by row."""
+    src, dst, step = (grid.x, grid.p, grid.dx) if sign < 0 else (grid.p, grid.x, grid.dp)
+    phases = np.exp(sign * 1j * np.outer(dst, src) / grid.hbar)
+    return step / math.sqrt(2 * math.pi * grid.hbar) * phases
+
+
 def direct_phases(system_grid: GridSpec, probe_grid: GridSpec, g: float) -> np.ndarray:
     """The shift phases exp(-i g x_i p_j / hbar), one ``exp`` per element."""
     return np.exp(-1j * g * np.outer(system_grid.x, probe_grid.p) / probe_grid.hbar)

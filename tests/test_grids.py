@@ -16,7 +16,7 @@ from edlab import (
 )
 from edlab.grids import kernel_transform
 
-from conftest import random_amplitudes, rel_err
+from conftest import dense_kernel, random_amplitudes, rel_err, two_exp_transform
 
 
 class TestMakeGrid:
@@ -78,7 +78,15 @@ class TestToMomentum:
         g = std_grid
         psi = WaveFunction(g, random_amplitudes(g, 7))
         back = kernel_transform(to_momentum(psi), 0, g, +1)
-        assert np.max(np.abs(back - psi.amplitudes)) < 1e-11
+        assert np.max(np.abs(back - psi.amplitudes)) < 1e-15
+
+    def test_roundtrip_fine_grid(self):
+        # the twiddle's phase arguments stay <= pi/2 however fine the grid;
+        # a per-element exp at |p_0 x| ~ 1e4 would lose ~1e-11 here
+        g = make_grid(2**18, -40.0, 40.0)
+        a = random_amplitudes(g, 3)
+        back = kernel_transform(kernel_transform(a, 0, g, -1), 0, g, +1)
+        assert np.max(np.abs(back - a)) <= 1e-14
 
     def test_double_transform_is_parity(self, corpus):
         # the forward kernel applied to momentum amplitudes gives psi(-x);
@@ -86,7 +94,7 @@ class TestToMomentum:
         for _, psi in corpus:
             g = psi.grid
             twice = np.conj(kernel_transform(np.conj(to_momentum(psi)), 0, g, +1))
-            assert np.max(np.abs(twice - psi.amplitudes[::-1])) < 1e-10
+            assert np.max(np.abs(twice - psi.amplitudes[::-1])) < 2e-15
 
 
 class TestKernelTransformOut:
@@ -104,6 +112,50 @@ class TestKernelTransformOut:
                 result = kernel_transform(arr, axis, g, sign, out=arr)
                 assert result is arr and np.array_equal(result, fresh), (shape, sign)
                 arr = kept
+
+
+# centred and off-centre domains, hbar 1 and 2
+ORACLE_GRIDS = (
+    (16, -16.0, 16.0, 1.0),
+    (64, -3.0, 13.0, 1.0),
+    (256, -16.0, 16.0, 1.0),
+    (256, -3.0, 13.0, 2.0),
+    (256, 0.0, 32.0, 1.0),
+    (256, 0.0, 32.0, 2.0),
+)
+
+
+def oracle_inputs(n: int):
+    """1-D input and 2-D input along either axis."""
+    rng = np.random.default_rng(n)
+    for shape, axis in (((n,), 0), ((n, 3), 0), ((3, n), 1)):
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape), axis
+
+
+class TestKernelTransformOracles:
+    @pytest.mark.parametrize("spec", ORACLE_GRIDS)
+    @pytest.mark.parametrize("sign", (-1, +1))
+    def test_matches_dense_kernel(self, spec, sign):
+        g = make_grid(*spec)
+        kernel = dense_kernel(g, sign)
+        for arr, axis in oracle_inputs(g.n_points):
+            expected = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
+            got = kernel_transform(arr, axis, g, sign)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), axis
+
+    @pytest.mark.parametrize(
+        "spec", ORACLE_GRIDS + ((4096, -40.0, 40.0, 1.0), (4096, -3.0, 13.0, 2.0))
+    )
+    @pytest.mark.parametrize("sign", (-1, +1))
+    def test_matches_two_exp_reference(self, spec, sign):
+        g = make_grid(*spec)
+        # the reference rounds each phase at arguments up to max|p| max|x| / hbar
+        largest_phase = np.abs(g.p).max() * np.abs(g.x).max() / g.hbar
+        tol = 1e-13 + 4 * np.finfo(float).eps * largest_phase
+        for arr, axis in oracle_inputs(g.n_points):
+            expected = two_exp_transform(arr, axis, g, sign)
+            got = kernel_transform(arr, axis, g, sign)
+            assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected)), axis
 
 
 COS4_NORM = 3.0 / 4.0  # integral of cos^4(pi x / 2) over [-1, 1]
