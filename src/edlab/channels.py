@@ -48,10 +48,18 @@ class ProbeSpec:
     ready_state: WaveFunction = field(init=False)
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError(f"pointer width must be positive, got {self.s}")
+        if not (0 < self.s < np.inf and self.s**2 > 0):
+            raise ValueError(
+                f"pointer width must be positive and finite with s**2 > 0, got {self.s}"
+            )
         amp = gaussian_amplitudes(self.grid, 0.0, 0.0, self.s)
-        amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * self.grid.dx)
+        mass = np.sum(np.abs(amp) ** 2) * self.grid.dx
+        if not mass > 0:
+            raise ValueError(
+                f"pointer width {self.s} forms no Gaussian on the probe grid (dx={self.grid.dx}): "
+                "its amplitude underflows to 0 at every point"
+            )
+        amp = amp / np.sqrt(mass)
         ready = WaveFunction(self.grid, amp).validate()
         mean = float(np.sum(self.grid.x * np.abs(ready.amplitudes) ** 2) * self.grid.dx)
         if abs(mean) > 1e-10:

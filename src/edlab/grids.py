@@ -63,6 +63,11 @@ class GridSpec:
         n = self.n_points
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 16, got {n}")
+        if not np.all(np.isfinite((self.x_min, self.x_max, self.hbar))):
+            raise ValueError(
+                f"grid bounds and hbar must be finite, got [{self.x_min}, {self.x_max}] "
+                f"and hbar {self.hbar}"
+            )
         if not self.x_max > self.x_min:
             raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
         if not self.hbar > 0:

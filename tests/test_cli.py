@@ -163,6 +163,24 @@ class TestScenarios:
 
     def test_grid_spec_error_is_config_error(self, capsys):
         assert main(["scenario", "flip", "--set", "grid.n_points=100"]) == 1
+        for bad in ("grid.hbar=inf", "grid.hbar=nan", "grid.x_max=inf", "grid.x_min=-inf"):
+            assert main(["scenario", "flip", "--set", bad]) == 1, bad
+            assert "must be finite" in capsys.readouterr().err
+
+    def test_degenerate_pointer_width_is_config_error(self, capsys):
+        # s**2 underflows to 0, or the Gaussian underflows at every probe point
+        fixed = ["--set", "probe.x_min=-10", "--set", "probe.x_max=10"]
+        cases = (
+            ["--set", "probe.s=1e-300"],
+            ["--set", "probe.s=1e-300", *fixed],
+            ["--set", "probe.s=1e-30", *fixed],
+        )
+        for argv in cases:
+            assert main(["scenario", "vonneumann", *argv]) == 1, argv
+            assert "config error: pointer width" in capsys.readouterr().err
+        # a narrow but representable pointer is judged by the aliasing gate
+        assert main(["scenario", "vonneumann", "--set", "probe.s=0.01"]) == 2
+        assert "aliasing" in capsys.readouterr().err
 
     def test_bad_channel_params_are_config_errors(self, tmp_path, capsys):
         assert main(["scenario", "slit", "--set", "channel.width=-1"]) == 1

@@ -43,6 +43,11 @@ class TestMakeGrid:
             (256, -1, 1, 0.0),
             (256, -1, 1, -2),
             (256.5, -1, 1, 1),
+            (256, -1, 1, float("inf")),
+            (256, -1, 1, float("nan")),
+            (256, -1, float("inf"), 1),
+            (256, float("-inf"), 1, 1),
+            (256, float("nan"), 1, 1),
         ],
     )
     def test_rejects_bad_specs(self, args):
