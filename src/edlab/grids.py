@@ -205,20 +205,19 @@ def kernel_transform(
     offsets[1::2] *= -1.0
     alternating = np.ones(n)
     alternating[1::2] = -1.0
+    scale = (grid.dx if sign < 0 else n * grid.dp) / np.sqrt(2.0 * np.pi * grid.hbar)
+    if sign < 0:
+        anchors *= scale
+        inner, outer = alternating, anchors[:, None] * offsets
+    else:
+        alternating *= scale
+        inner, outer = anchors[:, None] * offsets, alternating
     shape = [1] * arr.ndim
     shape[axis] = n
-    if sign < 0:
-        work = np.multiply(arr, alternating.reshape(shape), out=out)
-        np.fft.fft(work, axis=axis, out=work)
-        anchors *= grid.dx / np.sqrt(2.0 * np.pi * grid.hbar)
-        outer = np.multiply(anchors[:, None], offsets).reshape(shape)
-    else:
-        inner = np.multiply(anchors[:, None], offsets).reshape(shape)
-        work = np.multiply(arr, inner, out=out)
-        np.fft.ifft(work, axis=axis, out=work)
-        outer = alternating.reshape(shape)
-        outer *= n * grid.dp / np.sqrt(2.0 * np.pi * grid.hbar)
-    return np.multiply(outer, work, out=work)
+    work = np.multiply(arr, inner.reshape(shape), out=out)
+    fft = np.fft.fft if sign < 0 else np.fft.ifft
+    fft(work, axis=axis, out=work)
+    return np.multiply(outer.reshape(shape), work, out=work)
 
 
 def to_momentum(psi: WaveFunction) -> np.ndarray:
