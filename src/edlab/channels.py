@@ -48,10 +48,9 @@ class ProbeSpec:
     ready_state: WaveFunction = field(init=False)
 
     def __post_init__(self):
-        if not (0 < self.s < np.inf and self.s**2 > 0):
-            raise ValueError(
-                f"pointer width must be positive and finite with s**2 > 0, got {self.s}"
-            )
+        # s**2 must neither underflow to 0 nor overflow
+        if not (self.s > 0 and 0 < self.s * self.s < np.inf):
+            raise ValueError(f"pointer width must be positive with 0 < s**2 < inf, got {self.s}")
         amp = gaussian_amplitudes(self.grid, 0.0, 0.0, self.s)
         mass = np.sum(np.abs(amp) ** 2) * self.grid.dx
         if not mass > 0:

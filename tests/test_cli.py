@@ -168,11 +168,13 @@ class TestScenarios:
             assert "must be finite" in capsys.readouterr().err
 
     def test_degenerate_pointer_width_is_config_error(self, capsys):
-        # s**2 underflows to 0, or the Gaussian underflows at every probe point
+        # s**2 underflows to 0 or overflows, or the Gaussian underflows at
+        # every probe point
         fixed = ["--set", "probe.x_min=-10", "--set", "probe.x_max=10"]
         cases = (
             ["--set", "probe.s=1e-300"],
             ["--set", "probe.s=1e-300", *fixed],
+            ["--set", "probe.s=1e200", *fixed],
             ["--set", "probe.s=1e-30", *fixed],
         )
         for argv in cases:
