@@ -90,14 +90,6 @@ def two_exp_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> 
     return src_step / math.sqrt(2 * math.pi * grid.hbar) * outer * work
 
 
-def dense_kernel(grid: GridSpec, sign: int) -> np.ndarray:
-    """Dense matrix of ``kernel_transform``: src_step / sqrt(2*pi*hbar) *
-    exp(sign * 1j * c_j * d_i / hbar), destination points c_j by row."""
-    src, dst, step = (grid.x, grid.p, grid.dx) if sign < 0 else (grid.p, grid.x, grid.dp)
-    phases = np.exp(sign * 1j * np.outer(dst, src) / grid.hbar)
-    return step / math.sqrt(2 * math.pi * grid.hbar) * phases
-
-
 def direct_phases(system_grid: GridSpec, probe_grid: GridSpec, g: float) -> np.ndarray:
     """The shift phases exp(-i g x_i p_j / hbar), one ``exp`` per element."""
     return np.exp(-1j * g * np.outer(system_grid.x, probe_grid.p) / probe_grid.hbar)

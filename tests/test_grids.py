@@ -16,7 +16,7 @@ from edlab import (
 )
 from edlab.grids import kernel_transform
 
-from conftest import dense_kernel, random_amplitudes, rel_err, two_exp_transform
+from conftest import random_amplitudes, rel_err, two_exp_transform, unitary_dft
 
 
 class TestMakeGrid:
@@ -142,7 +142,9 @@ class TestKernelTransformOracles:
     @pytest.mark.parametrize("sign", (-1, +1))
     def test_matches_dense_kernel(self, spec, sign):
         g = make_grid(*spec)
-        kernel = dense_kernel(g, sign)
+        dft = unitary_dft(g)
+        # unitary_dft maps L2-normalized vectors; rescaled, it maps amplitudes
+        kernel = np.sqrt(g.dx / g.dp) * dft if sign < 0 else np.sqrt(g.dp / g.dx) * dft.conj().T
         for arr, axis in oracle_inputs(g.n_points):
             expected = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
             got = kernel_transform(arr, axis, g, sign)
