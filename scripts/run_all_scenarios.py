@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the three headline scenarios plus the sweeps and the
-worst-case product search, writing everything under ./out/."""
+worst-case product search, writing everything under ./out/.
+
+The flip sweep over the packet centre x0 tabulates the definitional
+contrast: the RMS position disturbance eta_o_X is 2*sqrt(x0^2 + sigma^2),
+while the distribution distance w2_disturbance_X is 2*|x0|, so at x0 = 0
+the flip moves every amplitude yet leaves the position distribution fixed."""
 
 import os
 import sys
@@ -57,6 +62,19 @@ def main_script():
             "scenario=slit",
             "--out",
             f"{OUT}/sweep_slit_width.csv",
+        ]
+    )
+    run(
+        [
+            "sweep",
+            "--axis",
+            "state.x0",
+            "--values",
+            "0,0.25,0.5,1,2,4",
+            "--set",
+            "scenario=flip",
+            "--out",
+            f"{OUT}/flip_contrast.csv",
         ]
     )
     run(["eq2", "--out-dir", f"{OUT}/eq2"])

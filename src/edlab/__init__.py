@@ -28,7 +28,6 @@ from .grids import (
 )
 from .metrics import (
     EDRReport,
-    RelationReport,
     busch_state_disturbance,
     busch_state_error,
     compute_report,

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .grids import GridSpec, InvariantViolation, WaveFunction, kernel_transform
+from .grids import N_BOUNDARY_POINTS, GridSpec, InvariantViolation, WaveFunction, kernel_transform
 from .states import gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
@@ -198,8 +198,8 @@ class VonNeumannChannel:
             pg = self.probe.grid
             mom = kernel_transform(self.probe.ready_state.amplitudes, 0, pg, -1)
             weights = _conditional_shift(mom, grid, pg, self.g)
-            row_edge = np.sum(np.abs(weights[:, :2]) ** 2, axis=1)
-            row_edge += np.sum(np.abs(weights[:, -2:]) ** 2, axis=1)
+            row_edge = np.sum(np.abs(weights[:, :N_BOUNDARY_POINTS]) ** 2, axis=1)
+            row_edge += np.sum(np.abs(weights[:, -N_BOUNDARY_POINTS:]) ** 2, axis=1)
             # one matvec; weights.conj() @ ... would copy the whole table
             lags = weights @ weights[0].conj()
             coherence = np.concatenate((lags, lags[:0:-1].conj()))

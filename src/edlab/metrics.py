@@ -242,24 +242,9 @@ def lund_wiseman_eta(channel: Channel, psi: WaveFunction, observable: Observable
 # The inequalities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationReport:
-    lhs_eq5: float
-    product_eq2_form: float
-    robertson_product: float
-    rhs: float
-    slack_eq5: float
-    slack_eq2_form: float
-    slack_robertson: float
-    eq5_satisfied: bool
-    eq2_form_satisfied: bool
-    robertson_satisfied: bool
-    applicable: bool
-
-
 def evaluate_relations(
     epsilon: float, eta: float, delta_x: float, delta_p: float, hbar: float
-) -> RelationReport:
+) -> dict[str, float | bool]:
     """Evaluate the three tradeoff relations for one (state, channel) pair.
 
     lhs_eq5 = eps*eta + eps*DeltaP + eta*DeltaX is compared against hbar/2,
@@ -269,6 +254,9 @@ def evaluate_relations(
     than violated ("not a position measurement").  eps = NaN means the
     channel has no readout: the relations are not applicable and the
     products involving eps are NaN.
+
+    Returns the relation columns of ``EDRReport``, from ``lhs_eq5`` to
+    ``eq5_satisfied``, keyed by their report names.
     """
     readout = not math.isnan(epsilon)
     for name, v in (("epsilon", epsilon if readout else 0.0), ("eta", eta),
@@ -276,23 +264,20 @@ def evaluate_relations(
         if v < 0 or not np.isfinite(v):
             raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     rhs = 0.5 * hbar
+    floor = rhs * (1.0 - 1e-12)
     lhs = epsilon * eta + epsilon * delta_p + eta * delta_x
     product = epsilon * eta
     robertson = delta_x * delta_p
-    applicable = readout and (epsilon > 0 or eta > 0)
-    return RelationReport(
-        lhs_eq5=lhs,
-        product_eq2_form=product,
-        robertson_product=robertson,
-        rhs=rhs,
-        slack_eq5=lhs - rhs,
-        slack_eq2_form=product - rhs,
-        slack_robertson=robertson - rhs,
-        eq5_satisfied=bool(lhs >= rhs * (1.0 - 1e-12)),
-        eq2_form_satisfied=bool(product >= rhs * (1.0 - 1e-12)),
-        robertson_satisfied=bool(robertson >= rhs * (1.0 - 1e-12)),
-        applicable=applicable,
-    )
+    return {
+        "lhs_eq5": lhs,
+        "product_eq2_form": product,
+        "robertson_product": robertson,
+        "hbar_over_2": rhs,
+        "robertson_satisfied": bool(robertson >= floor),
+        "eq2_form_satisfied": bool(product >= floor),
+        "eq5_applicable": readout and (epsilon > 0 or eta > 0),
+        "eq5_satisfied": bool(lhs >= floor),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +296,7 @@ class EDRReport:
     w2_error_X: float
     w2_disturbance_P: float
     w2_disturbance_X: float
+    # the relation columns, keyed by these names in evaluate_relations
     lhs_eq5: float
     product_eq2_form: float
     robertson_product: float
@@ -338,7 +324,6 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
     the RMS pointer error and both distribution-distance figures.
     """
     mom = moments(psi)
-    hbar = psi.grid.hbar
     eta_p = ozawa_disturbance(channel, psi, "P")
     eta_x = ozawa_disturbance(channel, psi, "X")
     w2_p = busch_state_disturbance(channel, psi, "P")
@@ -355,7 +340,6 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
         eps = float("nan")
         convention = "none"
         w2_err = float("nan")
-    rel = evaluate_relations(eps, eta_p, mom.delta_x, mom.delta_p, hbar)
     return EDRReport(
         epsilon_o=eps,
         eta_o_P=eta_p,
@@ -365,13 +349,6 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
         w2_error_X=w2_err,
         w2_disturbance_P=w2_p,
         w2_disturbance_X=w2_x,
-        lhs_eq5=rel.lhs_eq5,
-        product_eq2_form=rel.product_eq2_form,
-        robertson_product=rel.robertson_product,
-        hbar_over_2=rel.rhs,
-        robertson_satisfied=rel.robertson_satisfied,
-        eq2_form_satisfied=rel.eq2_form_satisfied,
-        eq5_applicable=rel.applicable,
-        eq5_satisfied=rel.eq5_satisfied,
         epsilon_convention=convention,
+        **evaluate_relations(eps, eta_p, mom.delta_x, mom.delta_p, psi.grid.hbar),
     )

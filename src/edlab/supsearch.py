@@ -20,7 +20,7 @@ import numpy as np
 from .channels import VonNeumannChannel
 from .grids import GridSpec, InvariantViolation, WaveFunction
 from .metrics import busch_state_disturbance, busch_state_error
-from .states import GaussianState, make_state
+from .states import GAUSSIAN_MARGIN_SIGMAS, MIN_CELLS_PER_SIGMA, GaussianState, make_state
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,10 +47,16 @@ class SearchSpec:
             if not hi >= lo:
                 raise ValueError(f"{name} bounds reversed: ({lo}, {hi})")
         s_lo, s_hi = self.sigma_bounds
-        if s_lo < 8 * grid.dx:
-            raise ValueError(f"sigma_lo {s_lo} not resolvable: below 8 grid cells ({8 * grid.dx})")
-        if s_hi > (grid.x_max - grid.x_min) / 8:
-            raise ValueError(f"sigma_hi {s_hi} exceeds domain/8 = {(grid.x_max - grid.x_min) / 8}")
+        min_sigma = MIN_CELLS_PER_SIGMA * grid.dx
+        if s_lo < min_sigma:
+            raise ValueError(
+                f"sigma_lo {s_lo} not resolvable: below {MIN_CELLS_PER_SIGMA} grid cells ({min_sigma})"
+            )
+        # a centred member keeps its margin on both sides
+        span = 2 * GAUSSIAN_MARGIN_SIGMAS
+        max_sigma = (grid.x_max - grid.x_min) / span
+        if s_hi > max_sigma:
+            raise ValueError(f"sigma_hi {s_hi} exceeds domain/{span:g} = {max_sigma}")
         if any(c < 1 for c in self.coarse_counts):
             raise ValueError("coarse_counts must all be >= 1")
         if not self.refine_tol > 0 or self.max_refine_iters < 0:

@@ -244,6 +244,21 @@ class TestSweep:
         assert etas[2.0] < 0.05  # support exactly fits
         assert etas[4.0] < 0.05
 
+    def test_flip_contrast_sweep(self, tmp_path, capsys):
+        # the RMS figure sees the flip move every amplitude, the W2 figure
+        # only the translation of |psi|^2: 2*sqrt(x0^2 + sigma^2) against 2|x0|
+        out = tmp_path / "flip_contrast.csv"
+        args = ["sweep", "--axis", "state.x0", "--values", "0,0.25,0.5,1,2,4"]
+        assert main(args + ["--set", "scenario=flip", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        assert [float(r["state.x0"]) for r in rows] == [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
+        for r in rows:
+            x0 = float(r["state.x0"])
+            assert float(r["eta_o_X"]) == pytest.approx(2.0 * math.sqrt(x0**2 + 1.0), rel=1e-6)
+            assert float(r["w2_disturbance_X"]) == pytest.approx(2.0 * abs(x0), abs=1e-9)
+
     def test_empty_values_rejected(self):
         cfg = load_config(None, [], None)
         with pytest.raises(ConfigError, match="at least one"):

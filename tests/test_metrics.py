@@ -249,6 +249,24 @@ class TestBuschStateError:
         coupled_err = busch_state_error(channel, psi)
         assert coupled_err == pytest.approx(math.sqrt(1.25) - 1.0, abs=0.02)
 
+    @pytest.mark.parametrize("g", [1.0, 2.0])
+    @pytest.mark.parametrize("spec", [GaussianState(0, 0, 1), GaussianState(1.5, 0.5, 1)])
+    def test_negative_gain_mirrors_positive(self, std_grid, spec, g):
+        # g < 0 reverses the readout support; every pointer figure depends on |g| only
+        psi = make_state(std_grid, spec)
+
+        def figures(gain):
+            channel = make_vn_channel(std_grid, psi, gain, 0.5)
+            return (
+                ozawa_error(channel, psi),
+                ozawa_disturbance(channel, psi, "P"),
+                busch_state_error(channel, psi),
+                busch_state_disturbance(channel, psi, "P"),
+            )
+
+        for plus, minus in zip(figures(g), figures(-g)):
+            assert rel_err(minus, plus) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Weak-valued estimator
@@ -337,30 +355,30 @@ class TestEvaluateRelations:
         psi = make_state(std_grid, BumpState(0, 1))
         m = moments(psi)
         rel = evaluate_relations(4.0, 0.0, m.delta_x, m.delta_p, 1.0)
-        assert rel.product_eq2_form == 0.0
-        assert not rel.eq2_form_satisfied
-        assert rel.lhs_eq5 == pytest.approx(4.0 * m.delta_p)
-        assert rel.eq5_satisfied
-        assert rel.robertson_satisfied
+        assert rel["product_eq2_form"] == 0.0
+        assert not rel["eq2_form_satisfied"]
+        assert rel["lhs_eq5"] == pytest.approx(4.0 * m.delta_p)
+        assert rel["eq5_satisfied"]
+        assert rel["robertson_satisfied"]
 
     def test_coupling_saturates_product(self):
         s = 0.5
         rel = evaluate_relations(s, 1.0 / (2 * s), 1.0, 0.5, 1.0)
-        assert rel.product_eq2_form == pytest.approx(0.5)
-        assert rel.eq2_form_satisfied and rel.eq5_satisfied
-        assert rel.slack_eq2_form == pytest.approx(0.0, abs=1e-12)
-        assert rel.slack_eq5 > 0
+        assert rel["product_eq2_form"] == pytest.approx(0.5)
+        assert rel["eq2_form_satisfied"] and rel["eq5_satisfied"]
+        assert rel["product_eq2_form"] - rel["hbar_over_2"] == pytest.approx(0.0, abs=1e-12)
+        assert rel["lhs_eq5"] > rel["hbar_over_2"]
 
     def test_degenerate_channel_not_applicable(self):
         rel = evaluate_relations(0.0, 0.0, 1.0, 0.5, 1.0)
-        assert not rel.applicable
-        assert rel.lhs_eq5 == 0.0
+        assert not rel["eq5_applicable"]
+        assert rel["lhs_eq5"] == 0.0
         # eps = NaN: a channel with no readout, such as the flip
         rel = evaluate_relations(math.nan, 1.0, 1.0, 0.5, 1.0)
-        assert not rel.applicable
-        assert math.isnan(rel.lhs_eq5) and math.isnan(rel.product_eq2_form)
-        assert not rel.eq5_satisfied and not rel.eq2_form_satisfied
-        assert rel.robertson_product == 0.5 and rel.robertson_satisfied
+        assert not rel["eq5_applicable"]
+        assert math.isnan(rel["lhs_eq5"]) and math.isnan(rel["product_eq2_form"])
+        assert not rel["eq5_satisfied"] and not rel["eq2_form_satisfied"]
+        assert rel["robertson_product"] == 0.5 and rel["robertson_satisfied"]
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
@@ -374,4 +392,4 @@ class TestEvaluateRelations:
             eps = ozawa_error(channel, psi)
             eta = ozawa_disturbance(channel, psi, "P")
             rel = evaluate_relations(eps, eta, m.delta_x, m.delta_p, 1.0)
-            assert rel.lhs_eq5 - rel.product_eq2_form >= 0.0
+            assert rel["lhs_eq5"] - rel["product_eq2_form"] >= 0.0

@@ -114,9 +114,10 @@ class TestMaximize:
             maximize(lambda psi: 1.0, std_grid, spec)
 
     def test_spec_validation(self, std_grid):
-        with pytest.raises(ValueError, match="resolvable"):
+        # the whole message, so the derived bounds print as they always have
+        with pytest.raises(ValueError, match=r"^sigma_lo 0\.5 not resolvable: below 8 grid cells \(1\.0\)$"):
             sigma_spec(lo=0.5).validate(std_grid)
-        with pytest.raises(ValueError, match="domain"):
+        with pytest.raises(ValueError, match=r"^sigma_hi 5\.0 exceeds domain/8 = 4\.0$"):
             sigma_spec(hi=5.0).validate(std_grid)
 
     def test_trace_csv(self, std_grid, tmp_path):
