@@ -196,8 +196,7 @@ class VonNeumannChannel:
         table = self._tables.get(grid)
         if table is None:
             pg = self.probe.grid
-            mom = kernel_transform(self.probe.ready_state.amplitudes, 0, pg, -1)
-            weights = _conditional_shift(mom, grid, pg, self.g)
+            weights = _conditional_shift(self.probe.ready_state.momentum, grid, pg, self.g)
             row_edge = np.sum(np.abs(weights[:, :N_BOUNDARY_POINTS]) ** 2, axis=1)
             row_edge += np.sum(np.abs(weights[:, -N_BOUNDARY_POINTS:]) ** 2, axis=1)
             # one matvec; weights.conj() @ ... would copy the whole table

@@ -14,8 +14,15 @@ the FFT kernel, an exact real sign (-1)^i * (-1)^j, and one twiddle
 exp(-1j*p_j*c/hbar) with c = center + dx/2.  The twiddle's phase arguments
 are at most pi/2 on a centred grid, so no ``exp`` is evaluated at the large
 arguments p*x/hbar, and it is built from about 2*sqrt(n) ``exp`` values.
-A transform is three full-size passes: input product, FFT in place, and
-output product with the scale folded in.
+A transform is three full-size passes (input product, FFT in place, and
+output product with the scale folded in) and builds no n-size phase array:
+the sign (-1)^i is an exact sign flip of every odd element, and the twiddle
+is multiplied in blocks of ``TWIDDLE_BLOCK`` elements, each block's
+anchor-times-offset product formed just before it is used.
+
+A state transforms once: ``WaveFunction.momentum`` caches its momentum
+amplitudes, read-only, and ``validate``, ``to_momentum``, ``moments`` and
+``distribution`` all read that one view.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ BOUNDARY_TOL = 1e-10
 # looser than the smooth-state floor would suggest; see package notes.
 ALIASING_TOL = 1e-5
 N_BOUNDARY_POINTS = 2
+# Twiddle elements that kernel_transform forms at once (whole anchor rows of
+# b elements each): large enough that a grid of n <= 2^14 takes one block,
+# small enough that the block stays in cache at n = 2^18.
+TWIDDLE_BLOCK = 1 << 14
 
 
 class InvariantViolation(ValueError):
@@ -120,20 +131,30 @@ class WaveFunction:
     ``validate`` enforces the full set of state invariants and is called by
     every state factory.  Channel intermediates (Kraus branches and operator
     images) deliberately skip revalidation.
+
+    A state cannot change after it is built: ``amplitudes`` is a read-only
+    copy of the array passed in.  So ``momentum``, the momentum amplitudes
+    on ``grid.p`` (measure dp), is transformed once, on first use, and kept
+    as a read-only cached view; ``to_momentum`` returns it.
     """
 
     grid: GridSpec
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = np.array(self.amplitudes, dtype=complex)
         if a.shape != (self.grid.n_points,):
             raise ValueError(
                 f"amplitudes shape {a.shape} does not match grid ({self.grid.n_points},)"
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "amplitudes", _read_only(a))
+
+    @cached_property
+    def momentum(self) -> np.ndarray:
+        """Momentum amplitudes on ``grid.p``, normalized with measure dp; read-only."""
+        return _read_only(kernel_transform(self.amplitudes, 0, self.grid, -1))
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx))
@@ -158,7 +179,7 @@ class WaveFunction:
             )
         p = self.grid.p
         band = np.abs(p) >= 0.9 * np.abs(p).max()
-        band_mass = float(np.sum(np.abs(to_momentum(self)[band]) ** 2) * self.grid.dp)
+        band_mass = float(np.sum(np.abs(self.momentum[band]) ** 2) * self.grid.dp)
         if band_mass > ALIASING_TOL:
             raise InvariantViolation(
                 f"aliasing control violated: near-Nyquist momentum mass {band_mass:.3e} "
@@ -192,6 +213,14 @@ def kernel_transform(
     complex product per element, and b is even, so (-1)^j = (-1)^r is
     folded into the offsets.
 
+    No n-size phase array is built.  The sign (-1)^i is an exact flip of the
+    odd element of each pair: for -1 it is multiplied by -1, and for +1,
+    where the sign carries the scale, the even elements are multiplied by
+    the scale and the odd ones by its negative.  The twiddle is multiplied in blocks of whole anchor rows, about
+    ``TWIDDLE_BLOCK`` elements each, and each block's anchor-times-offset
+    product is formed just before it is used; a grid of n <= 2^14 takes one
+    block.  Every element gets the same products as from the full arrays.
+
     ``out`` follows numpy's idiom: the result is written into it and
     returned, so ``out=arr`` transforms in place.  Without it, one new array
     of the input's size holds the result and ``arr`` is left untouched; the
@@ -203,26 +232,67 @@ def kernel_transform(
     anchors = np.exp(phase * grid.p[::b])
     offsets = np.exp(phase * (np.arange(b) * grid.dp))
     offsets[1::2] *= -1.0
-    alternating = np.ones(n)
-    alternating[1::2] = -1.0
     scale = (grid.dx if sign < 0 else n * grid.dp) / np.sqrt(2.0 * np.pi * grid.hbar)
+    index = [slice(None)] * arr.ndim
+    index[axis] = slice(0, None, 2)
+    even = tuple(index)
+    index[axis] = slice(1, None, 2)
+    odd = tuple(index)
     if sign < 0:
         anchors *= scale
-        inner, outer = alternating, anchors[:, None] * offsets
+        if out is None:
+            work = np.array(arr, dtype=complex)
+        else:
+            work = out
+            if work is not arr:
+                np.copyto(work, arr)
+        np.multiply(work[odd], -1.0, out=work[odd])
+        np.fft.fft(work, axis=axis, out=work)
+        _multiply_twiddle(work, work, axis, anchors, offsets, twiddle_first=True)
     else:
-        alternating *= scale
-        inner, outer = anchors[:, None] * offsets, alternating
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    work = np.multiply(arr, inner.reshape(shape), out=out)
-    fft = np.fft.fft if sign < 0 else np.fft.ifft
-    fft(work, axis=axis, out=work)
-    return np.multiply(outer.reshape(shape), work, out=work)
+        work = np.empty_like(arr, dtype=complex) if out is None else out
+        _multiply_twiddle(arr, work, axis, anchors, offsets, twiddle_first=False)
+        np.fft.ifft(work, axis=axis, out=work)
+        np.multiply(scale, work[even], out=work[even])
+        np.multiply(-scale, work[odd], out=work[odd])
+    return work
+
+
+def _multiply_twiddle(
+    src: np.ndarray,
+    dst: np.ndarray,
+    axis: int,
+    anchors: np.ndarray,
+    offsets: np.ndarray,
+    twiddle_first: bool,
+) -> None:
+    """dst = src * e along ``axis`` for e_(a*b + r) = anchors[a] * offsets[r],
+    formed and used in blocks of whole anchor rows, about TWIDDLE_BLOCK
+    elements each.  ``twiddle_first`` puts e as the first factor of each
+    product, as in the transform's full-array products: numpy's complex
+    product is not bitwise commutative.  ``src`` may be ``dst``."""
+    n_anchors, b = anchors.size, offsets.size
+    rows = min(n_anchors, max(1, TWIDDLE_BLOCK // b))  # powers of two: rows divides n_anchors
+    e = np.empty((rows, b), dtype=complex)
+    shape = [1] * dst.ndim
+    shape[axis] = rows * b
+    e_along = e.reshape(shape)
+    index = [slice(None)] * dst.ndim
+    for a0 in range(0, n_anchors, rows):
+        np.multiply(anchors[a0 : a0 + rows, None], offsets, out=e)
+        index[axis] = slice(a0 * b, (a0 + rows) * b)
+        block = dst[tuple(index)]
+        factor = block if src is dst else src[tuple(index)]
+        np.multiply(*((e_along, factor) if twiddle_first else (factor, e_along)), out=block)
 
 
 def to_momentum(psi: WaveFunction) -> np.ndarray:
-    """Momentum amplitudes of a state on ``grid.p``, normalized with measure dp."""
-    return kernel_transform(psi.amplitudes, 0, psi.grid, -1)
+    """Momentum amplitudes of a state on ``grid.p``, normalized with measure dp.
+
+    This is the state's cached, read-only ``momentum`` view, not a new array:
+    the first call transforms, later ones return the same array.
+    """
+    return psi.momentum
 
 
 @dataclass(frozen=True)
@@ -249,7 +319,7 @@ def moments(psi: WaveFunction) -> Moments:
     """
     g = psi.grid
     mean_x, delta_x = _mean_std(g.x, np.abs(psi.amplitudes) ** 2, g.dx)
-    mean_p, delta_p = _mean_std(g.p, np.abs(to_momentum(psi)) ** 2, g.dp)
+    mean_p, delta_p = _mean_std(g.p, np.abs(psi.momentum) ** 2, g.dp)
     return Moments(mean_x, delta_x, mean_p, delta_p)
 
 
@@ -281,10 +351,11 @@ class ProbabilityDistribution:
 
 
 def distribution(psi: WaveFunction, basis: BasisName) -> ProbabilityDistribution:
-    """|amplitude|^2 on the position grid or, through ``to_momentum``, the momentum grid."""
+    """|amplitude|^2 on the position grid or, from the cached ``momentum`` view, the
+    momentum grid."""
     g = psi.grid
     if basis == "position":
         return ProbabilityDistribution(g.x, np.abs(psi.amplitudes) ** 2, g.dx)
     if basis == "momentum":
-        return ProbabilityDistribution(g.p, np.abs(to_momentum(psi)) ** 2, g.dp)
+        return ProbabilityDistribution(g.p, np.abs(psi.momentum) ** 2, g.dp)
     raise ValueError(f"unknown basis {basis!r}")

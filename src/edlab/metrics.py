@@ -61,22 +61,45 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
     In 1D the optimal coupling pairs equal quantile levels, so W2^2 is the
     integral over u in (0,1] of (F^-1(u) - G^-1(u))^2.  Both quantile
     functions are step functions; we merge their jump levels and sum exactly.
+
+    The merge is one concatenation of the two cumulative sums, sorted in
+    place and deduplicated; one array of levels shifted down by 1e-15 serves
+    both binary searches and then holds the level steps.  A support whose
+    weights are all positive is not copied.
     """
-    x, wx = d1.support, d1.weights * d1.spacing
-    y, wy = d2.support, d2.weights * d2.spacing
-    kx = wx > 0
-    ky = wy > 0
-    x, wx = x[kx], wx[kx]
-    y, wy = y[ky], wy[ky]
-    cx = np.cumsum(wx)
-    cy = np.cumsum(wy)
-    cx /= cx[-1]
-    cy /= cy[-1]
-    levels = np.union1d(cx, cy)
-    ix = np.minimum(np.searchsorted(cx, levels - 1e-15), len(x) - 1)
-    iy = np.minimum(np.searchsorted(cy, levels - 1e-15), len(y) - 1)
-    du = np.diff(np.concatenate(([0.0], levels)))
-    return float(np.sqrt(np.sum(du * (x[ix] - y[iy]) ** 2)))
+    x, cx = _cumulative_levels(d1)
+    y, cy = _cumulative_levels(d2)
+    levels = np.concatenate((cx, cy))
+    levels.sort()
+    distinct = np.empty(levels.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(levels[1:], levels[:-1], out=distinct[1:])
+    levels = levels[distinct]
+    shifted = np.subtract(levels, 1e-15)
+    ix = np.searchsorted(cx, shifted)
+    iy = np.searchsorted(cy, shifted)
+    np.minimum(ix, len(x) - 1, out=ix)
+    np.minimum(iy, len(y) - 1, out=iy)
+    du = shifted
+    du[0] = levels[0]
+    np.subtract(levels[1:], levels[:-1], out=du[1:])
+    gap = x[ix]
+    gap -= y[iy]
+    gap *= gap
+    gap *= du
+    return float(np.sqrt(np.sum(gap)))
+
+
+def _cumulative_levels(d: ProbabilityDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The support points of positive weight and their cumulative weights,
+    normalized to end at 1."""
+    support, w = d.support, d.weights * d.spacing
+    positive = w > 0
+    if not positive.all():
+        support, w = support[positive], w[positive]
+    c = np.cumsum(w, out=w)
+    c /= c[-1]
+    return support, c
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +121,15 @@ def _apply_observable(
     raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
 
 
+def _observable_on_state(psi: WaveFunction, observable: ObservableName) -> np.ndarray:
+    """B psi as a new array; P psi from the state's cached momentum view."""
+    g = psi.grid
+    if observable == "P":
+        mom = psi.momentum * g.p
+        return kernel_transform(mom, 0, g, +1, out=mom)
+    return _apply_observable(g, psi.amplitudes, observable)
+
+
 def _kraus_sum(
     channel: Channel,
     psi: WaveFunction,
@@ -115,7 +147,7 @@ def _kraus_sum(
     """
     g = psi.grid
     check_confinement(channel, psi)
-    b_psi = _apply_observable(g, psi.amplitudes, observable)
+    b_psi = _observable_on_state(psi, observable)
     total = 0.0
     for k in kraus_of(channel, g):
         if skip_commuting and observable == "X" and k.step == 1:
@@ -226,7 +258,7 @@ def lund_wiseman_eta(channel: Channel, psi: WaveFunction, observable: Observable
     drive the square slightly negative near zero disturbance, so the raw
     value is clamped at zero (and logged).
     """
-    b_psi = _apply_observable(psi.grid, psi.amplitudes, observable)
+    b_psi = _observable_on_state(psi, observable)
     m_in = float(np.sum(np.abs(b_psi) ** 2) * psi.grid.dx)
 
     def out_minus_twice_cross(b_k: np.ndarray, k_b: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ class TestKernelTransformOut:
                 result = kernel_transform(arr, axis, g, sign, out=arr)
                 assert result is arr and np.array_equal(result, fresh), (shape, sign)
                 arr = kept
+
+    @pytest.mark.parametrize("sign", (-1, +1))
+    def test_builds_no_full_size_phase_array(self, sign):
+        # the traced peak of an in-place transform stays within the input's
+        # own size: no n-point sign array, no n-point twiddle.  One call
+        # first, so the grid's cached p and the FFT's plan are not counted.
+        g = make_grid(2**16, -16.0, 16.0)
+        a = random_amplitudes(g, 7)
+        kernel_transform(a, 0, g, sign, out=a)
+        tracemalloc.start()
+        try:
+            kernel_transform(a, 0, g, sign, out=a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= a.nbytes, peak / a.nbytes
 
 
 # centred and off-centre domains, hbar 1 and 2
@@ -239,6 +256,23 @@ class TestWaveFunctionInvariants:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             WaveFunction(std_grid, bad[::-1])
+
+    def test_state_cannot_change_after_it_is_built(self, std_grid):
+        # the cached momentum view is safe because the amplitudes are a
+        # read-only copy of the caller's array
+        caller = random_amplitudes(std_grid, 3)
+        kept = caller.copy()
+        psi = WaveFunction(std_grid, caller)
+        mom = psi.momentum
+        assert to_momentum(psi) is mom and psi.momentum is mom
+        caller[:] = 0.0
+        assert np.array_equal(psi.amplitudes, kept)
+        assert np.array_equal(psi.momentum, kernel_transform(psi.amplitudes, 0, std_grid, -1))
+        for view in (psi.amplitudes, psi.momentum):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                view *= 2.0
 
     def test_norm_gate(self, std_grid):
         bad = WaveFunction(std_grid, 2.0 * random_amplitudes(std_grid, 1))

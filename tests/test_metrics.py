@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edlab import (
@@ -16,8 +17,10 @@ from edlab import (
     VonNeumannChannel,
     busch_state_disturbance,
     busch_state_error,
+    compute_report,
     distribution,
     evaluate_relations,
+    kraus_of,
     lund_wiseman_eta,
     make_grid,
     make_state,
@@ -28,7 +31,14 @@ from edlab import (
     wasserstein2,
 )
 
-from conftest import dense_pointer_eta_p, make_vn_channel, pointer_kraus_matrices, rel_err, unitary_dft
+from conftest import (
+    dense_pointer_eta_p,
+    make_vn_channel,
+    pointer_kraus_matrices,
+    rel_err,
+    union1d_wasserstein2,
+    unitary_dft,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +96,39 @@ class TestWasserstein2:
     def test_triangle_inequality(self, wa, wb, wc):
         a, b, c = atomic(wa), atomic(wb), atomic(wc)
         assert wasserstein2(a, c) <= wasserstein2(a, b) + wasserstein2(b, c) + 1e-9
+
+    # small integer weights on unit-spaced supports: zero cells, and the
+    # cumulative levels of two laws often tie exactly (the first example
+    # ties at 1/2 and 1; the second law of the second is the first with
+    # zero cells between its cells, so every level ties)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=12).filter(any),
+        st.lists(st.integers(0, 3), min_size=1, max_size=12).filter(any),
+        st.integers(-4, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([1, 1, 2], [2, 1, 1], 0)
+    @example([2, 0, 1, 1], [2, 0, 0, 0, 1, 0, 1, 0], 1)
+    def test_equals_union1d_merge(self, wa, wb, shift):
+        def law(w, start):
+            w = np.asarray(w, float)
+            return ProbabilityDistribution(start + np.arange(w.size, dtype=float), w / w.sum(), 1.0)
+
+        a, b = law(wa, 0.0), law(wb, float(shift))
+        assert wasserstein2(a, b) == union1d_wasserstein2(a, b)
+        assert wasserstein2(b, a) == union1d_wasserstein2(b, a)
+
+    def test_equals_union1d_merge_on_fine_grid_flip(self):
+        # the momentum laws before and after the flip at n = 2^18, as
+        # busch_state_disturbance forms them
+        g = make_grid(2**18, -16.0, 16.0)
+        psi = make_state(g, GaussianState(0.0, 1.0, 1.0))
+        before = distribution(psi, "momentum")
+        (block,) = kraus_of(FlipChannel(), g)
+        after = ProbabilityDistribution(g.p, block.momentum_mass(psi.amplitudes, g), g.dp)
+        w2 = wasserstein2(before, after)
+        assert w2 == union1d_wasserstein2(before, after)
+        assert w2 == pytest.approx(2.0, abs=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +387,45 @@ class TestLundWiseman:
         oracle = lw_matrix_oracle(mats, psi_l2, V, grid.p)
         value = lund_wiseman_eta(channel, psi, "P")
         assert value == pytest.approx(oracle, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Transforms per report
+# ---------------------------------------------------------------------------
+
+class TestTransformCounts:
+    @pytest.mark.parametrize(
+        "spec, channel, expected",
+        [
+            # validate 1; eta_P: P psi 1 + one block forward and back 2;
+            # the P law after: one block forward 1
+            (GaussianState(1.0, 0.5, 1.0), FlipChannel(), 5),
+            # as the flip, with the slit's two blocks: 1 + 1 + 4 + 2
+            (BumpState(0.0, 1.0), SlitChannel(0.0, 1.0), 8),
+        ],
+    )
+    def test_state_transforms_to_momentum_once(self, std_grid, monkeypatch, spec, channel, expected):
+        # every later read of psi's momentum amplitudes (moments, the P law
+        # before, P psi) uses the view that validation computed
+        import edlab.grids
+
+        original = edlab.grids.kernel_transform
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        binders = [
+            m for name, m in sys.modules.items()
+            if name.split(".")[0] == "edlab" and getattr(m, "kernel_transform", None) is original
+        ]
+        assert {m.__name__ for m in binders} >= {"edlab.grids", "edlab.channels", "edlab.metrics"}
+        for module in binders:
+            monkeypatch.setattr(module, "kernel_transform", counted)
+        psi = make_state(std_grid, spec)
+        compute_report(channel, psi)
+        assert len(calls) == expected, calls
 
 
 # ---------------------------------------------------------------------------
