@@ -128,22 +128,30 @@ class KrausBlock:
     measure: float = 1.0
     coherence: np.ndarray | None = None
 
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        """The (n_s, k) branch array, a new array that the caller may overwrite."""
+    @property
+    def n_branches(self) -> int:
+        """k, the number of branches (columns) of the block."""
+        return 1 if self.weights is None else self.weights.shape[1]
+
+    def __call__(self, a: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
+        """The (n_s, k) branch array, or the branches in ``columns`` only, as a
+        new array that the caller may overwrite."""
         branches = a[:: self.step, None]
-        return branches.copy() if self.weights is None else branches * self.weights
+        return branches.copy() if self.weights is None else branches * self.weights[:, columns]
 
     def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
         """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
 
-        Without a kernel each branch is transformed along the system axis.
-        With one, the law is dx^2/(2 pi hbar) times the DFT of
-        sum_l A(l) c(l) over l = q (mod n), where A is the linear
-        autocorrelation of a (one zero-padded FFT of length 2n) and c the
-        kernel; grid.p starts at -n/2 dp, so the DFT is read fftshifted.
+        Without a kernel each branch is transformed along the system axis,
+        in place in the fresh branch array.  With one, the law is
+        dx^2/(2 pi hbar) times the DFT of sum_l A(l) c(l) over l = q (mod n),
+        where A is the linear autocorrelation of a (one zero-padded FFT of
+        length 2n) and c the kernel; grid.p starts at -n/2 dp, so the DFT is
+        read fftshifted.
         """
         if self.coherence is None:
-            mom = kernel_transform(self(a), 0, grid, -1)
+            branches = self(a)
+            mom = kernel_transform(branches, 0, grid, -1, out=branches)
             return np.sum(np.abs(mom) ** 2, axis=1)
         n = grid.n_points
         # lag l at index l mod 2n: sum_i a_i conj(a_(i-l)), zero at lag n
@@ -287,9 +295,10 @@ def apply_von_neumann(joint: JointState, g: float) -> JointState:
     momentum-space phase multiplication, on one copy of the joint array
     transformed in place.  This is the plain unitary: it judges no
     confinement, for states and operator images alike; the figure that
-    couples a state calls ``check_confinement`` on it first.  Of the figures
-    in ``metrics`` only ``ozawa_error`` calls this; the others read the
-    coupling from the channel's cached ``PointerTable``.
+    couples a state calls ``check_confinement`` on it first.  No figure in
+    ``metrics`` calls this: they all read the coupling from the channel's
+    cached ``PointerTable``.  It stays as the public unitary and the tests'
+    direct oracle of that table.
     """
     sg, pg = joint.system_grid, joint.probe_grid
     mom = kernel_transform(joint.amplitudes, 1, pg, -1)

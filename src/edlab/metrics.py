@@ -32,9 +32,9 @@ from .channels import (
     Channel,
     SlitChannel,
     VonNeumannChannel,
-    apply_von_neumann,
+    # unused here; perfbench's tracer test pins this binding in edlab.metrics
+    apply_von_neumann,  # noqa: F401
     check_confinement,
-    embed_joint,
     kraus_of,
 )
 from .grids import (
@@ -49,6 +49,10 @@ from .grids import (
 logger = logging.getLogger(__name__)
 
 ObservableName = str  # "X" or "P"
+
+# Branch elements that _kraus_sum forms at once, in whole columns of n_s
+# elements: 512 KiB of complex amplitudes, small enough to stay in L2.
+BRANCH_ELEMS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +144,27 @@ def _kraus_sum(
     """sum_m term(B K_m psi, K_m B psi) over the Kraus blocks, each times dx_s
     and its measure.
 
-    ``term`` reduces one block's pair of branch arrays to a number and may
-    overwrite them; the pair is freed before the next block is built.  With
+    A block's branches are formed a chunk of columns at a time, about
+    BRANCH_ELEMS elements each, so the pointer's (n_s, n_p) branch array is
+    never built and each chunk stays in cache while B acts on it.  ``term``
+    reduces one chunk's pair of branch arrays to a number and may overwrite
+    them; the pair is freed before the next chunk is built.  With
     ``skip_commuting``, a block that commutes with B adds nothing and is not
     built: a block of step 1 weights each system point, so it commutes with X.
     """
     g = psi.grid
     check_confinement(channel, psi)
     b_psi = _observable_on_state(psi, observable)
+    size = max(1, BRANCH_ELEMS // g.n_points)
     total = 0.0
     for k in kraus_of(channel, g):
         if skip_commuting and observable == "X" and k.step == 1:
             continue
-        branches = k(psi.amplitudes)
-        b_k = _apply_observable(g, branches, observable, out=branches)
-        total += term(b_k, k(b_psi)) * g.dx * k.measure
+        for j in range(0, k.n_branches, size):
+            columns = slice(j, j + size)
+            branches = k(psi.amplitudes, columns)
+            b_k = _apply_observable(g, branches, observable, out=branches)
+            total += term(b_k, k(b_psi, columns)) * g.dx * k.measure
     return total
 
 
@@ -166,17 +176,22 @@ def ozawa_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     """RMS difference between the calibrated pointer reading and X_system.
 
     || (U^dag M U - X_s) |psi, ready> || with M = X_probe / g.  U commutes
-    with X_s (x) 1, so this equals || (M - X_s) U |psi, ready> ||: one
-    coupling, then a multiplication in place on the coupled joint array.  Like every other
-    pointer figure, it first judges psi with ``check_confinement``.
+    with X_s (x) 1, so this equals || (M - X_s) U |psi, ready> ||, and
+    U |psi, ready> = psi[:, None] * T for the channel's table T.  So
+    eps^2 = dx dy sum_i |psi_i|^2 sum_j D_ij (y_j/g - x_i)^2 with D = |T|^2,
+    the table's cached ``density``: one real (n_s, n_p) temporary, no
+    coupling.  Like every other pointer figure, it first judges psi with
+    ``check_confinement``.
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the RMS measurement error requires a probe coupling")
     check_confinement(channel, psi)
-    coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g)
-    offset = channel.probe.grid.x[None, :] / channel.g - psi.grid.x[:, None]
-    np.multiply(coupled.amplitudes, offset, out=coupled.amplitudes)
-    return coupled.norm()
+    g, pg = psi.grid, channel.probe.grid
+    offset = np.subtract(pg.x[None, :] / channel.g, g.x[:, None])
+    offset *= offset
+    offset *= channel.table(g).density
+    spread = np.sum(offset, axis=1)
+    return math.sqrt(float(np.abs(psi.amplitudes) ** 2 @ spread) * (g.dx * pg.dx))
 
 
 def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: ObservableName) -> float:

@@ -16,6 +16,7 @@ from edlab import (
     make_state,
     probe_grid_for,
 )
+from edlab.channels import apply_von_neumann, check_confinement, embed_joint, kraus_of
 from edlab.grids import kernel_transform
 
 
@@ -151,3 +152,65 @@ def union1d_wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistributio
     iy = np.minimum(np.searchsorted(cy, levels - 1e-15), len(y) - 1)
     du = np.diff(np.concatenate(([0.0], levels)))
     return float(np.sqrt(np.sum(du * (x[ix] - y[iy]) ** 2)))
+
+
+def direct_ozawa_error(channel: VonNeumannChannel, psi) -> float:
+    """eps = || (X_probe/g - X_s) U |psi, ready> || from the direct coupling of
+    psi (x) ready: the package's earlier path, kept as the oracle of
+    ``metrics.ozawa_error``, which reads |T|^2 from the channel's table."""
+    check_confinement(channel, psi)
+    coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g)
+    offset = channel.probe.grid.x[None, :] / channel.g - psi.grid.x[:, None]
+    np.multiply(coupled.amplitudes, offset, out=coupled.amplitudes)
+    return coupled.norm()
+
+
+def unchunked_kraus_sum(channel, psi, observable: str, term, skip_commuting: bool = False):
+    """sum_m term(B K_m psi, K_m B psi) * dx * measure from each block's whole
+    (n_s, k) branch array, with B along the system axis 0: the package's
+    earlier path, kept as the oracle of the chunked ``metrics._kraus_sum``.
+    ``term`` returns a number or an array of numbers to sum alike."""
+    g = psi.grid
+    check_confinement(channel, psi)
+
+    def apply(amps):
+        if observable == "X":
+            return g.x[:, None] * amps
+        mom = kernel_transform(amps, 0, g, -1) * g.p[:, None]
+        return kernel_transform(mom, 0, g, +1)
+
+    b_psi = apply(psi.amplitudes[:, None])[:, 0]
+    total = 0.0
+    for k in kraus_of(channel, g):
+        if skip_commuting and observable == "X" and k.step == 1:
+            continue
+        total += term(apply(k(psi.amplitudes)), k(b_psi)) * g.dx * k.measure
+    return total
+
+
+def unchunked_ozawa_disturbance(channel, psi, observable: str) -> float:
+    """eta^2 = sum_m || B K_m psi - K_m B psi ||^2 from whole branch arrays."""
+
+    def term(b_k, k_b):
+        return float(np.sum(np.abs(b_k - k_b) ** 2))
+
+    return math.sqrt(unchunked_kraus_sum(channel, psi, observable, term, skip_commuting=True))
+
+
+def unchunked_lund_wiseman_square(channel, psi, observable: str) -> tuple[float, float]:
+    """The weak-valued eta^2 before clamping, <B^2> + sum_m (||B K_m psi||^2 -
+    2 Re<K_m B psi, B K_m psi>), from whole branch arrays, and the sum of the
+    magnitudes of its terms, the scale its rounding error is judged against."""
+    g = psi.grid
+    if observable == "X":
+        m_in = float(np.sum(np.abs(g.x * psi.amplitudes) ** 2) * g.dx)
+    else:
+        m_in = float(np.sum(np.abs(g.p * psi.momentum) ** 2) * g.dp)
+
+    def term(b_k, k_b):
+        out = float(np.sum(np.abs(b_k) ** 2))
+        cross = 2.0 * float(np.real(np.vdot(k_b, b_k)))
+        return np.array([out - cross, out + abs(cross)])
+
+    raw, magnitude = unchunked_kraus_sum(channel, psi, observable, term)
+    return m_in + raw, m_in + magnitude

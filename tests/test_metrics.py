@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,15 @@ from edlab import (
     wasserstein2,
 )
 
+from edlab import metrics
 from conftest import (
     dense_pointer_eta_p,
+    direct_ozawa_error,
     make_vn_channel,
     pointer_kraus_matrices,
     rel_err,
+    unchunked_lund_wiseman_square,
+    unchunked_ozawa_disturbance,
     union1d_wasserstein2,
     unitary_dft,
 )
@@ -135,6 +140,10 @@ class TestWasserstein2:
 # RMS error: pointer oracle eps = s / |g|
 # ---------------------------------------------------------------------------
 
+# pointer (width s, gain g) pairs
+POINTERS = ((0.5, 1.0), (0.25, -2.0), (0.1, 1.0), (1.0, 1.0), (0.5, 0.5))
+
+
 class TestOzawaError:
     @pytest.mark.parametrize("s,g", [(0.5, 1.0), (0.5, 2.0), (0.05, 1.0), (0.25, 0.5)])
     def test_pointer_oracle(self, std_grid, s, g):
@@ -154,6 +163,32 @@ class TestOzawaError:
         psi = make_state(std_grid, GaussianState(0, 0, 1))
         with pytest.raises(TypeError):
             ozawa_error(SlitChannel(0, 2), psi)
+
+    @pytest.mark.parametrize("hbar", (1.0, 2.0))
+    @pytest.mark.parametrize(
+        "n, n_probe, pointers",
+        [
+            (256, 256, POINTERS),
+            (256, 1024, POINTERS),
+            (1024, 256, POINTERS),
+            # the direct coupling takes about 70 ms a state at 1024 x 1024
+            (1024, 1024, POINTERS[1:3]),
+        ],
+    )
+    def test_table_density_matches_direct_coupling(self, n, n_probe, pointers, hbar):
+        # eps from |T|^2 against the norm of the direct coupling
+        # U(psi (x) ready), for centred, boosted and random states
+        grid = make_grid(n, -16.0, 16.0, hbar)
+        states = [make_state(grid, spec) for spec in
+                  (GaussianState(0.0, 0.0, 1.0), GaussianState(1.0, 1.5, 1.2), RandomState(3, 6))]
+        for s, g in pointers:
+            # one channel whose probe grid confines all three states
+            probe_grid = max((probe_grid_for(grid, psi, g, s, n_probe) for psi in states),
+                             key=lambda pg: pg.x_max)
+            channel = VonNeumannChannel(g, ProbeSpec(probe_grid, s))
+            for psi in states:
+                eps = ozawa_error(channel, psi)
+                assert rel_err(eps, direct_ozawa_error(channel, psi)) <= 1e-15, (s, g)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +243,37 @@ class TestOzawaDisturbance:
     def test_coupling_leaves_position_untouched(self, std_grid, vn_default):
         channel, psi = vn_default
         assert ozawa_disturbance(channel, psi, "X") < 1e-10
+
+    @pytest.mark.parametrize(
+        "n, n_probe, g, hbar, chunk_columns",
+        [
+            (1024, 256, 1.0, 1.0, None),
+            (1024, 256, -2.0, 2.0, None),
+            (256, 1024, 0.5, 1.0, None),
+            (256, 64, 1.0, 2.0, None),  # one chunk of 64 columns, fewer than BRANCH_ELEMS allows
+            (1024, 256, 1.0, 1.0, 100),  # 100 + 100 + 56 columns: a ragged last chunk
+            (256, 64, -1.0, 1.0, 1),  # one branch per chunk
+        ],
+    )
+    def test_chunks_match_unchunked_oracle(self, monkeypatch, n, n_probe, g, hbar, chunk_columns):
+        # eta from chunks of branch columns against the whole (n_s, k)
+        # branch arrays, for the pointer, the flip and the slit; the
+        # weak-valued square is a difference of terms of size <B^2>, so its
+        # agreement is judged against the sum of their magnitudes
+        if chunk_columns is not None:
+            monkeypatch.setattr(metrics, "BRANCH_ELEMS", chunk_columns * n)
+        grid = make_grid(n, -16.0, 16.0, hbar)
+        for spec in (GaussianState(1.0, 1.5, 1.2), RandomState(5, 6)):
+            psi = make_state(grid, spec)
+            channels = (make_vn_channel(grid, psi, g, 0.5, n_probe), FlipChannel(), SlitChannel(0.5, 3.0))
+            for channel in channels:
+                for obs in ("P", "X"):
+                    eta = ozawa_disturbance(channel, psi, obs)
+                    oracle = unchunked_ozawa_disturbance(channel, psi, obs)
+                    assert eta == oracle or rel_err(eta, oracle) <= 1e-14, (channel, obs)
+                    raw, magnitude = unchunked_lund_wiseman_square(channel, psi, obs)
+                    weak = lund_wiseman_eta(channel, psi, obs)
+                    assert abs(weak**2 - max(raw, 0.0)) <= 1e-14 * magnitude, (channel, obs)
 
     def test_kraus_joint_equivalence(self):
         grid = make_grid(64, -8, 8)
@@ -387,6 +453,37 @@ class TestLundWiseman:
         oracle = lw_matrix_oracle(mats, psi_l2, V, grid.p)
         value = lund_wiseman_eta(channel, psi, "P")
         assert value == pytest.approx(oracle, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Memory of the pointer's RMS figures
+# ---------------------------------------------------------------------------
+
+class TestPointerMemory:
+    def test_rms_figures_build_no_branch_array(self):
+        # with the table and its density built, the traced peak of each RMS
+        # figure stays well below one (n_s, n_p) complex array: eta forms its
+        # branches in chunks and eps needs one real temporary.  One call
+        # first, so cached grids and FFT plans are not counted.
+        grid = make_grid(1024, -16.0, 16.0)
+        psi = make_state(grid, GaussianState(0.5, 1.0, 1.0))
+        channel = make_vn_channel(grid, psi, 1.0, 0.5, 256)
+        table = channel.table(grid)
+        assert table.density.shape == (1024, 256)
+        figures = {
+            "eta_P": lambda: ozawa_disturbance(channel, psi, "P"),
+            "weak eta_P": lambda: lund_wiseman_eta(channel, psi, "P"),
+            "eps": lambda: ozawa_error(channel, psi),
+        }
+        for name, figure in figures.items():
+            figure()
+            tracemalloc.start()
+            try:
+                figure()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.6 * table.weights.nbytes, (name, peak / table.weights.nbytes)
 
 
 # ---------------------------------------------------------------------------
