@@ -62,7 +62,8 @@ class GridSpec:
     x_min, x_max : domain edges (grid points sit strictly inside)
     hbar : value of the reduced Planck constant (default 1)
 
-    ``x`` and ``p`` are built once per grid object and are read-only.
+    ``x``, ``p`` and ``aliasing_band`` are built once per grid object and
+    are read-only.
     """
 
     n_points: int
@@ -100,6 +101,13 @@ class GridSpec:
     def p(self) -> np.ndarray:
         """Momentum grid in ascending order, signed index in [-n/2, n/2)."""
         return _read_only((np.arange(self.n_points) - self.n_points // 2) * self.dp)
+
+    @cached_property
+    def aliasing_band(self) -> np.ndarray:
+        """Mask of the near-Nyquist momenta, the top 10% of |p|, whose mass
+        ``WaveFunction.validate`` bounds by ALIASING_TOL."""
+        magnitude = np.abs(self.p)
+        return _read_only(magnitude >= 0.9 * magnitude.max())
 
     @property
     def center(self) -> float:
@@ -177,8 +185,9 @@ class WaveFunction:
                 f"boundary confinement violated: edge probability {edge_mass.max():.3e} "
                 f"exceeds {BOUNDARY_TOL}"
             )
-        p = self.grid.p
-        band = np.abs(p) >= 0.9 * np.abs(p).max()
+        # the mask first: it builds grid.p, which then is not built inside
+        # the transform, next to its work array
+        band = self.grid.aliasing_band
         band_mass = float(np.sum(np.abs(self.momentum[band]) ** 2) * self.grid.dp)
         if band_mass > ALIASING_TOL:
             raise InvariantViolation(
@@ -328,7 +337,8 @@ class ProbabilityDistribution:
     """Nonnegative weights on an ascending uniform support.
 
     Weights are densities with respect to the support spacing:
-    sum(weights) * spacing == 1.
+    sum(weights) * spacing == 1.  A non-finite support point or weight is
+    rejected, so no figure is computed from a NaN law.
     """
 
     support: np.ndarray
@@ -340,6 +350,12 @@ class ProbabilityDistribution:
         w = np.asarray(self.weights, dtype=float)
         if s.shape != w.shape or s.ndim != 1:
             raise ValueError("support and weights must be 1D arrays of equal length")
+        # a NaN or inf in either array, even at a zero weight, makes this
+        # one product non-finite (0 * inf is NaN)
+        with np.errstate(invalid="ignore"):
+            finite = np.isfinite(np.dot(s, w))
+        if not finite:
+            raise InvariantViolation("distribution support and weights must be finite")
         if np.min(w) < -1e-10:
             raise InvariantViolation(f"negative weight {w.min():.3e} below tolerance")
         w = np.maximum(w, 0.0)

@@ -24,12 +24,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .channels import (
     Channel,
+    KrausBlock,
     SlitChannel,
     VonNeumannChannel,
     # unused here; perfbench's tracer test pins this binding in edlab.metrics
@@ -53,6 +55,9 @@ ObservableName = str  # "X" or "P"
 # Branch elements that _kraus_sum forms at once, in whole columns of n_s
 # elements: 512 KiB of complex amplitudes, small enough to stay in L2.
 BRANCH_ELEMS = 1 << 15
+# Merged quantile levels that wasserstein2 searches and sums at once: each
+# temporary of a block is 256 KiB.
+W2_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +71,26 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
     integral over u in (0,1] of (F^-1(u) - G^-1(u))^2.  Both quantile
     functions are step functions; we merge their jump levels and sum exactly.
 
-    The merge is one concatenation of the two cumulative sums, sorted in
-    place and deduplicated; one array of levels shifted down by 1e-15 serves
-    both binary searches and then holds the level steps.  A support whose
-    weights are all positive is not copied.
+    Two laws on one support object with equal spacing and equal weights
+    return 0.0 without a merge, which is what the merge returns for them:
+    every gap is x[i] - x[i].  The identity test comes first, so that laws
+    on different supports pay nothing for the check.
+
+    The merge is one concatenation of the two cumulative sums, sorted and
+    deduplicated in place.  The binary searches, gathers and squared gaps
+    then run over blocks of at most ``W2_BLOCK`` levels, so no index or gap
+    array of the merged size is built.  The blocks split the levels as
+    numpy's pairwise summation splits an array (in halves, rounded down to a
+    multiple of 8), so the block sums add up, bit for bit, to the one
+    ``np.sum`` over all levels.  A support whose weights are all positive
+    is not copied.
     """
+    if (
+        d1.support is d2.support
+        and d1.spacing == d2.spacing
+        and np.array_equal(d1.weights, d2.weights)
+    ):
+        return 0.0
     x, cx = _cumulative_levels(d1)
     y, cy = _cumulative_levels(d2)
     levels = np.concatenate((cx, cy))
@@ -78,20 +98,40 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
     distinct = np.empty(levels.size, dtype=bool)
     distinct[0] = True
     np.not_equal(levels[1:], levels[:-1], out=distinct[1:])
-    levels = levels[distinct]
-    shifted = np.subtract(levels, 1e-15)
+    m = 0
+    for j in range(0, levels.size, W2_BLOCK):
+        kept = levels[j : j + W2_BLOCK][distinct[j : j + W2_BLOCK]]
+        levels[m : m + kept.size] = kept
+        m += kept.size
+    return math.sqrt(_gap_sum(levels, 0, m, x, cx, y, cy))
+
+
+def _gap_sum(
+    levels: np.ndarray, lo: int, hi: int, x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray
+) -> float:
+    """sum over the merged levels[lo:hi] of the level step times the squared
+    quantile gap x[i] - y[j], where i and j index the first cumulative sums
+    cx and cy that reach the level, in blocks of at most W2_BLOCK levels
+    split in halves as numpy's pairwise summation splits an array."""
+    n = hi - lo
+    if n > W2_BLOCK:
+        half = n // 2 - n // 2 % 8
+        return _gap_sum(levels, lo, lo + half, x, cx, y, cy) + _gap_sum(levels, lo + half, hi, x, cx, y, cy)
+    shifted = np.subtract(levels[lo:hi], 1e-15)
     ix = np.searchsorted(cx, shifted)
     iy = np.searchsorted(cy, shifted)
     np.minimum(ix, len(x) - 1, out=ix)
     np.minimum(iy, len(y) - 1, out=iy)
     du = shifted
-    du[0] = levels[0]
-    np.subtract(levels[1:], levels[:-1], out=du[1:])
+    start = max(lo, 1)
+    np.subtract(levels[start:hi], levels[start - 1 : hi - 1], out=du[start - lo :])
+    if lo == 0:
+        du[0] = levels[0]
     gap = x[ix]
     gap -= y[iy]
     gap *= gap
     gap *= du
-    return float(np.sqrt(np.sum(gap)))
+    return np.sum(gap)
 
 
 def _cumulative_levels(d: ProbabilityDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -111,15 +151,22 @@ def _cumulative_levels(d: ProbabilityDistribution) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 
 def _apply_observable(
-    g: GridSpec, amps: np.ndarray, observable: ObservableName, out: np.ndarray | None = None
+    g: GridSpec,
+    amps: np.ndarray,
+    observable: ObservableName,
+    out: np.ndarray | None = None,
+    on_momentum: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """B_s along the system axis (axis 0) of an amplitude array, spectrally
-    for P; ``out=amps`` applies it in place."""
+    for P; ``out=amps`` applies it in place.  For P, ``on_momentum`` is
+    called with the forward transform before it is multiplied by p."""
     along = (-1,) + (1,) * (amps.ndim - 1)
     if observable == "X":
         return np.multiply(g.x.reshape(along), amps, out=out)
     if observable == "P":
         mom = kernel_transform(amps, 0, g, -1, out=out)
+        if on_momentum is not None:
+            on_momentum(mom)
         mom *= g.p.reshape(along)
         return kernel_transform(mom, 0, g, +1, out=mom)
     raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
@@ -134,12 +181,24 @@ def _observable_on_state(psi: WaveFunction, observable: ObservableName) -> np.nd
     return _apply_observable(g, psi.amplitudes, observable)
 
 
+def _add_momentum_law(
+    law: np.ndarray, k: KrausBlock, psi: WaveFunction, momentum: np.ndarray | None = None
+) -> None:
+    """Add block k's share of the P law after the channel, its
+    ``momentum_mass`` (from ``momentum`` when given) times its measure, into
+    ``law`` in place."""
+    mass = k.momentum_mass(psi.amplitudes, psi.grid, momentum)
+    mass *= k.measure
+    law += mass
+
+
 def _kraus_sum(
     channel: Channel,
     psi: WaveFunction,
     observable: ObservableName,
     term: Callable[[np.ndarray, np.ndarray], float],
     skip_commuting: bool = False,
+    law: np.ndarray | None = None,
 ) -> float:
     """sum_m term(B K_m psi, K_m B psi) over the Kraus blocks, each times dx_s
     and its measure.
@@ -151,20 +210,37 @@ def _kraus_sum(
     them; the pair is freed before the next chunk is built.  With
     ``skip_commuting``, a block that commutes with B adds nothing and is not
     built: a block of step 1 weights each system point, so it commutes with X.
+
+    With ``law``, zeros on grid.p, a P sum also adds the P law after the
+    channel into it, block by block in order, as ``busch_state_disturbance``
+    does.  A block without a coherence kernel gives its share from the
+    forward transform of its branches that P already runs, before the x p
+    step, so that transform is not run twice; a block with a kernel gives
+    its kernel's law.  B psi is formed after the first chunk's B K psi, so it
+    is not alive while the first share is squared.
     """
     g = psi.grid
     check_confinement(channel, psi)
-    b_psi = _observable_on_state(psi, observable)
     size = max(1, BRANCH_ELEMS // g.n_points)
+    b_psi = None
     total = 0.0
     for k in kraus_of(channel, g):
         if skip_commuting and observable == "X" and k.step == 1:
             continue
+        on_momentum = None
+        if law is not None:
+            if k.coherence is None:
+                on_momentum = partial(_add_momentum_law, law, k, psi)
+            else:
+                _add_momentum_law(law, k, psi)
         for j in range(0, k.n_branches, size):
             columns = slice(j, j + size)
             branches = k(psi.amplitudes, columns)
-            b_k = _apply_observable(g, branches, observable, out=branches)
+            b_k = _apply_observable(g, branches, observable, out=branches, on_momentum=on_momentum)
+            if b_psi is None:
+                b_psi = _observable_on_state(psi, observable)
             total += term(b_k, k(b_psi, columns)) * g.dx * k.measure
+            del branches, b_k  # one array, freed before the next chunk is built
     return total
 
 
@@ -201,10 +277,14 @@ def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: Observabl
     eta^2 = sum_m || B K_m psi - K_m B psi ||^2, which is exact for any
     Stinespring dilation of the Kraus family.
     """
-    def term(b_k: np.ndarray, k_b: np.ndarray) -> float:
-        return float(np.sum(np.abs(np.subtract(b_k, k_b, out=b_k)) ** 2))
+    return math.sqrt(_kraus_sum(channel, psi, observable, _squared_gap, skip_commuting=True))
 
-    return math.sqrt(_kraus_sum(channel, psi, observable, term, skip_commuting=True))
+
+def _squared_gap(b_k: np.ndarray, k_b: np.ndarray) -> float:
+    """sum |B K_m psi - K_m B psi|^2 over a chunk, the term of eta^2,
+    squared in place."""
+    gap = np.abs(np.subtract(b_k, k_b, out=b_k))
+    return float(np.sum(np.square(gap, out=gap)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +304,8 @@ def busch_state_disturbance(
     The law after is sum_m |K_m psi|^2.  For X it is |psi[::step]|^2, since
     sum_m K_m^dag K_m = 1 and every block of a channel has the same step;
     for P each block gives its ``momentum_mass``, which does not build the
-    pointer's branch array.
+    pointer's branch array.  ``compute_report`` reads the same P law from
+    the transforms its eta_P runs (see ``_kraus_sum``).
     """
     g = psi.grid
     check_confinement(channel, psi)
@@ -232,11 +313,26 @@ def busch_state_disturbance(
     if observable == "X":
         before = distribution(psi, "position")
         after = ProbabilityDistribution(g.x, np.abs(psi.amplitudes[:: blocks[0].step]) ** 2, g.dx)
-    else:
-        before = distribution(psi, "momentum")
-        law = sum(k.momentum_mass(psi.amplitudes, g) * k.measure for k in blocks)
-        after = ProbabilityDistribution(g.p, law, g.dp)
-    return wasserstein2(before, after)
+        return wasserstein2(before, after)
+    law = np.zeros(g.n_points)
+    for k in blocks:
+        _add_momentum_law(law, k, psi)
+    return _momentum_w2(psi, law)
+
+
+def _momentum_w2(psi: WaveFunction, law: np.ndarray) -> float:
+    """W2 between psi's momentum law and the law after, weights ``law`` on grid.p."""
+    g = psi.grid
+    return wasserstein2(distribution(psi, "momentum"), ProbabilityDistribution(g.p, law, g.dp))
+
+
+def _momentum_figures(channel: Channel, psi: WaveFunction) -> tuple[float, float]:
+    """eta_P and the W2 disturbance of P from one pass over the Kraus blocks:
+    the P law after is read from eta_P's own forward transforms, and it is
+    freed on return, before the report's other figures run."""
+    law = np.zeros(psi.grid.n_points)
+    eta = math.sqrt(_kraus_sum(channel, psi, "P", _squared_gap, law=law))
+    return eta, _momentum_w2(psi, law)
 
 
 def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
@@ -369,11 +465,16 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
     tradeoff relations are not applicable).  The slit reports its width as a
     conventional error figure, labeled as such.  The probe coupling reports
     the RMS pointer error and both distribution-distance figures.
+
+    eta_P and the P law after share one momentum transform per Kraus branch
+    (``_momentum_figures``): the flip's report transforms 4 times, the
+    slit's 6, where separate calls of ``ozawa_disturbance`` and
+    ``busch_state_disturbance`` would take 5 and 8.  Each figure is
+    bit-identical to its separate call.
     """
     mom = moments(psi)
-    eta_p = ozawa_disturbance(channel, psi, "P")
+    eta_p, w2_p = _momentum_figures(channel, psi)
     eta_x = ozawa_disturbance(channel, psi, "X")
-    w2_p = busch_state_disturbance(channel, psi, "P")
     w2_x = busch_state_disturbance(channel, psi, "X")
     if isinstance(channel, VonNeumannChannel):
         eps = ozawa_error(channel, psi)

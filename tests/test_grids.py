@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from edlab import (
     GaussianState,
     InvariantViolation,
+    ProbabilityDistribution,
     WaveFunction,
     distribution,
     make_grid,
@@ -244,6 +245,15 @@ class TestDistribution:
                 d = distribution(psi, basis)
                 assert abs(np.sum(d.weights) * d.spacing - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_rejects_non_finite_laws(self, bad):
+        # a NaN weight fails neither the sign test nor |mass - 1| > tol, so
+        # only an explicit finiteness check keeps it out of every W2 figure
+        support, weights = np.arange(3.0), np.array([0.0, 1.0, 0.0])
+        for s, w in ((support, np.array([bad, 1.0, 0.0])), (np.array([bad, 1.0, 2.0]), weights)):
+            with pytest.raises(InvariantViolation, match="finite"):
+                ProbabilityDistribution(s, w, 1.0)
+
 
 class TestWaveFunctionInvariants:
     def test_non_contiguous_amplitudes(self, std_grid):
@@ -285,6 +295,14 @@ class TestWaveFunctionInvariants:
         psi = WaveFunction(std_grid, amp / np.sqrt(std_grid.dx))
         with pytest.raises(InvariantViolation, match="confinement"):
             psi.validate()
+
+    def test_aliasing_band_is_cached_and_read_only(self):
+        g = make_grid(256, -3.0, 13.0, 2.0)
+        band = g.aliasing_band
+        assert g.aliasing_band is band
+        assert np.array_equal(band, np.abs(g.p) >= 0.9 * np.abs(g.p).max())
+        with pytest.raises(ValueError, match="read-only"):
+            band[0] = False
 
     def test_aliasing_gate(self, std_grid):
         x = std_grid.x

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -40,6 +41,7 @@ from conftest import (
     pointer_kraus_matrices,
     rel_err,
     unchunked_lund_wiseman_square,
+    unblocked_wasserstein2,
     unchunked_ozawa_disturbance,
     union1d_wasserstein2,
     unitary_dft,
@@ -134,6 +136,91 @@ class TestWasserstein2:
         w2 = wasserstein2(before, after)
         assert w2 == union1d_wasserstein2(before, after)
         assert w2 == pytest.approx(2.0, abs=1e-2)
+
+
+@functools.lru_cache(maxsize=2)
+def fine_w2_laws(n: int) -> dict[str, tuple[ProbabilityDistribution, ProbabilityDistribution]]:
+    """Pairs of n-point laws for the blocked W2: the flip's P laws as
+    busch_state_disturbance forms them, Gaussians 2 apart, and a Gaussian
+    against one with zero-weight cells (every third cell and a band)."""
+    g = make_grid(n, -16.0, 16.0)
+    psi = make_state(g, GaussianState(0.0, 1.0, 1.0))
+    (block,) = kraus_of(FlipChannel(), g)
+    flip = (
+        distribution(psi, "momentum"),
+        ProbabilityDistribution(g.p, block.momentum_mass(psi.amplitudes, g), g.dp),
+    )
+
+    def law(w):
+        return ProbabilityDistribution(g.x, w / (np.sum(w) * g.dx), g.dx)
+
+    left, right = np.exp(-((g.x + 1) ** 2) / 2), np.exp(-((g.x - 1) ** 2) / 2)
+    holes = right.copy()
+    holes[::3] = 0.0
+    holes[np.abs(g.x - 1.5) < 0.25] = 0.0
+    return {"flip_P": flip, "gaussians": (law(left), law(right)), "zero_cells": (law(left), law(holes))}
+
+
+class TestBlockedWasserstein2:
+    @pytest.mark.parametrize("n", (2**17, 2**18))
+    @pytest.mark.parametrize("block", (metrics.W2_BLOCK, 3001))
+    @pytest.mark.parametrize("case", ("flip_P", "gaussians", "zero_cells"))
+    def test_matches_one_pass_merge(self, monkeypatch, n, block, case):
+        # 3001 divides no power of two, so every block boundary and the last
+        # block of the in-place deduplication are ragged
+        monkeypatch.setattr(metrics, "W2_BLOCK", block)
+        a, b = fine_w2_laws(n)[case]
+        oracle = unblocked_wasserstein2(a, b)
+        for w2 in (wasserstein2(a, b), wasserstein2(b, a)):
+            assert abs(w2 - oracle) <= 1e-14 * oracle, (w2, oracle)
+
+    def test_identical_laws_give_exactly_zero(self):
+        before, after = fine_w2_laws(2**17)["flip_P"]
+        assert wasserstein2(before, before) == 0.0
+        # equal weights on one support object (the grid's p), and on an
+        # equal copy of it, which goes through the merge
+        p, dp = after.support, after.spacing
+        twin = ProbabilityDistribution(p, after.weights.copy(), dp)
+        assert twin.support is p
+        assert wasserstein2(after, twin) == 0.0
+        assert wasserstein2(after, ProbabilityDistribution(p.copy(), after.weights, dp)) == 0.0
+
+
+class TestW2Memory:
+    @pytest.mark.parametrize("case", ("flip_P", "gaussians"))
+    def test_wasserstein2_peak(self, case):
+        # no index or gap array of the 2n merged levels: the traced peak is
+        # the two cumulative sums, the merged levels and one block's
+        # temporaries.  One call first, as in the other memory tests.
+        a, b = fine_w2_laws(2**18)[case]
+        wasserstein2(a, b)
+        tracemalloc.start()
+        try:
+            wasserstein2(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * a.weights.nbytes, peak / a.weights.nbytes
+
+    @pytest.mark.parametrize(
+        "spec, channel, cap_mib",
+        [
+            (GaussianState(0.0, 1.0, 1.0), FlipChannel(), 22.5),
+            (BumpState(0.0, 1.0), SlitChannel(0.0, 4.0), 21.1),
+        ],
+    )
+    def test_fine_grid_report_peak(self, spec, channel, cap_mib):
+        # the report at n = 2^18 over the held state (its amplitudes and
+        # cached momentum view): the law eta_P shares is no extra peak
+        psi = make_state(make_grid(2**18, -16.0, 16.0), spec)
+        compute_report(channel, psi)
+        tracemalloc.start()
+        try:
+            compute_report(channel, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap_mib * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +582,10 @@ class TestTransformCounts:
         "spec, channel, expected",
         [
             # validate 1; eta_P: P psi 1 + one block forward and back 2;
-            # the P law after: one block forward 1
-            (GaussianState(1.0, 0.5, 1.0), FlipChannel(), 5),
-            # as the flip, with the slit's two blocks: 1 + 1 + 4 + 2
-            (BumpState(0.0, 1.0), SlitChannel(0.0, 1.0), 8),
+            # the P law after reads the block's forward transform: 0
+            (GaussianState(1.0, 0.5, 1.0), FlipChannel(), 4),
+            # as the flip, with the slit's two blocks: 1 + 1 + 4 + 0
+            (BumpState(0.0, 1.0), SlitChannel(0.0, 1.0), 6),
         ],
     )
     def test_state_transforms_to_momentum_once(self, std_grid, monkeypatch, spec, channel, expected):
