@@ -11,6 +11,7 @@ physics-invariant violation.  All emitted files are byte-deterministic
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -89,6 +90,7 @@ _SCHEMA: dict[str, type] = {
     "probe.n_points": int,
     "probe.x_min": float,
     "probe.x_max": float,
+    "probe.max_joint_mib": float,
     **{key: type(value) for key, value in _SEARCH_DEFAULTS.items()},
 }
 
@@ -108,7 +110,9 @@ _VARIANT_KEYS = {
     "channel.variant": {
         "flip": (),
         "slit": ("channel.center", "channel.width"),
-        "von_neumann": ("channel.g", "probe.s", "probe.n_points", *_PROBE_BOUNDS),
+        "von_neumann": (
+            "channel.g", "probe.s", "probe.n_points", "probe.max_joint_mib", *_PROBE_BOUNDS
+        ),
     },
 }
 
@@ -118,7 +122,15 @@ _BASE_DEFAULTS = {
     "grid.x_max": 16.0,
     "grid.hbar": 1.0,
     "state.smoothness": 6,
+    # admits n_s = n_p = 4096, estimated at 512 MiB
+    "probe.max_joint_mib": 1024.0,
 }
+
+# Bytes per system x probe point that a pointer run holds at its peak: the
+# complex table T (16) and, beside it, |T|^2 with its abs temporary (16).
+# The peak RSS above the interpreter's measures about 31 at n_s = n_p = 2048
+# and 4096 (numpy 2.4, 64-bit Linux).
+_JOINT_BYTES_PER_POINT = 32
 
 _SCENARIO_DEFAULTS = {
     "flip": {
@@ -288,6 +300,7 @@ def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channe
     s = cfg["probe.s"]
     n_probe = cfg["probe.n_points"]
     g = cfg["channel.g"]
+    _check_joint_memory(grid.n_points, n_probe, cfg["probe.max_joint_mib"])
     bounds = [k for k in _PROBE_BOUNDS if k in cfg]
     if len(bounds) == 2:
         probe_grid = _guard(make_grid, n_probe, cfg["probe.x_min"], cfg["probe.x_max"], grid.hbar)
@@ -297,6 +310,19 @@ def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channe
     else:
         probe_grid = _guard(probe_grid_for, grid, psi, g, s, n_probe)
     return _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
+
+
+def _check_joint_memory(n_system: int, n_probe: int, cap_mib: float) -> None:
+    """ConfigError when the n_s x n_p arrays of a pointer run would exceed
+    ``probe.max_joint_mib``; called before any of them is built."""
+    if not cap_mib > 0:
+        raise ConfigError(f"probe.max_joint_mib must be positive, got {cap_mib}")
+    need_mib = _JOINT_BYTES_PER_POINT * n_system * n_probe / 2**20
+    if need_mib > cap_mib:
+        raise ConfigError(
+            f"a pointer run on {n_system} system x {n_probe} probe points holds about "
+            f"{need_mib:.0f} MiB of joint arrays, above probe.max_joint_mib={_fmt(cap_mib)}"
+        )
 
 
 def build_scenario(cfg: dict) -> BuiltScenario:
@@ -504,7 +530,35 @@ def eq2_summary_text(result: Eq2Report) -> str:
     return "\n".join(lines)
 
 
+# glibc's mallopt parameters, and the ceiling of its dynamic mmap threshold
+# on 64-bit systems; the trim threshold keeps glibc's own ratio of 2.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Pin glibc's malloc thresholds for this process, so that freed
+    temporaries below 32 MiB (the 4 MiB vectors of a 2^18 grid and numpy's
+    FFT scratch) are reused from the heap instead of being unmapped or
+    trimmed and faulted back in as fresh zeroed pages.  Larger arrays are
+    still mapped and returned on free.  Allocation sizes and arithmetic do
+    not change.  Where the C library has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """The ``edlab`` program.  It alone pins the malloc thresholds
+    (``_keep_freed_memory``); importing edlab leaves the allocator as it is."""
+    _keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="edlab", description="error/disturbance scenario runner"
     )

@@ -185,8 +185,6 @@ class WaveFunction:
                 f"boundary confinement violated: edge probability {edge_mass.max():.3e} "
                 f"exceeds {BOUNDARY_TOL}"
             )
-        # the mask first: it builds grid.p, which then is not built inside
-        # the transform, next to its work array
         band = self.grid.aliasing_band
         band_mass = float(np.sum(np.abs(self.momentum[band]) ** 2) * self.grid.dp)
         if band_mass > ALIASING_TOL:
@@ -238,7 +236,8 @@ def kernel_transform(
     n = grid.n_points
     b = 1 << (n.bit_length() - 1) // 2
     phase = sign * 1j * (grid.center + 0.5 * grid.dx) / grid.hbar
-    anchors = np.exp(phase * grid.p[::b])
+    # grid.p[::b], bit for bit, without building the cached n-point grid.p
+    anchors = np.exp(phase * ((np.arange(0, n, b) - n // 2) * grid.dp))
     offsets = np.exp(phase * (np.arange(b) * grid.dp))
     offsets[1::2] *= -1.0
     scale = (grid.dx if sign < 0 else n * grid.dp) / np.sqrt(2.0 * np.pi * grid.hbar)
@@ -356,9 +355,11 @@ class ProbabilityDistribution:
             finite = np.isfinite(np.dot(s, w))
         if not finite:
             raise InvariantViolation("distribution support and weights must be finite")
-        if np.min(w) < -1e-10:
-            raise InvariantViolation(f"negative weight {w.min():.3e} below tolerance")
-        w = np.maximum(w, 0.0)
+        w_min = np.min(w)
+        if w_min < -1e-10:
+            raise InvariantViolation(f"negative weight {w_min:.3e} below tolerance")
+        if w_min < 0.0:  # rounding negatives; clamp into a new array, never the caller's
+            w = np.maximum(w, 0.0)
         total = float(np.sum(w) * self.spacing)
         if abs(total - 1.0) > NORM_TOL:
             raise InvariantViolation(f"distribution mass {total!r} deviates from 1")

@@ -94,22 +94,29 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
     Deterministic: the scan order is fixed, ties prefer the lexicographically
     smallest (x0, p0, sigma), and each golden-section step only ever replaces
     the incumbent with a strictly better point.
+
+    The metric is taken to be a deterministic function of the member: a
+    member the search visits again is not scored again, but its first
+    trace entry is appended once more, so the trace lists every visit.
     """
     spec.validate(grid)
     trace: list[TraceEntry] = []
+    scored: dict[tuple[float, float, float], TraceEntry] = {}
 
     def evaluate(x0: float, p0: float, sigma: float) -> float:
-        # confinement filtering: members violating any grid invariant
-        # (state construction or in-channel probe confinement) are excluded
-        # from the search but logged
-        try:
-            psi = make_state(grid, GaussianState(x0, p0, sigma))
-            v = float(metric(psi))
-        except InvariantViolation:
-            trace.append(TraceEntry(x0, p0, sigma, float("nan"), False))
-            return -math.inf
-        trace.append(TraceEntry(x0, p0, sigma, v, True))
-        return v
+        entry = scored.get((x0, p0, sigma))
+        if entry is None:
+            # confinement filtering: members violating any grid invariant
+            # (state construction or in-channel probe confinement) are
+            # excluded from the search but logged
+            try:
+                psi = make_state(grid, GaussianState(x0, p0, sigma))
+                entry = TraceEntry(x0, p0, sigma, float(metric(psi)), True)
+            except InvariantViolation:
+                entry = TraceEntry(x0, p0, sigma, float("nan"), False)
+            scored[(x0, p0, sigma)] = entry
+        trace.append(entry)
+        return entry.value if entry.admissible else -math.inf
 
     xs, ps, ss = _axis_values(spec)
     best_v = -math.inf
@@ -218,7 +225,8 @@ def eq2_check(
     The two maximizers are different states (narrow for the error, wide for
     the disturbance); the report also evaluates both per-state figures on the
     disturbance maximizer to exhibit that no single state attains the product
-    of the two suprema.
+    of the two suprema.  The disturbance there is the search's own value at
+    that member, not computed again.
     """
     err = maximize(lambda psi: busch_state_error(channel, psi), grid, spec_err)
     dist = maximize(lambda psi: busch_state_disturbance(channel, psi, "P"), grid, spec_dist)
@@ -229,7 +237,7 @@ def eq2_check(
         abs(a.x0 - b.x0) > tol or abs(a.p0 - b.p0) > tol or abs(a.sigma - b.sigma) > tol
     )
     one_state = make_state(grid, b)
-    cross = busch_state_error(channel, one_state) * busch_state_disturbance(channel, one_state, "P")
+    cross = busch_state_error(channel, one_state) * dist.value
     return Eq2Report(
         epsilon_b=err.value,
         eta_b=dist.value,

@@ -1,19 +1,24 @@
 import json
 import math
+import platform
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from edlab.channels import VonNeumannChannel
 from edlab.cli import (
     _SCHEMA,
     ConfigError,
+    build_scenario,
     load_config,
     main,
     parse_config_text,
     run_scenario,
     run_sweep,
 )
+from edlab.grids import kernel_transform, make_grid
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,8 +76,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "verb, scenario, n_read",
-        [("scenario", "flip", 9), ("scenario", "slit", 10), ("scenario", "vonneumann", 14),
-         ("sweep", None, 15), ("eq2", None, 33)],
+        [("scenario", "flip", 9), ("scenario", "slit", 10), ("scenario", "vonneumann", 15),
+         ("sweep", None, 16), ("eq2", None, 34)],
     )
     def test_each_verb_accepts_only_the_keys_it_reads(self, verb, scenario, n_read):
         cfg = load_config(None, [], scenario, verb)
@@ -210,6 +215,39 @@ class TestScenarios:
             assert main(["eq2", "--out-dir", str(tmp_path / "eq2"), "--set", given]) == 1
             assert missing in capsys.readouterr().err
         assert not (tmp_path / "eq2").exists()
+
+    def test_joint_memory_cap(self, tmp_path, capsys, monkeypatch):
+        # the estimate is checked before any table is built
+        def no_table(self, grid):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(VonNeumannChannel, "table", no_table)
+        huge = ["--set", "grid.n_points=65536", "--set", "probe.n_points=65536"]
+        assert main(["scenario", "vonneumann", *huge]) == 1
+        assert "probe.max_joint_mib" in capsys.readouterr().err
+        for given in ("probe.max_joint_mib=1", "probe.max_joint_mib=0", "probe.max_joint_mib=nan"):
+            assert main(["scenario", "vonneumann", "--set", given]) == 1, given
+            assert main(["eq2", "--out-dir", str(tmp_path / "eq2"), "--set", given]) == 1, given
+            assert "probe.max_joint_mib" in capsys.readouterr().err
+        assert not (tmp_path / "eq2").exists()
+        # the default admits n_s = n_p = 4096
+        sets = ["grid.n_points=4096", "probe.n_points=4096"]
+        built = build_scenario(load_config(None, sets, "vonneumann"))
+        assert built.channel.probe.grid.n_points == 4096
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc")
+    def test_main_keeps_freed_memory_for_the_next_transform(self, capsys):
+        # without the pinned thresholds, each 2^18 transform faults in its
+        # result and numpy's FFT scratch afresh: about 2016 pages
+        import resource
+
+        assert main(["scenario", "flip"]) == 0
+        grid = make_grid(2**18, -40.0, 40.0)
+        a = np.ones(grid.n_points, complex)
+        kernel_transform(a, 0, grid, -1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        kernel_transform(a, 0, grid, -1)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
 
     def test_operator_image_is_not_confinement_gated(self, capsys):
         # U(X psi (x) ready) leaves edge mass 1.1e-9, but X psi is an operator

@@ -124,7 +124,7 @@ class TestKernelTransformOut:
     def test_builds_no_full_size_phase_array(self, sign):
         # the traced peak of an in-place transform stays within the input's
         # own size: no n-point sign array, no n-point twiddle.  One call
-        # first, so the grid's cached p and the FFT's plan are not counted.
+        # first, so the FFT's plan is not counted.
         g = make_grid(2**16, -16.0, 16.0)
         a = random_amplitudes(g, 7)
         kernel_transform(a, 0, g, sign, out=a)
@@ -135,6 +135,16 @@ class TestKernelTransformOut:
         finally:
             tracemalloc.stop()
         assert peak <= a.nbytes, peak / a.nbytes
+
+    @pytest.mark.parametrize("n", (16, 32, 256, 2**17, 2**18))
+    def test_fresh_grid_keeps_p_unbuilt(self, n):
+        # the twiddle anchors are formed from their n/b points alone, and
+        # equal grid.p[::b] bit for bit
+        g = make_grid(n, -40.0, 40.0)
+        kernel_transform(np.ones(n, complex), 0, g, -1)
+        assert "p" not in g.__dict__
+        b = 1 << (n.bit_length() - 1) // 2
+        assert np.array_equal((np.arange(0, n, b) - n // 2) * g.dp, g.p[::b])
 
 
 # centred and off-centre domains, hbar 1 and 2
@@ -253,6 +263,22 @@ class TestDistribution:
         for s, w in ((support, np.array([bad, 1.0, 0.0])), (np.array([bad, 1.0, 2.0]), weights)):
             with pytest.raises(InvariantViolation, match="finite"):
                 ProbabilityDistribution(s, w, 1.0)
+
+    def test_rounding_negative_weight_is_clamped(self):
+        w = np.array([-1e-17, 0.5, 0.5])
+        d = ProbabilityDistribution(np.arange(3.0), w, 1.0)
+        assert d.weights[0] == 0.0 and not np.signbit(d.weights[0])
+        assert w[0] == -1e-17  # clamped into a new array
+        with pytest.raises(InvariantViolation, match="negative weight"):
+            ProbabilityDistribution(np.arange(3.0), np.array([-1e-9, 0.5, 0.5 + 1e-9]), 1.0)
+
+    @pytest.mark.parametrize("first", (-1e-17, -0.0, 0.0, 0.25))
+    def test_callers_weights_are_never_written(self, first):
+        w = np.array([first, 0.5, 0.5 - max(first, 0.0)])
+        kept = w.copy()
+        d = ProbabilityDistribution(np.arange(3.0), w, 1.0)
+        assert np.array_equal(w, kept) and np.array_equal(np.signbit(w), np.signbit(kept))
+        assert np.all(d.weights >= 0.0)
 
 
 class TestWaveFunctionInvariants:

@@ -194,3 +194,34 @@ class TestEq2Check:
             rep = eq2_check(channel, grid, spec_err, spec_dist)
             products.append(rep.product)
         assert products[1] > products[0]
+
+    def test_each_distinct_member_is_scored_once(self, monkeypatch):
+        # the default eq2 error search visits some members more than once;
+        # each is scored once, and only the error is scored again, at the
+        # disturbance argmax.  tests/test_cli.py checks the outputs against
+        # the eq2 goldens.
+        from edlab import supsearch
+        from edlab.cli import load_config, run_eq2
+
+        calls = {"error": 0, "disturbance": 0}
+
+        def counting(name, fn):
+            def metric(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return metric
+
+        monkeypatch.setattr(supsearch, "busch_state_error", counting("error", busch_state_error))
+        monkeypatch.setattr(
+            supsearch, "busch_state_disturbance", counting("disturbance", busch_state_disturbance)
+        )
+        result = run_eq2(load_config(None, [], None, "eq2"))
+
+        def distinct(search):
+            return len({(t.x0, t.p0, t.sigma) for t in search.trace if t.admissible})
+
+        assert len(result.error_search.trace) == 172  # every visit stays in the trace
+        assert distinct(result.error_search) < 172 - result.error_search.n_excluded
+        assert calls["error"] == distinct(result.error_search) + 1
+        assert calls["disturbance"] == distinct(result.disturbance_search)
