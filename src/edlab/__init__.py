@@ -24,7 +24,6 @@ from .grids import (
     distribution,
     make_grid,
     moments,
-    to_momentum,
 )
 from .metrics import (
     EDRReport,

@@ -139,28 +139,20 @@ class KrausBlock:
         branches = a[:: self.step, None]
         return branches.copy() if self.weights is None else branches * self.weights[:, columns]
 
-    def momentum_mass(
-        self, a: np.ndarray, grid: GridSpec, momentum: np.ndarray | None = None
-    ) -> np.ndarray:
+    def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
         """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
 
-        Without a kernel each branch is transformed along the system axis,
-        in place in the fresh branch array, and squared in place.  A caller
-        that has already transformed the branches (or a chunk of their
-        columns) passes them as ``momentum``, and ``a`` is not read: the
-        report's η_P shares its forward transform with the P law this way.
-        With a kernel, the law is
+        Without a kernel the branch array is transformed along the system
+        axis in place and reduced by ``branch_mass``, as ``metrics._kraus_sum``
+        reduces the transforms its P runs.  With a kernel, the law is
         dx^2/(2 pi hbar) times the DFT of sum_l A(l) c(l) over l = q (mod n),
         where A is the linear autocorrelation of a (one zero-padded FFT of
         length 2n) and c the kernel; grid.p starts at -n/2 dp, so the DFT is
         read fftshifted.
         """
         if self.coherence is None:
-            if momentum is None:
-                branches = self(a)
-                momentum = kernel_transform(branches, 0, grid, -1, out=branches)
-            mass = np.abs(momentum)
-            return np.sum(np.square(mass, out=mass), axis=1)
+            branches = self(a)
+            return branch_mass(kernel_transform(branches, 0, grid, -1, out=branches))
         n = grid.n_points
         # lag l at index l mod 2n: sum_i a_i conj(a_(i-l)), zero at lag n
         lagged = np.fft.ifft(np.abs(np.fft.fft(a, 2 * n)) ** 2)
@@ -168,6 +160,12 @@ class KrausBlock:
         folded[1:] += lagged[n + 1 :] * self.coherence[n:]
         law = np.fft.fft(folded).real * (grid.dx**2 / (2.0 * np.pi * grid.hbar))
         return np.fft.fftshift(law)
+
+
+def branch_mass(branches: np.ndarray) -> np.ndarray:
+    """sum over the columns of |branches|^2, squared in one new real array."""
+    mass = np.abs(branches)
+    return np.sum(np.square(mass, out=mass), axis=1)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -4,9 +4,9 @@ The position grid uses a half-cell offset, x_i = x_min + (i + 1/2) dx, so
 that on a symmetric domain the reflection x -> -x is an exact index
 reversal.  The conjugate momentum grid p_k = 2*pi*hbar*k/(n*dx) (signed
 index k in [-n/2, n/2)) is stored in ascending order.  States are always
-position amplitudes; ``to_momentum`` maps them to momentum amplitudes on p,
-unitarily with respect to the dx / dp measures, so Parseval holds to machine
-precision.
+position amplitudes; ``WaveFunction.momentum`` holds their momentum
+amplitudes on p, unitary with respect to the dx / dp measures, so Parseval
+holds to machine precision.
 
 Every transform between the two grids goes through ``kernel_transform``.
 Because dx * dp = 2*pi*hbar / n exactly, its plane-wave kernel splits into
@@ -21,8 +21,8 @@ is multiplied in blocks of ``TWIDDLE_BLOCK`` elements, each block's
 anchor-times-offset product formed just before it is used.
 
 A state transforms once: ``WaveFunction.momentum`` caches its momentum
-amplitudes, read-only, and ``validate``, ``to_momentum``, ``moments`` and
-``distribution`` all read that one view.
+amplitudes, read-only, and ``validate``, ``moments`` and ``distribution``
+all read that one view.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class WaveFunction:
     A state cannot change after it is built: ``amplitudes`` is a read-only
     copy of the array passed in.  So ``momentum``, the momentum amplitudes
     on ``grid.p`` (measure dp), is transformed once, on first use, and kept
-    as a read-only cached view; ``to_momentum`` returns it.
+    as a read-only cached view.
     """
 
     grid: GridSpec
@@ -292,15 +292,6 @@ def _multiply_twiddle(
         block = dst[tuple(index)]
         factor = block if src is dst else src[tuple(index)]
         np.multiply(*((e_along, factor) if twiddle_first else (factor, e_along)), out=block)
-
-
-def to_momentum(psi: WaveFunction) -> np.ndarray:
-    """Momentum amplitudes of a state on ``grid.p``, normalized with measure dp.
-
-    This is the state's cached, read-only ``momentum`` view, not a new array:
-    the first call transforms, later ones return the same array.
-    """
-    return psi.momentum
 
 
 @dataclass(frozen=True)

@@ -24,23 +24,21 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .channels import (
     Channel,
-    KrausBlock,
     SlitChannel,
     VonNeumannChannel,
     # unused here; perfbench's tracer test pins this binding in edlab.metrics
     apply_von_neumann,  # noqa: F401
+    branch_mass,
     check_confinement,
     kraus_of,
 )
 from .grids import (
-    GridSpec,
     ProbabilityDistribution,
     WaveFunction,
     distribution,
@@ -150,26 +148,9 @@ def _cumulative_levels(d: ProbabilityDistribution) -> tuple[np.ndarray, np.ndarr
 # Observables on Kraus branches
 # ---------------------------------------------------------------------------
 
-def _apply_observable(
-    g: GridSpec,
-    amps: np.ndarray,
-    observable: ObservableName,
-    out: np.ndarray | None = None,
-    on_momentum: Callable[[np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """B_s along the system axis (axis 0) of an amplitude array, spectrally
-    for P; ``out=amps`` applies it in place.  For P, ``on_momentum`` is
-    called with the forward transform before it is multiplied by p."""
-    along = (-1,) + (1,) * (amps.ndim - 1)
-    if observable == "X":
-        return np.multiply(g.x.reshape(along), amps, out=out)
-    if observable == "P":
-        mom = kernel_transform(amps, 0, g, -1, out=out)
-        if on_momentum is not None:
-            on_momentum(mom)
-        mom *= g.p.reshape(along)
-        return kernel_transform(mom, 0, g, +1, out=mom)
-    raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
+def _check_observable(observable: ObservableName) -> None:
+    if observable not in ("X", "P"):
+        raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
 
 
 def _observable_on_state(psi: WaveFunction, observable: ObservableName) -> np.ndarray:
@@ -178,18 +159,7 @@ def _observable_on_state(psi: WaveFunction, observable: ObservableName) -> np.nd
     if observable == "P":
         mom = psi.momentum * g.p
         return kernel_transform(mom, 0, g, +1, out=mom)
-    return _apply_observable(g, psi.amplitudes, observable)
-
-
-def _add_momentum_law(
-    law: np.ndarray, k: KrausBlock, psi: WaveFunction, momentum: np.ndarray | None = None
-) -> None:
-    """Add block k's share of the P law after the channel, its
-    ``momentum_mass`` (from ``momentum`` when given) times its measure, into
-    ``law`` in place."""
-    mass = k.momentum_mass(psi.amplitudes, psi.grid, momentum)
-    mass *= k.measure
-    law += mass
+    return g.x * psi.amplitudes
 
 
 def _kraus_sum(
@@ -203,22 +173,24 @@ def _kraus_sum(
     """sum_m term(B K_m psi, K_m B psi) over the Kraus blocks, each times dx_s
     and its measure.
 
-    A block's branches are formed a chunk of columns at a time, about
-    BRANCH_ELEMS elements each, so the pointer's (n_s, n_p) branch array is
-    never built and each chunk stays in cache while B acts on it.  ``term``
-    reduces one chunk's pair of branch arrays to a number and may overwrite
-    them; the pair is freed before the next chunk is built.  With
+    The one place where B acts on branches: a chunk of a block's columns at
+    a time, about BRANCH_ELEMS elements, so the pointer's (n_s, n_p) branch
+    array is never built, and B acts on each chunk in place while it is in
+    cache (X by x; P forward, by p, and back).  ``term`` reduces one chunk's
+    pair of branch arrays to a number and may overwrite them; the pair is
+    freed before the next chunk is built.  With
     ``skip_commuting``, a block that commutes with B adds nothing and is not
     built: a block of step 1 weights each system point, so it commutes with X.
 
     With ``law``, zeros on grid.p, a P sum also adds the P law after the
     channel into it, block by block in order, as ``busch_state_disturbance``
-    does.  A block without a coherence kernel gives its share from the
-    forward transform of its branches that P already runs, before the x p
-    step, so that transform is not run twice; a block with a kernel gives
-    its kernel's law.  B psi is formed after the first chunk's B K psi, so it
-    is not alive while the first share is squared.
+    does.  A block without a coherence kernel adds ``branch_mass`` of each
+    chunk's forward transform, before the x p step, so that transform is not
+    run twice; a block with a kernel adds its ``momentum_mass``.  B psi is
+    formed after the first chunk's B K psi, so it is not alive while the
+    first share is squared.
     """
+    _check_observable(observable)
     g = psi.grid
     check_confinement(channel, psi)
     size = max(1, BRANCH_ELEMS // g.n_points)
@@ -227,20 +199,23 @@ def _kraus_sum(
     for k in kraus_of(channel, g):
         if skip_commuting and observable == "X" and k.step == 1:
             continue
-        on_momentum = None
-        if law is not None:
-            if k.coherence is None:
-                on_momentum = partial(_add_momentum_law, law, k, psi)
-            else:
-                _add_momentum_law(law, k, psi)
+        if law is not None and k.coherence is not None:
+            law += k.momentum_mass(psi.amplitudes, g) * k.measure
         for j in range(0, k.n_branches, size):
             columns = slice(j, j + size)
-            branches = k(psi.amplitudes, columns)
-            b_k = _apply_observable(g, branches, observable, out=branches, on_momentum=on_momentum)
+            b_k = k(psi.amplitudes, columns)
+            if observable == "X":
+                np.multiply(g.x[:, None], b_k, out=b_k)
+            else:
+                kernel_transform(b_k, 0, g, -1, out=b_k)
+                if law is not None and k.coherence is None:
+                    law += branch_mass(b_k) * k.measure
+                b_k *= g.p[:, None]
+                kernel_transform(b_k, 0, g, +1, out=b_k)
             if b_psi is None:
                 b_psi = _observable_on_state(psi, observable)
             total += term(b_k, k(b_psi, columns)) * g.dx * k.measure
-            del branches, b_k  # one array, freed before the next chunk is built
+            del b_k  # freed before the next chunk is built
     return total
 
 
@@ -303,10 +278,12 @@ def busch_state_disturbance(
 
     The law after is sum_m |K_m psi|^2.  For X it is |psi[::step]|^2, since
     sum_m K_m^dag K_m = 1 and every block of a channel has the same step;
-    for P each block gives its ``momentum_mass``, which does not build the
+    for P each block adds its ``momentum_mass``, which does not build the
     pointer's branch array.  ``compute_report`` reads the same P law from
-    the transforms its eta_P runs (see ``_kraus_sum``).
+    the transforms its eta_P runs (see ``_kraus_sum``).  Any other
+    observable raises ValueError, as in the RMS figures.
     """
+    _check_observable(observable)
     g = psi.grid
     check_confinement(channel, psi)
     blocks = kraus_of(channel, g)
@@ -316,7 +293,7 @@ def busch_state_disturbance(
         return wasserstein2(before, after)
     law = np.zeros(g.n_points)
     for k in blocks:
-        _add_momentum_law(law, k, psi)
+        law += k.momentum_mass(psi.amplitudes, g) * k.measure
     return _momentum_w2(psi, law)
 
 
@@ -467,7 +444,8 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
     the RMS pointer error and both distribution-distance figures.
 
     eta_P and the P law after share one momentum transform per Kraus branch
-    (``_momentum_figures``): the flip's report transforms 4 times, the
+    (``_momentum_figures``): ``_kraus_sum`` adds each branch's law from the
+    forward transform of P, so the flip's report transforms 4 times, the
     slit's 6, where separate calls of ``ozawa_disturbance`` and
     ``busch_state_disturbance`` would take 5 and 8.  Each figure is
     bit-identical to its separate call.

@@ -76,14 +76,15 @@ def gaussian_amplitudes(grid: GridSpec, x0: float, p0: float, sigma: float) -> n
     return envelope * np.exp(1j * p0 * x / grid.hbar)
 
 
-def _hermite_functions(x: np.ndarray, k_max: int) -> list[np.ndarray]:
-    # Stable recurrence for the L2-normalized oscillator eigenfunctions.
-    h = [np.pi**-0.25 * np.exp(-0.5 * x**2)]
-    if k_max >= 1:
-        h.append(np.sqrt(2.0) * x * h[0])
-    for k in range(1, k_max):
-        h.append(np.sqrt(2.0 / (k + 1)) * x * h[k] - np.sqrt(k / (k + 1)) * h[k - 1])
-    return h
+def _hermite_series(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] h_k(x) over the L2-normalized oscillator eigenfunctions,
+    summed as their stable three-term recurrence runs, with two of them alive."""
+    amp = np.zeros(x.size, dtype=complex)
+    prev, h = 0.0, np.pi**-0.25 * np.exp(-0.5 * x**2)
+    for k, c in enumerate(coeffs):
+        amp += c * h
+        prev, h = h, np.sqrt(2.0 / (k + 1)) * x * h - np.sqrt(k / (k + 1)) * prev
+    return amp
 
 
 def make_state(grid: GridSpec, spec: StateSpec) -> WaveFunction:
@@ -129,15 +130,12 @@ def make_state(grid: GridSpec, spec: StateSpec) -> WaveFunction:
             + np.exp(-((x - c + half) ** 2) / (4.0 * spec.sigma**2))
         ).astype(complex)
     elif isinstance(spec, RandomState):
-        if spec.smoothness < 0:
-            raise ValueError("smoothness must be a nonnegative integer")
+        if not 0 <= spec.smoothness < grid.n_points:  # before k + 1 coefficients are drawn
+            raise ValueError(f"smoothness must be in [0, n_points={grid.n_points}), got {spec.smoothness}")
         rng = np.random.default_rng(spec.seed)
         k_max = int(spec.smoothness)
         coeffs = rng.standard_normal(k_max + 1) + 1j * rng.standard_normal(k_max + 1)
-        basis = _hermite_functions(grid.x - grid.center, k_max)
-        amp = np.zeros(grid.n_points, dtype=complex)
-        for c, h in zip(coeffs, basis):
-            amp += c * h
+        amp = _hermite_series(grid.x - grid.center, coeffs)
     else:
         raise TypeError(f"unknown state spec {spec!r}")
     return _normalized(grid, amp).validate()

@@ -202,6 +202,9 @@ class TestScenarios:
             assert main(["scenario", "vonneumann", "--set", bad, *fixed]) == 1, bad
         for bad in ("channel.center=nan", "channel.center=inf"):
             assert main(["scenario", "slit", "--set", bad]) == 1, bad
+        seeded = ["--set", "state.variant=random", "--set", "state.seed=1"]
+        for bad in ("state.smoothness=-1", "state.smoothness=256"):
+            assert main(["scenario", "flip", *seeded, "--set", bad]) == 1, bad
         out = tmp_path / "sweep.csv"
         for axis, value in (("probe.n_points", "100"), ("channel.g", "nan")):
             assert main(["sweep", "--axis", axis, "--values", value, "--out", str(out)]) == 1

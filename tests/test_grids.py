@@ -14,7 +14,6 @@ from edlab import (
     make_grid,
     make_state,
     moments,
-    to_momentum,
 )
 from edlab.grids import kernel_transform
 
@@ -78,13 +77,13 @@ class TestToMomentum:
 
     def test_parseval_random_states(self, std_grid):
         for seed in range(100):
-            phi = to_momentum(WaveFunction(std_grid, random_amplitudes(std_grid, seed)))
+            phi = WaveFunction(std_grid, random_amplitudes(std_grid, seed)).momentum
             assert abs(np.sqrt(np.sum(np.abs(phi) ** 2) * std_grid.dp) - 1.0) < 1e-12
 
     def test_roundtrip(self, std_grid):
         g = std_grid
         psi = WaveFunction(g, random_amplitudes(g, 7))
-        back = kernel_transform(to_momentum(psi), 0, g, +1)
+        back = kernel_transform(psi.momentum, 0, g, +1)
         assert np.max(np.abs(back - psi.amplitudes)) < 1e-15
 
     def test_roundtrip_fine_grid(self):
@@ -100,7 +99,7 @@ class TestToMomentum:
         # on the momentum grid it is the conjugate of the inverse kernel
         for _, psi in corpus:
             g = psi.grid
-            twice = np.conj(kernel_transform(np.conj(to_momentum(psi)), 0, g, +1))
+            twice = np.conj(kernel_transform(np.conj(psi.momentum), 0, g, +1))
             assert np.max(np.abs(twice - psi.amplitudes[::-1])) < 2e-15
 
 
@@ -300,7 +299,7 @@ class TestWaveFunctionInvariants:
         kept = caller.copy()
         psi = WaveFunction(std_grid, caller)
         mom = psi.momentum
-        assert to_momentum(psi) is mom and psi.momentum is mom
+        assert psi.momentum is mom
         caller[:] = 0.0
         assert np.array_equal(psi.amplitudes, kept)
         assert np.array_equal(psi.momentum, kernel_transform(psi.amplitudes, 0, std_grid, -1))

@@ -406,6 +406,36 @@ class TestBuschStateDisturbance:
         assert ozawa_disturbance(FlipChannel(), psi, "X") == pytest.approx(2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("figure", (ozawa_disturbance, lund_wiseman_eta, busch_state_disturbance))
+@pytest.mark.parametrize("observable", ("x", "p", "Q"))
+def test_unknown_observable_is_rejected(std_grid, figure, observable):
+    psi = make_state(std_grid, GaussianState(1.0, 0.5, 1.0))
+    for channel in (FlipChannel(), SlitChannel(0.25, 2.0)):
+        with pytest.raises(ValueError, match="observable must be 'X' or 'P'"):
+            figure(channel, psi, observable)
+
+
+class TestReportMatchesSeparateCalls:
+    @pytest.mark.parametrize("n", (256, 4096))
+    def test_report_figures_equal_separate_calls(self, n):
+        # compute_report reads eta_P and the P law after from one Kraus pass;
+        # the separate calls form each on its own, the oracle of that pass
+        grid = make_grid(n, -16.0, 16.0)
+        psi = make_state(grid, GaussianState(0.5, 1.0, 1.0))
+        channels = (
+            FlipChannel(),
+            SlitChannel(0.25, 2.0),
+            make_vn_channel(grid, psi, 1.0, 0.5),
+            make_vn_channel(grid, psi, -2.0, 0.25),
+        )
+        for channel in channels:
+            report = compute_report(channel, psi)
+            assert report.eta_o_P == ozawa_disturbance(channel, psi, "P"), channel
+            assert report.eta_o_X == ozawa_disturbance(channel, psi, "X"), channel
+            assert report.w2_disturbance_P == busch_state_disturbance(channel, psi, "P"), channel
+            assert report.w2_disturbance_X == busch_state_disturbance(channel, psi, "X"), channel
+
+
 class TestBuschStateError:
     def test_against_convolution_oracle(self, std_grid, vn_default):
         channel, psi = vn_default

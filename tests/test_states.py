@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from edlab import (
     make_state,
     moments,
 )
+
+from edlab.states import _hermite_series
 
 from conftest import rel_err
 
@@ -65,6 +69,47 @@ class TestMakeState:
         ):
             a = make_state(grid, spec).amplitudes
             assert np.max(np.abs(a - a[::-1])) < 1e-12, spec
+
+    def test_random_series_matches_kept_hermite_functions(self):
+        # the series summed as the recurrence runs, against all k + 1
+        # functions kept in a list and summed afterwards, bit for bit
+        for n, k in ((256, 0), (256, 1), (256, 6), (1024, 60), (1024, 1023)):
+            x = make_grid(n, -16.0, 16.0).x
+            h = [np.pi**-0.25 * np.exp(-0.5 * x**2)]
+            if k >= 1:
+                h.append(np.sqrt(2.0) * x * h[0])
+            for j in range(1, k):
+                h.append(np.sqrt(2.0 / (j + 1)) * x * h[j] - np.sqrt(j / (j + 1)) * h[j - 1])
+            rng = np.random.default_rng(k)
+            coeffs = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
+            oracle = np.zeros(n, dtype=complex)
+            for c, f in zip(coeffs, h):
+                oracle += c * f
+            assert np.array_equal(_hermite_series(x, coeffs), oracle), (n, k)
+
+    def test_random_smoothness_must_be_below_grid_size(self, std_grid):
+        for k in (-1, std_grid.n_points, std_grid.n_points + 1, 10**8):
+            with pytest.raises(ValueError, match="smoothness must be in"):
+                make_state(std_grid, RandomState(1, k))
+        make_state(std_grid, RandomState(1, 20))
+
+    def test_random_state_memory_does_not_grow_with_smoothness(self):
+        # two Hermite functions are alive at once, not k + 1: the largest
+        # admitted k, rejected later by the state gates, peaks no higher
+        # than k = 6 plus its k + 1 coefficients
+        grid = make_grid(1024, -16.0, 16.0)
+        make_state(grid, RandomState(1, 6))
+        peaks = {}
+        for k in (6, 1023):
+            tracemalloc.start()
+            try:
+                make_state(grid, RandomState(1, k))
+            except InvariantViolation:
+                pass
+            finally:
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        assert peaks[1023] <= peaks[6] + 64 * 1024, peaks
 
     def test_random_reproducible(self, std_grid):
         a = make_state(std_grid, RandomState(42, 6))
