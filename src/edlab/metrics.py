@@ -56,6 +56,9 @@ BRANCH_ELEMS = 1 << 15
 # Merged quantile levels that wasserstein2 searches and sums at once: each
 # temporary of a block is 256 KiB.
 W2_BLOCK = 1 << 15
+# Cells of a law at or below this fraction of its largest cell carry no mass
+# in wasserstein2: they are rounding, not probability (see _cumulative_levels).
+W2_FLOOR = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,10 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
     In 1D the optimal coupling pairs equal quantile levels, so W2^2 is the
     integral over u in (0,1] of (F^-1(u) - G^-1(u))^2.  Both quantile
     functions are step functions; we merge their jump levels and sum exactly.
+    Only cells above ``W2_FLOOR`` times a law's largest cell count as mass
+    (``_cumulative_levels``), so rounding in the far tails does not pair
+    points a cell apart: two laws equal but for their rounding give 0.0, and
+    at fine grids the merge runs over the few cells that hold the mass.
 
     Two laws on one support object with equal spacing and equal weights
     return 0.0 without a merge, which is what the merge returns for them:
@@ -133,12 +140,25 @@ def _gap_sum(
 
 
 def _cumulative_levels(d: ProbabilityDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """The support points of positive weight and their cumulative weights,
-    normalized to end at 1."""
+    """The support points of the cells above ``W2_FLOOR`` times the largest
+    cell, and their cumulative weights, normalized to end at 1.
+
+    The floor drops the cells that hold rounding rather than mass before the
+    cumulative sum.  Two laws that are equal in the continuum can differ in
+    which far-tail cells are exactly 0 or hold rounding noise, and then their
+    first ~1e-16 of quantile mass pairs points a cell apart: the flip of a
+    packet at x0 = 1 read a W2 of 3.3e-9 where it is 0.  The floor sits
+    above the additive rounding that the pointer's kernel law carries (its
+    negative cells reach 1.7e-16 of its largest).  A cell it drops holds
+    under 1e-15 of probability, a few steps of the cumulative levels just
+    below 1, which are 2^-53 apart, so the upper tail hardly resolves it
+    anyway.  Where such cells are a real tail, a W2 figure moves by at most
+    4e-11 relative (the cut slit at 2^18 points).
+    """
     support, w = d.support, d.weights * d.spacing
-    positive = w > 0
-    if not positive.all():
-        support, w = support[positive], w[positive]
+    kept = w > W2_FLOOR * w.max()
+    if not kept.all():
+        support, w = support[kept], w[kept]
     c = np.cumsum(w, out=w)
     c /= c[-1]
     return support, c
@@ -189,6 +209,11 @@ def _kraus_sum(
     run twice; a block with a kernel adds its ``momentum_mass``.  B psi is
     formed after the first chunk's B K psi, so it is not alive while the
     first share is squared.
+
+    A chunk of a block without a kernel that is exactly 0 (the slit's fail
+    branch when the window covers psi) is not transformed and adds nothing
+    to the law: its transforms are exactly 0, so every figure is
+    bit-identical.  The pointer's chunks are never 0, and are not checked.
     """
     _check_observable(observable)
     g = psi.grid
@@ -206,7 +231,7 @@ def _kraus_sum(
             b_k = k(psi.amplitudes, columns)
             if observable == "X":
                 np.multiply(g.x[:, None], b_k, out=b_k)
-            else:
+            elif k.coherence is not None or b_k.any():
                 kernel_transform(b_k, 0, g, -1, out=b_k)
                 if law is not None and k.coherence is None:
                     law += branch_mass(b_k) * k.measure
@@ -289,7 +314,7 @@ def busch_state_disturbance(
     blocks = kraus_of(channel, g)
     if observable == "X":
         before = distribution(psi, "position")
-        after = ProbabilityDistribution(g.x, np.abs(psi.amplitudes[:: blocks[0].step]) ** 2, g.dx)
+        after = ProbabilityDistribution(g.x, before.weights[:: blocks[0].step], g.dx)
         return wasserstein2(before, after)
     law = np.zeros(g.n_points)
     for k in blocks:
@@ -447,8 +472,9 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
     (``_momentum_figures``): ``_kraus_sum`` adds each branch's law from the
     forward transform of P, so the flip's report transforms 4 times, the
     slit's 6, where separate calls of ``ozawa_disturbance`` and
-    ``busch_state_disturbance`` would take 5 and 8.  Each figure is
-    bit-identical to its separate call.
+    ``busch_state_disturbance`` would take 5 and 8.  A slit whose window
+    covers the state transforms 4 times: its fail branch is exactly 0 and
+    is not transformed.  Each figure is bit-identical to its separate call.
     """
     mom = moments(psi)
     eta_p, w2_p = _momentum_figures(channel, psi)

@@ -130,10 +130,14 @@ def make_state(grid: GridSpec, spec: StateSpec) -> WaveFunction:
             + np.exp(-((x - c + half) ** 2) / (4.0 * spec.sigma**2))
         ).astype(complex)
     elif isinstance(spec, RandomState):
-        if not 0 <= spec.smoothness < grid.n_points:  # before k + 1 coefficients are drawn
-            raise ValueError(f"smoothness must be in [0, n_points={grid.n_points}), got {spec.smoothness}")
+        k_max = spec.smoothness
+        # before k + 1 coefficients are drawn; int() would truncate 6.5 to 6
+        if not (0 <= k_max < grid.n_points and k_max == int(k_max)):
+            raise ValueError(
+                f"smoothness must be in [0, n_points={grid.n_points}) and integral, got {k_max}"
+            )
+        k_max = int(k_max)
         rng = np.random.default_rng(spec.seed)
-        k_max = int(spec.smoothness)
         coeffs = rng.standard_normal(k_max + 1) + 1j * rng.standard_normal(k_max + 1)
         amp = _hermite_series(grid.x - grid.center, coeffs)
     else:

@@ -23,6 +23,8 @@ from .metrics import busch_state_disturbance, busch_state_error
 from .states import GAUSSIAN_MARGIN_SIGMAS, MIN_CELLS_PER_SIGMA, GaussianState, make_state
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A figure beats the incumbent only by more than this fraction of it.
+_TIE_RTOL = 1e-12
 
 Metric = Callable[[WaveFunction], float]
 
@@ -80,6 +82,21 @@ class SupResult:
     n_excluded: int = 0
 
 
+def _better(v: float, ref: float) -> bool:
+    """v beats ref by more than rounding: v > ref + _TIE_RTOL * |ref|.
+
+    A member's figure carries rounding of a few ulps, and along a direction
+    where the figure is flat or symmetric (the error does not depend on p0,
+    the disturbance is even in x0) that noise alone would pick a side.  A tie
+    within the tolerance keeps the incumbent, so the search's fixed order
+    decides.  An infinite incumbent (-inf before any admissible member) is
+    compared as is, since -inf + 1e-12 * inf is NaN.
+    """
+    if math.isinf(ref):
+        return v > ref
+    return v > ref + _TIE_RTOL * abs(ref)
+
+
 def _axis_values(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nx, np_, ns = spec.coarse_counts
     xs = np.linspace(spec.x0_bounds[0], spec.x0_bounds[1], nx)
@@ -93,7 +110,8 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
 
     Deterministic: the scan order is fixed, ties prefer the lexicographically
     smallest (x0, p0, sigma), and each golden-section step only ever replaces
-    the incumbent with a strictly better point.
+    the incumbent with a strictly better point.  Every comparison of figures
+    goes through ``_better``, so values within rounding of each other tie.
 
     The metric is taken to be a deterministic function of the member: a
     member the search visits again is not scored again, but its first
@@ -125,7 +143,7 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
         for p0 in ps:
             for sigma in ss:
                 v = evaluate(float(x0), float(p0), float(sigma))
-                if v > best_v:
+                if _better(v, best_v):
                     best_v, best = v, (float(x0), float(p0), float(sigma))
     if best is None:
         raise InvariantViolation("search family empty after confinement filtering")
@@ -143,7 +161,7 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
         d = a + _INVPHI * (b - a)
         fc, fd = probe(c), probe(d)
         while (b - a) > tol:
-            if fc >= fd:
+            if not _better(fd, fc):
                 b, d, fd = d, c, fc
                 c = b - _INVPHI * (b - a)
                 fc = probe(c)
@@ -153,7 +171,7 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
                 fd = probe(d)
         best_t, best_f = seen[0]
         for t, v in seen[1:]:
-            if v > best_f:
+            if _better(v, best_f):
                 best_t, best_f = t, v
         return best_t, best_f
 
@@ -183,11 +201,11 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
                 return evaluate(*trial)
 
             t_best, v_mid = golden(lo, hi, fun, spec.refine_tol)
-            if v_mid > best_v:
+            if _better(v_mid, best_v):
                 improved = max(improved, v_mid - best_v)
                 best_v = v_mid
                 point[axis] = math.exp(t_best) if log_axis else t_best
-        if improved < spec.refine_tol:
+        if not _better(improved, spec.refine_tol):
             break
 
     n_excluded = sum(1 for t in trace if not t.admissible)

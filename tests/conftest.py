@@ -18,6 +18,7 @@ from edlab import (
 )
 from edlab.channels import apply_von_neumann, check_confinement, embed_joint, kraus_of
 from edlab.grids import kernel_transform
+from edlab.metrics import W2_FLOOR
 
 
 @pytest.fixture(scope="session")
@@ -136,11 +137,12 @@ def dense_pointer_eta_p(channel: VonNeumannChannel, psi) -> float:
 def union1d_wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> float:
     """W2 by the quantile coupling with ``np.union1d`` and one binary search
     per level and law: the package's earlier merge, kept as the oracle of
-    ``metrics.wasserstein2``, which must equal it bit for bit."""
+    ``metrics.wasserstein2``, which must equal it bit for bit.  Cells at or
+    below ``W2_FLOOR`` times a law's largest cell carry no mass, as there."""
     x, wx = d1.support, d1.weights * d1.spacing
     y, wy = d2.support, d2.weights * d2.spacing
-    kx = wx > 0
-    ky = wy > 0
+    kx = wx > W2_FLOOR * wx.max()
+    ky = wy > W2_FLOOR * wy.max()
     x, wx = x[kx], wx[kx]
     y, wy = y[ky], wy[ky]
     cx = np.cumsum(wx)
@@ -157,13 +159,13 @@ def union1d_wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistributio
 def unblocked_wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> float:
     """W2 with the merged levels searched, gathered and summed in one pass:
     the package's earlier body, kept as the oracle of the blocked
-    ``metrics.wasserstein2``.  Laws with equal weights are merged too."""
+    ``metrics.wasserstein2``.  Laws with equal weights are merged too; the
+    cells above ``W2_FLOOR`` times a law's largest cell are its mass."""
 
     def cumulative_levels(d):
         support, w = d.support, d.weights * d.spacing
-        positive = w > 0
-        if not positive.all():
-            support, w = support[positive], w[positive]
+        kept = w > W2_FLOOR * w.max()
+        support, w = support[kept], w[kept]
         c = np.cumsum(w, out=w)
         c /= c[-1]
         return support, c

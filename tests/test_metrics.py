@@ -138,6 +138,32 @@ class TestWasserstein2:
         assert w2 == pytest.approx(2.0, abs=1e-2)
 
 
+class TestW2Floor:
+    def test_cells_at_or_below_the_floor_carry_no_mass(self):
+        f = metrics.W2_FLOOR
+        law = ProbabilityDistribution(np.arange(5.0), np.array([0.5, 0.5 * f, 0.0, 1.5 * f, 0.5]), 1.0)
+        support, c = metrics._cumulative_levels(law)
+        # the largest cell is 0.5: 0.5 f sits on the floor and goes, 1.5 f stays
+        assert support.tolist() == [0.0, 3.0, 4.0]
+        kept = np.array([0.5, 1.5 * f, 0.5])
+        assert np.array_equal(c, np.cumsum(kept) / np.sum(kept))
+        assert c[-1] == 1.0
+
+    def test_rounding_in_the_tails_is_no_distance(self, std_grid):
+        # a bump's law, exactly 0 off its support, against itself with cells
+        # of rounding size there, where a merge of every positive cell
+        # pairs points a cell apart
+        psi = make_state(std_grid, BumpState(0.0, 1.0))
+        clean = distribution(psi, "position")
+        w = clean.weights.copy()
+        assert w[3] == w[-5] == 0.0
+        w[[3, -5]] = 1e-17 * w.max()
+        noisy = ProbabilityDistribution(clean.support, w, clean.spacing)
+        assert union1d_wasserstein2(clean, noisy) == 0.0
+        assert wasserstein2(clean, noisy) == 0.0
+        assert wasserstein2(noisy, clean) == 0.0
+
+
 @functools.lru_cache(maxsize=2)
 def fine_w2_laws(n: int) -> dict[str, tuple[ProbabilityDistribution, ProbabilityDistribution]]:
     """Pairs of n-point laws for the blocked W2: the flip's P laws as
@@ -436,6 +462,16 @@ class TestReportMatchesSeparateCalls:
             assert report.w2_disturbance_X == busch_state_disturbance(channel, psi, "X"), channel
 
 
+    def test_covered_slit_skips_its_zero_branch_exactly(self, std_grid):
+        # the fail branch of a window over the whole bump is exactly 0; the
+        # oracle transforms it, the Kraus loop does not
+        psi = make_state(std_grid, BumpState(0.0, 1.0))
+        channel = SlitChannel(0.0, 4.0)
+        oracle = unchunked_ozawa_disturbance(channel, psi, "P")
+        assert compute_report(channel, psi).eta_o_P == oracle
+        assert ozawa_disturbance(channel, psi, "P") == oracle
+
+
 class TestBuschStateError:
     def test_against_convolution_oracle(self, std_grid, vn_default):
         channel, psi = vn_default
@@ -616,6 +652,9 @@ class TestTransformCounts:
             (GaussianState(1.0, 0.5, 1.0), FlipChannel(), 4),
             # as the flip, with the slit's two blocks: 1 + 1 + 4 + 0
             (BumpState(0.0, 1.0), SlitChannel(0.0, 1.0), 6),
+            # the window covers the bump, so the fail branch is exactly 0
+            # and is not transformed: 1 + 1 + 2 + 0
+            (BumpState(0.0, 1.0), SlitChannel(0.0, 4.0), 4),
         ],
     )
     def test_state_transforms_to_momentum_once(self, std_grid, monkeypatch, spec, channel, expected):

@@ -93,6 +93,14 @@ class TestMakeState:
                 make_state(std_grid, RandomState(1, k))
         make_state(std_grid, RandomState(1, 20))
 
+    def test_random_smoothness_must_be_integral(self, std_grid):
+        # a library caller's 6.5 is not the k = 6 state; an integral float is
+        for k in (6.5, 0.5, 254.999):
+            with pytest.raises(ValueError, match="integral"):
+                make_state(std_grid, RandomState(1, k))
+        whole = make_state(std_grid, RandomState(1, 6.0))
+        assert np.array_equal(whole.amplitudes, make_state(std_grid, RandomState(1, 6)).amplitudes)
+
     def test_random_state_memory_does_not_grow_with_smoothness(self):
         # two Hermite functions are alive at once, not k + 1: the largest
         # admitted k, rejected later by the state gates, peaks no higher

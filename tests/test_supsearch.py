@@ -221,7 +221,40 @@ class TestEq2Check:
         def distinct(search):
             return len({(t.x0, t.p0, t.sigma) for t in search.trace if t.admissible})
 
-        assert len(result.error_search.trace) == 172  # every visit stays in the trace
-        assert distinct(result.error_search) < 172 - result.error_search.n_excluded
+        assert len(result.error_search.trace) == 170  # every visit stays in the trace
+        assert distinct(result.error_search) < 170 - result.error_search.n_excluded
         assert calls["error"] == distinct(result.error_search) + 1
         assert calls["disturbance"] == distinct(result.disturbance_search)
+
+    def test_rounding_noise_moves_neither_argmax_nor_trace(self, monkeypatch):
+        # the default eq2 figures times (1 + 4e-16 N(0, 1)), a few ulps per
+        # member: along the flat p0 axis of the error and the even x0 axis
+        # of the disturbance, such noise must not choose the search's path
+        import numpy as np
+
+        from edlab import supsearch
+        from edlab.cli import load_config, run_eq2
+
+        def outcome(seed):
+            rng = None if seed is None else np.random.default_rng(seed)
+
+            def noisy(fn):
+                def metric(*args):
+                    v = fn(*args)
+                    return v if rng is None else v * (1.0 + 4e-16 * rng.standard_normal())
+
+                return metric
+
+            monkeypatch.setattr(supsearch, "busch_state_error", noisy(busch_state_error))
+            monkeypatch.setattr(supsearch, "busch_state_disturbance", noisy(busch_state_disturbance))
+            r = run_eq2(load_config(None, [], None, "eq2"))
+            return (
+                r.argmax_error,
+                r.argmax_disturbance,
+                len(r.error_search.trace),
+                len(r.disturbance_search.trace),
+            )
+
+        clean = outcome(None)
+        for seed in range(8):
+            assert outcome(seed) == clean, seed
