@@ -146,8 +146,8 @@ def _cumulative_levels(d: ProbabilityDistribution) -> tuple[np.ndarray, np.ndarr
     The floor drops the cells that hold rounding rather than mass before the
     cumulative sum.  Two laws that are equal in the continuum can differ in
     which far-tail cells are exactly 0 or hold rounding noise, and then their
-    first ~1e-16 of quantile mass pairs points a cell apart: the flip of a
-    packet at x0 = 1 read a W2 of 3.3e-9 where it is 0.  The floor sits
+    first ~1e-16 of quantile mass pairs points a cell apart: a W2 of ~3e-9
+    for a flip that mirrors an even momentum law, where it is 0.  The floor sits
     above the additive rounding that the pointer's kernel law carries (its
     negative cells reach 1.7e-16 of its largest).  A cell it drops holds
     under 1e-15 of probability, a few steps of the cumulative levels just
