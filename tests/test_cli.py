@@ -289,8 +289,8 @@ class TestSweep:
         # the RMS figure sees the flip move every amplitude, the W2 figure
         # only the translation of |psi|^2: 2*sqrt(x0^2 + sigma^2) against 2|x0|.
         # The packet has p0 = 0, so the flip mirrors an even momentum law:
-        # its W2 is exactly 0, with no rounding floor (0.75, 1 and 1.5 read
-        # ~1e-8 when W2 counted every positive cell as mass)
+        # its W2 is exactly 0, with no rounding floor (0.75, 1 and 1.5 are
+        # where a W2 that counts every positive cell as mass reads ~1e-8)
         out = tmp_path / "flip_contrast.csv"
         args = ["sweep", "--axis", "state.x0", "--values", "0,0.25,0.5,0.75,1,1.5,2,4"]
         assert main(args + ["--set", "scenario=flip", "--out", str(out)]) == 0

@@ -461,7 +461,6 @@ class TestReportMatchesSeparateCalls:
             assert report.w2_disturbance_P == busch_state_disturbance(channel, psi, "P"), channel
             assert report.w2_disturbance_X == busch_state_disturbance(channel, psi, "X"), channel
 
-
     def test_covered_slit_skips_its_zero_branch_exactly(self, std_grid):
         # the fail branch of a window over the whole bump is exactly 0; the
         # oracle transforms it, the Kraus loop does not
