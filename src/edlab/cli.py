@@ -15,6 +15,7 @@ import ctypes
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -451,21 +452,10 @@ def run_sweep(axis: str, values: list[float], base_cfg: dict) -> str:
 
 def run_eq2(cfg: dict) -> Eq2Report:
     """The worst-case search on the grid and pointer coupling of a config
-    from ``load_config(..., "eq2")``."""
+    from ``load_config(..., "eq2")``.  Both search specs are validated
+    before their bounds size the probe."""
     cfg = dict(cfg)
-    if "probe.x_min" not in cfg and "probe.x_max" not in cfg:
-        # size the probe for the whole search family
-        reach = max(
-            abs(cfg["search_err.x0_min"]),
-            abs(cfg["search_err.x0_max"]),
-            abs(cfg["search_dist.x0_min"]),
-            abs(cfg["search_dist.x0_max"]),
-        ) + 8.0 * max(cfg["search_err.sigma_max"], cfg["search_dist.sigma_max"])
-        half = probe_half_width(cfg["channel.g"], reach, cfg["probe.s"])
-        cfg["probe.x_min"] = -half
-        cfg["probe.x_max"] = half
     grid = _grid_from(cfg)
-    channel = _channel_from(cfg, grid, None)
     specs = []
     for prefix in ("search_err", "search_dist"):
         spec = SearchSpec(
@@ -481,6 +471,18 @@ def run_eq2(cfg: dict) -> Eq2Report:
         except ValueError as exc:
             raise ConfigError(f"{prefix}: {exc}") from exc
         specs.append(spec)
+    if "probe.x_min" not in cfg and "probe.x_max" not in cfg:
+        # size the probe for the whole search family
+        reach = max(
+            abs(cfg["search_err.x0_min"]),
+            abs(cfg["search_err.x0_max"]),
+            abs(cfg["search_dist.x0_min"]),
+            abs(cfg["search_dist.x0_max"]),
+        ) + 8.0 * max(cfg["search_err.sigma_max"], cfg["search_dist.sigma_max"])
+        half = probe_half_width(cfg["channel.g"], reach, cfg["probe.s"])
+        cfg["probe.x_min"] = -half
+        cfg["probe.x_max"] = half
+    channel = _channel_from(cfg, grid, None)
     return eq2_check(channel, grid, *specs)
 
 
@@ -555,6 +557,16 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
+@contextmanager
+def _writing(path: str):
+    """A failure to create or write an output under ``path`` is a
+    ConfigError, as an unreadable ``--config`` is in ``load_config``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     """The ``edlab`` program.  It alone pins the malloc thresholds
     (``_keep_freed_memory``); importing edlab leaves the allocator as it is."""
@@ -594,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
                     text = _report_csv_lines([report.as_dict()], [])
                 else:
                     text = report_to_json(report)
-                with open(args.out, "w", newline="") as fh:
+                with _writing(args.out), open(args.out, "w", newline="") as fh:
                     fh.write(text)
         elif args.verb == "sweep":
             cfg = load_config(args.config, args.sets, None, "sweep")
@@ -603,19 +615,20 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad sweep values {args.values!r}") from exc
             text = run_sweep(args.axis, values, cfg)
-            with open(args.out, "w", newline="") as fh:
+            with _writing(args.out), open(args.out, "w", newline="") as fh:
                 fh.write(text)
             print(f"wrote {len(text.splitlines()) - 1} rows to {args.out}")
         else:
             result = run_eq2(load_config(args.config, args.sets, None, "eq2"))
-            os.makedirs(args.out_dir, exist_ok=True)
-            trace_to_csv(result.error_search, os.path.join(args.out_dir, "error_landscape.csv"))
-            trace_to_csv(
-                result.disturbance_search,
-                os.path.join(args.out_dir, "disturbance_landscape.csv"),
-            )
-            with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-                fh.write(eq2_summary_json(result))
+            with _writing(args.out_dir):
+                os.makedirs(args.out_dir, exist_ok=True)
+                trace_to_csv(result.error_search, os.path.join(args.out_dir, "error_landscape.csv"))
+                trace_to_csv(
+                    result.disturbance_search,
+                    os.path.join(args.out_dir, "disturbance_landscape.csv"),
+                )
+                with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
+                    fh.write(eq2_summary_json(result))
             print(eq2_summary_text(result))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -81,14 +81,13 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
     every gap is x[i] - x[i].  The identity test comes first, so that laws
     on different supports pay nothing for the check.
 
-    The merge is one concatenation of the two cumulative sums, sorted and
-    deduplicated in place.  The binary searches, gathers and squared gaps
-    then run over blocks of at most ``W2_BLOCK`` levels, so no index or gap
-    array of the merged size is built.  The blocks split the levels as
-    numpy's pairwise summation splits an array (in halves, rounded down to a
-    multiple of 8), so the block sums add up, bit for bit, to the one
-    ``np.sum`` over all levels.  A support whose weights are all positive
-    is not copied.
+    The two cumulative sums are concatenated and sorted, then summed in order
+    over blocks of at most ``W2_BLOCK`` levels, so no index or gap array of
+    the merged size is built.  Steps run from the last level before (0 at
+    first); a zero step marks a repeated level, which is dropped.  The block
+    sums add up in order, so a merge that fits in one block is exactly one
+    ``np.sum`` over all levels.  A support whose weights are all positive is
+    not copied.
     """
     if (
         d1.support is d2.support
@@ -100,43 +99,24 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
     y, cy = _cumulative_levels(d2)
     levels = np.concatenate((cx, cy))
     levels.sort()
-    distinct = np.empty(levels.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(levels[1:], levels[:-1], out=distinct[1:])
-    m = 0
+    total, prev = 0.0, 0.0
     for j in range(0, levels.size, W2_BLOCK):
-        kept = levels[j : j + W2_BLOCK][distinct[j : j + W2_BLOCK]]
-        levels[m : m + kept.size] = kept
-        m += kept.size
-    return math.sqrt(_gap_sum(levels, 0, m, x, cx, y, cy))
-
-
-def _gap_sum(
-    levels: np.ndarray, lo: int, hi: int, x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray
-) -> float:
-    """sum over the merged levels[lo:hi] of the level step times the squared
-    quantile gap x[i] - y[j], where i and j index the first cumulative sums
-    cx and cy that reach the level, in blocks of at most W2_BLOCK levels
-    split in halves as numpy's pairwise summation splits an array."""
-    n = hi - lo
-    if n > W2_BLOCK:
-        half = n // 2 - n // 2 % 8
-        return _gap_sum(levels, lo, lo + half, x, cx, y, cy) + _gap_sum(levels, lo + half, hi, x, cx, y, cy)
-    shifted = np.subtract(levels[lo:hi], 1e-15)
-    ix = np.searchsorted(cx, shifted)
-    iy = np.searchsorted(cy, shifted)
-    np.minimum(ix, len(x) - 1, out=ix)
-    np.minimum(iy, len(y) - 1, out=iy)
-    du = shifted
-    start = max(lo, 1)
-    np.subtract(levels[start:hi], levels[start - 1 : hi - 1], out=du[start - lo :])
-    if lo == 0:
-        du[0] = levels[0]
-    gap = x[ix]
-    gap -= y[iy]
-    gap *= gap
-    gap *= du
-    return np.sum(gap)
+        u = levels[j : j + W2_BLOCK]
+        du = np.diff(u, prepend=prev)
+        prev = u[-1]
+        step = du != 0.0
+        u, du = u[step], du[step]
+        shifted = np.subtract(u, 1e-15)
+        ix = np.searchsorted(cx, shifted)
+        iy = np.searchsorted(cy, shifted)
+        np.minimum(ix, len(x) - 1, out=ix)
+        np.minimum(iy, len(y) - 1, out=iy)
+        gap = x[ix]
+        gap -= y[iy]
+        gap *= gap
+        gap *= du
+        total += np.sum(gap)
+    return math.sqrt(total)
 
 
 def _cumulative_levels(d: ProbabilityDistribution) -> tuple[np.ndarray, np.ndarray]:

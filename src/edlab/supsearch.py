@@ -46,6 +46,8 @@ class SearchSpec:
             ("p0", self.p0_bounds),
             ("sigma", self.sigma_bounds),
         ):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} bounds must be finite, got ({lo}, {hi})")
             if not hi >= lo:
                 raise ValueError(f"{name} bounds reversed: ({lo}, {hi})")
         s_lo, s_hi = self.sigma_bounds
@@ -149,11 +151,14 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
         raise InvariantViolation("search family empty after confinement filtering")
 
     def golden(lo: float, hi: float, fun: Callable[[float], float], tol: float) -> tuple[float, float]:
-        seen: list[tuple[float, float]] = []
+        # the best (t, value) probed so far; a later probe must beat it
+        peak: tuple[float, float] | None = None
 
         def probe(t: float) -> float:
+            nonlocal peak
             v = fun(t)
-            seen.append((t, v))
+            if peak is None or _better(v, peak[1]):
+                peak = (t, v)
             return v
 
         a, b = lo, hi
@@ -169,11 +174,7 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
                 a, c, fc = c, d, fd
                 d = a + _INVPHI * (b - a)
                 fd = probe(d)
-        best_t, best_f = seen[0]
-        for t, v in seen[1:]:
-            if _better(v, best_f):
-                best_t, best_f = t, v
-        return best_t, best_f
+        return peak
 
     bounds = (spec.x0_bounds, spec.p0_bounds, spec.sigma_bounds)
     steps = (

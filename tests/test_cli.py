@@ -156,11 +156,28 @@ class TestScenarios:
         assert payload["epsilon_o"] == pytest.approx(0.5, rel=1e-3)
         assert payload["eq5_satisfied"] is True
 
-    def test_config_error_exit_code(self, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         # output goes only where --out and --format say
         for given in ("bogus=1", "output.path=report.csv", "output.format=json"):
             assert main(["scenario", "flip", "--set", given]) == 1
             assert "config error: unknown config key" in capsys.readouterr().err
+        # an output path that cannot be created or written
+        missing = tmp_path / "missing" / "x.csv"
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        small = [
+            f"--set=search_{which}.{key}=1"
+            for which in ("err", "dist")
+            for key in ("n_x0", "n_p0", "max_refine_iters")
+        ]
+        sweep = ["sweep", "--axis", "state.x0", "--values", "0", "--set", "scenario=flip"]
+        for argv, path in (
+            (["scenario", "flip", "--out", str(missing)], missing),
+            ([*sweep, "--out", str(missing)], missing),
+            (["eq2", "--out-dir", str(blocker / "eq2"), *small], blocker / "eq2"),
+        ):
+            assert main(argv) == 1, argv
+            assert f"config error: cannot write {path}: " in capsys.readouterr().err, argv
 
     def test_invariant_violation_exit_code(self, capsys):
         assert main(["scenario", "flip", "--set", "state.x0=20"]) == 2
@@ -391,10 +408,12 @@ class TestEq2Verb:
             "search_dist.refine_tol=0",
             "search_dist.max_refine_iters=-1",
             "search_dist.x0_min=2",
+            "search_err.p0_max=inf",
+            "search_err.x0_min=nan",
         ):
             assert main(["eq2", "--out-dir", str(outdir), "--set", bad]) == 1, bad
             err = capsys.readouterr().err
-            assert "config error" in err and bad.partition(".")[0] in err, err
+            assert "config error" in err and bad.partition(".")[0] + ":" in err, err
         assert not outdir.exists()
 
     def test_reads_no_state_key(self, tmp_path, capsys):

@@ -66,6 +66,18 @@ weights_strategy = st.lists(
 ).filter(lambda w: sum(w) > 1e-3)
 
 
+def unit_law(weights, start: float) -> ProbabilityDistribution:
+    """Integer weights on a unit-spaced support that begins at start."""
+    w = np.asarray(weights, float)
+    return ProbabilityDistribution(start + np.arange(w.size, dtype=float), w / w.sum(), 1.0)
+
+
+# (weights a, weights b, shift of b): the first pair's cumulative levels tie
+# at 1/2 and 1; the second law of the second is the first with zero cells
+# between its cells, so every level ties
+TIED_LAWS = (([1, 1, 2], [2, 1, 1], 0), ([2, 0, 1, 1], [2, 0, 0, 0, 1, 0, 1, 0], 1))
+
+
 class TestWasserstein2:
     def test_translated_gaussians(self, std_grid):
         x = std_grid.x
@@ -105,23 +117,17 @@ class TestWasserstein2:
         assert wasserstein2(a, c) <= wasserstein2(a, b) + wasserstein2(b, c) + 1e-9
 
     # small integer weights on unit-spaced supports: zero cells, and the
-    # cumulative levels of two laws often tie exactly (the first example
-    # ties at 1/2 and 1; the second law of the second is the first with
-    # zero cells between its cells, so every level ties)
+    # cumulative levels of two laws often tie exactly (TIED_LAWS)
     @given(
         st.lists(st.integers(0, 3), min_size=1, max_size=12).filter(any),
         st.lists(st.integers(0, 3), min_size=1, max_size=12).filter(any),
         st.integers(-4, 4),
     )
     @settings(max_examples=200, deadline=None)
-    @example([1, 1, 2], [2, 1, 1], 0)
-    @example([2, 0, 1, 1], [2, 0, 0, 0, 1, 0, 1, 0], 1)
+    @example(*TIED_LAWS[0])
+    @example(*TIED_LAWS[1])
     def test_equals_union1d_merge(self, wa, wb, shift):
-        def law(w, start):
-            w = np.asarray(w, float)
-            return ProbabilityDistribution(start + np.arange(w.size, dtype=float), w / w.sum(), 1.0)
-
-        a, b = law(wa, 0.0), law(wb, float(shift))
+        a, b = unit_law(wa, 0.0), unit_law(wb, float(shift))
         assert wasserstein2(a, b) == union1d_wasserstein2(a, b)
         assert wasserstein2(b, a) == union1d_wasserstein2(b, a)
 
@@ -193,11 +199,24 @@ class TestBlockedWasserstein2:
     @pytest.mark.parametrize("case", ("flip_P", "gaussians", "zero_cells"))
     def test_matches_one_pass_merge(self, monkeypatch, n, block, case):
         # 3001 divides no power of two, so every block boundary and the last
-        # block of the in-place deduplication are ragged
+        # block are ragged
         monkeypatch.setattr(metrics, "W2_BLOCK", block)
         a, b = fine_w2_laws(n)[case]
         oracle = unblocked_wasserstein2(a, b)
         for w2 in (wasserstein2(a, b), wasserstein2(b, a)):
+            assert abs(w2 - oracle) <= 1e-14 * oracle, (w2, oracle)
+
+    @pytest.mark.parametrize("block", (1, 2, 3))
+    @pytest.mark.parametrize("wa, wb, shift", TIED_LAWS)
+    def test_tied_levels_across_block_edges(self, monkeypatch, block, wa, wb, shift):
+        # runs of tied levels cross block edges, so a block's first step
+        # runs from the level the block before ended on, and a level the
+        # block before already holds is dropped
+        monkeypatch.setattr(metrics, "W2_BLOCK", block)
+        a, b = unit_law(wa, 0.0), unit_law(wb, float(shift))
+        for d1, d2 in ((a, b), (b, a)):
+            oracle = union1d_wasserstein2(d1, d2)
+            w2 = wasserstein2(d1, d2)
             assert abs(w2 - oracle) <= 1e-14 * oracle, (w2, oracle)
 
     def test_identical_laws_give_exactly_zero(self):
