@@ -83,11 +83,11 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
 
     The two cumulative sums are concatenated and sorted, then summed in order
     over blocks of at most ``W2_BLOCK`` levels, so no index or gap array of
-    the merged size is built.  Steps run from the last level before (0 at
-    first); a zero step marks a repeated level, which is dropped.  The block
-    sums add up in order, so a merge that fits in one block is exactly one
-    ``np.sum`` over all levels.  A support whose weights are all positive is
-    not copied.
+    the merged size is built.  Each step runs from the level before, across
+    block edges too; a zero step marks a repeated level, which is dropped.
+    The block sums add up in order, so a merge that fits in one block is
+    exactly one sum over all levels.  A support whose weights are all
+    positive is not copied.
     """
     if (
         d1.support is d2.support
@@ -97,13 +97,13 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
         return 0.0
     x, cx = _cumulative_levels(d1)
     y, cy = _cumulative_levels(d2)
-    levels = np.concatenate((cx, cy))
+    # 0.0 sorts first, as every level is positive: the first step starts there
+    levels = np.concatenate(((0.0,), cx, cy))
     levels.sort()
-    total, prev = 0.0, 0.0
-    for j in range(0, levels.size, W2_BLOCK):
+    total = 0.0
+    for j in range(1, levels.size, W2_BLOCK):
         u = levels[j : j + W2_BLOCK]
-        du = np.diff(u, prepend=prev)
-        prev = u[-1]
+        du = np.diff(levels[j - 1 : j + W2_BLOCK])
         step = du != 0.0
         u, du = u[step], du[step]
         shifted = np.subtract(u, 1e-15)
@@ -115,7 +115,7 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
         gap -= y[iy]
         gap *= gap
         gap *= du
-        total += np.sum(gap)
+        total += gap.sum()
     return math.sqrt(total)
 
 
