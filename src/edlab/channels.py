@@ -24,7 +24,14 @@ from typing import Union
 
 import numpy as np
 
-from .grids import N_BOUNDARY_POINTS, GridSpec, InvariantViolation, WaveFunction, kernel_transform
+from .grids import (
+    N_BOUNDARY_POINTS,
+    GridSpec,
+    InvariantViolation,
+    WaveFunction,
+    kernel_transform,
+    signed_fft,
+)
 from .states import gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
@@ -142,17 +149,18 @@ class KrausBlock:
     def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
         """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
 
-        Without a kernel the branch array is transformed along the system
-        axis in place and reduced by ``branch_mass``, as ``metrics._kraus_sum``
-        reduces the transforms its P runs.  With a kernel, the law is
-        dx^2/(2 pi hbar) times the DFT of sum_l A(l) c(l) over l = q (mod n),
-        where A is the linear autocorrelation of a (one zero-padded FFT of
-        length 2n) and c the kernel; grid.p starts at -n/2 dp, so the DFT is
-        read fftshifted.
+        Without a kernel the branch array goes through ``signed_fft`` along
+        the system axis in place and is reduced by ``branch_mass`` times its
+        scale, as ``metrics._kraus_sum`` reduces the spectra its P runs.
+        With a kernel, the law is dx^2/(2 pi hbar) times the DFT of
+        sum_l A(l) c(l) over l = q (mod n), where A is the linear
+        autocorrelation of a (one zero-padded FFT of length 2n) and c the
+        kernel; grid.p starts at -n/2 dp, so the DFT is read fftshifted.
         """
         if self.coherence is None:
             branches = self(a)
-            return branch_mass(kernel_transform(branches, 0, grid, -1, out=branches))
+            scale = signed_fft(branches, grid)
+            return branch_mass(branches) * scale
         n = grid.n_points
         # lag l at index l mod 2n: sum_i a_i conj(a_(i-l)), zero at lag n
         lagged = np.fft.ifft(np.abs(np.fft.fft(a, 2 * n)) ** 2)

@@ -557,6 +557,36 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
+def _check_writable(path: str, directory: bool = False) -> None:
+    """ConfigError unless ``path`` looks writable: an output file in an
+    existing directory, or an output directory that exists or can be made
+    under its nearest existing ancestor.  ``main`` calls it before any
+    figure is computed, and it creates nothing, so a run that fails leaves
+    no file.  ``_writing`` still reports what fails when the output is made.
+    """
+    target = os.path.abspath(path)
+    if os.path.exists(target):
+        if os.path.isdir(target) != directory:
+            reason = "is not a directory" if directory else "is a directory"
+        elif not os.access(target, os.W_OK):
+            reason = "permission denied"
+        else:
+            return
+    else:
+        parent = os.path.dirname(target)
+        while directory and not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.exists(parent):
+            reason = f"no directory {parent}"
+        elif not os.path.isdir(parent):
+            reason = f"{parent} is not a directory"
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            reason = f"permission denied in {parent}"
+        else:
+            return
+    raise ConfigError(f"cannot write {path}: {reason}")
+
+
 @contextmanager
 def _writing(path: str):
     """A failure to create or write an output under ``path`` is a
@@ -599,6 +629,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.verb == "scenario":
             cfg = load_config(args.config, args.sets, args.name)
+            if args.out:
+                _check_writable(args.out)
             _, report, table = run_scenario(args.name, cfg)
             print(table)
             if args.out:
@@ -614,12 +646,15 @@ def main(argv: list[str] | None = None) -> int:
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad sweep values {args.values!r}") from exc
+            _check_writable(args.out)
             text = run_sweep(args.axis, values, cfg)
             with _writing(args.out), open(args.out, "w", newline="") as fh:
                 fh.write(text)
             print(f"wrote {len(text.splitlines()) - 1} rows to {args.out}")
         else:
-            result = run_eq2(load_config(args.config, args.sets, None, "eq2"))
+            cfg = load_config(args.config, args.sets, None, "eq2")
+            _check_writable(args.out_dir, directory=True)
+            result = run_eq2(cfg)
             with _writing(args.out_dir):
                 os.makedirs(args.out_dir, exist_ok=True)
                 trace_to_csv(result.error_search, os.path.join(args.out_dir, "error_landscape.csv"))

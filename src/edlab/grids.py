@@ -8,7 +8,7 @@ position amplitudes; ``WaveFunction.momentum`` holds their momentum
 amplitudes on p, unitary with respect to the dx / dp measures, so Parseval
 holds to machine precision.
 
-Every transform between the two grids goes through ``kernel_transform``.
+A state's amplitudes move between the two grids through ``kernel_transform``.
 Because dx * dp = 2*pi*hbar / n exactly, its plane-wave kernel splits into
 the FFT kernel, an exact real sign (-1)^i * (-1)^j, and one twiddle
 exp(-1j*p_j*c/hbar) with c = center + dx/2.  The twiddle's phase arguments
@@ -19,6 +19,11 @@ output product with the scale folded in) and builds no n-size phase array:
 the sign (-1)^i is an exact sign flip of every odd element, and the twiddle
 is multiplied in blocks of ``TWIDDLE_BLOCK`` elements, each block's
 anchor-times-offset product formed just before it is used.
+
+The twiddle and the scale have constant modulus, and a transform forward
+and back multiplies them to 1.  So where only |.|^2 on p is read, or p is
+applied and the result transformed straight back (the Kraus branches in
+``metrics``), ``signed_fft`` runs the sign and the FFT alone.
 
 A state transforms once: ``WaveFunction.momentum`` caches its momentum
 amplitudes, read-only, and ``validate``, ``moments`` and ``distribution``
@@ -264,6 +269,23 @@ def kernel_transform(
         np.multiply(scale, work[even], out=work[even])
         np.multiply(-scale, work[odd], out=work[odd])
     return work
+
+
+def signed_fft(arr: np.ndarray, grid: GridSpec) -> float:
+    """Overwrite ``arr`` with FFT(sigma * arr) along axis 0, sigma_i = (-1)^i,
+    and return dx^2/(2 pi hbar), the factor that turns its |.|^2 into the
+    momentum density on ``grid.p``.
+
+    This is ``kernel_transform(arr, 0, grid, -1)`` without its output
+    product (-1)^j e_j dx/sqrt(2 pi hbar), a factor of constant modulus: the
+    sign sigma already puts the spectrum in the ascending order of grid.p.
+    A transform forward and back takes both output products and the two
+    scales, whose product is 1, so an operator diagonal in momentum is a
+    plain spectral multiplier: P b = sigma * IFFT(p * FFT(sigma * b)).
+    """
+    arr[1::2] *= -1.0
+    np.fft.fft(arr, axis=0, out=arr)
+    return grid.dx**2 / (2.0 * np.pi * grid.hbar)
 
 
 def _multiply_twiddle(

@@ -44,6 +44,7 @@ from .grids import (
     distribution,
     kernel_transform,
     moments,
+    signed_fft,
 )
 
 logger = logging.getLogger(__name__)
@@ -176,24 +177,29 @@ def _kraus_sum(
     The one place where B acts on branches: a chunk of a block's columns at
     a time, about BRANCH_ELEMS elements, so the pointer's (n_s, n_p) branch
     array is never built, and B acts on each chunk in place while it is in
-    cache (X by x; P forward, by p, and back).  ``term`` reduces one chunk's
-    pair of branch arrays to a number and may overwrite them; the pair is
-    freed before the next chunk is built.  With
+    cache.  X multiplies by x.  P is a plain spectral multiplier,
+    P b = sigma * IFFT(p * FFT(sigma * b)) with sigma_i = (-1)^i (see
+    ``grids.signed_fft``), and the closing sigma is left off: the chunk of
+    K B psi takes sigma instead, so ``term`` gets sigma times both operands,
+    which leaves |gap|^2, |B K psi|^2 and their inner product as they are.
+    sigma goes on after K, as the flip's reversal would change its sign.
+    ``term`` reduces one chunk's pair of branch arrays to a number and may
+    overwrite them; the pair is freed before the next chunk is built.  With
     ``skip_commuting``, a block that commutes with B adds nothing and is not
     built: a block of step 1 weights each system point, so it commutes with X.
 
     With ``law``, zeros on grid.p, a P sum also adds the P law after the
     channel into it, block by block in order, as ``busch_state_disturbance``
     does.  A block without a coherence kernel adds ``branch_mass`` of each
-    chunk's forward transform, before the x p step, so that transform is not
-    run twice; a block with a kernel adds its ``momentum_mass``.  B psi is
-    formed after the first chunk's B K psi, so it is not alive while the
-    first share is squared.
+    chunk's spectrum, times the scale of ``signed_fft``, before the x p step,
+    so that FFT is not run twice; a block with a kernel adds its
+    ``momentum_mass``.  B psi is formed after the first chunk's B K psi, so
+    it is not alive while the first share is squared.
 
     A chunk of a block without a kernel that is exactly 0 (the slit's fail
     branch when the window covers psi) is not transformed and adds nothing
-    to the law: its transforms are exactly 0, so every figure is
-    bit-identical.  The pointer's chunks are never 0, and are not checked.
+    to the law: its FFTs are exactly 0, so every figure is bit-identical.
+    The pointer's chunks are never 0, and are not checked.
     """
     _check_observable(observable)
     g = psi.grid
@@ -212,15 +218,18 @@ def _kraus_sum(
             if observable == "X":
                 np.multiply(g.x[:, None], b_k, out=b_k)
             elif k.coherence is not None or b_k.any():
-                kernel_transform(b_k, 0, g, -1, out=b_k)
+                scale = signed_fft(b_k, g)
                 if law is not None and k.coherence is None:
-                    law += branch_mass(b_k) * k.measure
+                    law += branch_mass(b_k) * scale * k.measure
                 b_k *= g.p[:, None]
-                kernel_transform(b_k, 0, g, +1, out=b_k)
+                np.fft.ifft(b_k, axis=0, out=b_k)
             if b_psi is None:
                 b_psi = _observable_on_state(psi, observable)
-            total += term(b_k, k(b_psi, columns)) * g.dx * k.measure
-            del b_k  # freed before the next chunk is built
+            k_b = k(b_psi, columns)
+            if observable == "P":
+                k_b[1::2] *= -1.0  # sigma, as on b_k
+            total += term(b_k, k_b) * g.dx * k.measure
+            del b_k, k_b  # freed before the next chunk is built
     return total
 
 
@@ -261,10 +270,11 @@ def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: Observabl
 
 
 def _squared_gap(b_k: np.ndarray, k_b: np.ndarray) -> float:
-    """sum |B K_m psi - K_m B psi|^2 over a chunk, the term of eta^2,
-    squared in place."""
-    gap = np.abs(np.subtract(b_k, k_b, out=b_k))
-    return float(np.sum(np.square(gap, out=gap)))
+    """sum |B K_m psi - K_m B psi|^2 over a chunk, the term of eta^2: the gap
+    is formed in place and its real and imaginary parts squared in place,
+    without the BLAS thread pool that ``np.vdot`` would start."""
+    parts = np.subtract(b_k, k_b, out=b_k).view(np.float64)
+    return float(np.square(parts, out=parts).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +458,14 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
     conventional error figure, labeled as such.  The probe coupling reports
     the RMS pointer error and both distribution-distance figures.
 
-    eta_P and the P law after share one momentum transform per Kraus branch
+    eta_P and the P law after share one forward FFT per Kraus branch
     (``_momentum_figures``): ``_kraus_sum`` adds each branch's law from the
-    forward transform of P, so the flip's report transforms 4 times, the
-    slit's 6, where separate calls of ``ozawa_disturbance`` and
-    ``busch_state_disturbance`` would take 5 and 8.  A slit whose window
-    covers the state transforms 4 times: its fail branch is exactly 0 and
-    is not transformed.  Each figure is bit-identical to its separate call.
+    spectrum its P multiplier forms.  So ``kernel_transform`` runs twice for
+    the flip or the slit (psi once, P psi once) and 4 times for the pointer
+    (psi, the ready state, the table and P psi); the branches take an FFT
+    and an inverse FFT each, and a slit whose window covers the state skips
+    its fail branch, which is exactly 0.  Each figure is bit-identical to
+    its separate call.
     """
     mom = moments(psi)
     eta_p, w2_p = _momentum_figures(channel, psi)

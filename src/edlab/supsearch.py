@@ -50,6 +50,11 @@ class SearchSpec:
                 raise ValueError(f"{name} bounds must be finite, got ({lo}, {hi})")
             if not hi >= lo:
                 raise ValueError(f"{name} bounds reversed: ({lo}, {hi})")
+        x_lo, x_hi = self.x0_bounds
+        if x_lo < grid.x_min or x_hi > grid.x_max:
+            raise ValueError(
+                f"x0 bounds ({x_lo}, {x_hi}) outside the grid domain [{grid.x_min}, {grid.x_max}]"
+            )
         s_lo, s_hi = self.sigma_bounds
         min_sigma = MIN_CELLS_PER_SIGMA * grid.dx
         if s_lo < min_sigma:

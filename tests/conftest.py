@@ -17,7 +17,7 @@ from edlab import (
     probe_grid_for,
 )
 from edlab.channels import apply_von_neumann, check_confinement, embed_joint, kraus_of
-from edlab.grids import kernel_transform
+from edlab.grids import kernel_transform, signed_fft
 from edlab.metrics import W2_FLOOR
 
 
@@ -225,6 +225,28 @@ def unchunked_kraus_sum(channel, psi, observable: str, term, skip_commuting: boo
             continue
         total += term(apply(k(psi.amplitudes)), k(b_psi)) * g.dx * k.measure
     return total
+
+
+def unskipped_eta_p(channel, psi) -> float:
+    """eta_P from each block's whole branch array through the spectral P of
+    ``metrics._kraus_sum``: sigma, FFT, x p and inverse FFT on B K psi, sigma
+    on K B psi, and |gap|^2 as the sum of its squared real and imaginary
+    parts, with every block transformed, also one that is exactly 0.  The
+    oracle, bit for bit, of the Kraus loop's zero-branch skip."""
+    g = psi.grid
+    mom = psi.momentum * g.p
+    b_psi = kernel_transform(mom, 0, g, +1, out=mom)
+    total = 0.0
+    for k in kraus_of(channel, g):
+        b_k = k(psi.amplitudes)
+        signed_fft(b_k, g)
+        b_k *= g.p[:, None]
+        np.fft.ifft(b_k, axis=0, out=b_k)
+        k_b = k(b_psi)
+        k_b[1::2] *= -1.0
+        parts = (b_k - k_b).view(np.float64)
+        total += float(np.sum(parts * parts)) * g.dx * k.measure
+    return math.sqrt(total)
 
 
 def unchunked_ozawa_disturbance(channel, psi, observable: str) -> float:

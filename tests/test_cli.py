@@ -161,23 +161,35 @@ class TestScenarios:
         for given in ("bogus=1", "output.path=report.csv", "output.format=json"):
             assert main(["scenario", "flip", "--set", given]) == 1
             assert "config error: unknown config key" in capsys.readouterr().err
-        # an output path that cannot be created or written
+
+    def test_unwritable_output_fails_before_computing(self, tmp_path, capsys, monkeypatch):
+        # an output path that cannot be created or written is a config error
+        # before any figure or search runs, and the run creates nothing
+        from edlab import cli
+
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the output was checked")
+
+        monkeypatch.setattr(cli, "compute_report", computed)
+        monkeypatch.setattr(cli, "eq2_check", computed)
         missing = tmp_path / "missing" / "x.csv"
         blocker = tmp_path / "file"
         blocker.write_text("")
-        small = [
-            f"--set=search_{which}.{key}=1"
-            for which in ("err", "dist")
-            for key in ("n_x0", "n_p0", "max_refine_iters")
-        ]
         sweep = ["sweep", "--axis", "state.x0", "--values", "0", "--set", "scenario=flip"]
         for argv, path in (
             (["scenario", "flip", "--out", str(missing)], missing),
+            (["scenario", "flip", "--out", str(tmp_path)], tmp_path),
             ([*sweep, "--out", str(missing)], missing),
-            (["eq2", "--out-dir", str(blocker / "eq2"), *small], blocker / "eq2"),
+            (["eq2", "--out-dir", str(blocker / "eq2")], blocker / "eq2"),
+            (["eq2", "--out-dir", str(blocker / "eq2" / "sub")], blocker / "eq2" / "sub"),
+            (["eq2", "--out-dir", str(blocker)], blocker),
         ):
             assert main(argv) == 1, argv
-            assert f"config error: cannot write {path}: " in capsys.readouterr().err, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert f"config error: cannot write {path}: " in err, argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert blocker.read_text() == ""
 
     def test_invariant_violation_exit_code(self, capsys):
         assert main(["scenario", "flip", "--set", "state.x0=20"]) == 2
@@ -410,6 +422,9 @@ class TestEq2Verb:
             "search_dist.x0_min=2",
             "search_err.p0_max=inf",
             "search_err.x0_min=nan",
+            # finite, but outside the grid's [-16, 16]
+            "search_err.x0_max=1e300",
+            "search_dist.x0_min=-17",
         ):
             assert main(["eq2", "--out-dir", str(outdir), "--set", bad]) == 1, bad
             err = capsys.readouterr().err

@@ -44,6 +44,7 @@ from conftest import (
     unblocked_wasserstein2,
     unchunked_ozawa_disturbance,
     union1d_wasserstein2,
+    unskipped_eta_p,
     unitary_dft,
 )
 
@@ -407,6 +408,41 @@ class TestOzawaDisturbance:
                     weak = lund_wiseman_eta(channel, psi, obs)
                     assert abs(weak**2 - max(raw, 0.0)) <= 1e-14 * magnitude, (channel, obs)
 
+    @pytest.mark.parametrize("hbar, x_min, x_max", [(1.0, -8.0, 8.0), (2.0, -5.0, 11.0)])
+    def test_p_multiplier_matches_dense_dft(self, hbar, x_min, x_max):
+        # the Kraus loop's two operands are sigma P K psi and sigma K P psi,
+        # sigma_i = (-1)^i, and its P law after is sum_m |F K_m psi|^2 / dp,
+        # for P = F^dag diag(p) F from a dense unitary DFT F; the off-centre
+        # grid has a twiddle that is not 1
+        grid = make_grid(64, x_min, x_max, hbar)
+        dft = unitary_dft(grid)
+        dense_p = dft.conj().T @ (grid.p[:, None] * dft)
+        sigma = (-1.0) ** np.arange(64)[:, None]
+        psi = make_state(grid, BumpState(grid.center, 2.0))
+        channels = [SlitChannel(grid.center + 0.5, 3.0), make_vn_channel(grid, psi, 1.0, 0.5, 64)]
+        if grid.is_symmetric():
+            channels.append(FlipChannel())
+        for channel in channels:
+            operands = []
+
+            def keep(b_k, k_b):
+                operands.append((b_k.copy(), k_b.copy()))
+                return 0.0
+
+            law = np.zeros(64)
+            metrics._kraus_sum(channel, psi, "P", keep, law=law)
+            blocks = kraus_of(channel, grid)
+            assert len(operands) == len(blocks)  # one chunk per block at n = 64
+            dense_law = np.zeros(64)
+            for k, (b_k, k_b) in zip(blocks, operands):
+                branches = k(psi.amplitudes)
+                for got, want in ((b_k, dense_p @ branches), (k_b, k(dense_p @ psi.amplitudes))):
+                    want = sigma * want
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), channel
+                spectra = dft @ (branches * math.sqrt(grid.dx))
+                dense_law += np.sum(np.abs(spectra) ** 2, axis=1) / grid.dp * k.measure
+            assert np.max(np.abs(law - dense_law)) <= 1e-13 * np.max(dense_law), channel
+
     def test_kraus_joint_equivalence(self):
         grid = make_grid(64, -8, 8)
         for spec in (BumpState(0, 2), RandomState(3, 4), RandomState(11, 5)):
@@ -485,7 +521,8 @@ class TestReportMatchesSeparateCalls:
         # oracle transforms it, the Kraus loop does not
         psi = make_state(std_grid, BumpState(0.0, 1.0))
         channel = SlitChannel(0.0, 4.0)
-        oracle = unchunked_ozawa_disturbance(channel, psi, "P")
+        assert not kraus_of(channel, std_grid)[1](psi.amplitudes).any()
+        oracle = unskipped_eta_p(channel, psi)
         assert compute_report(channel, psi).eta_o_P == oracle
         assert ozawa_disturbance(channel, psi, "P") == oracle
 
@@ -662,29 +699,17 @@ class TestPointerMemory:
 # ---------------------------------------------------------------------------
 
 class TestTransformCounts:
-    @pytest.mark.parametrize(
-        "spec, channel, expected",
-        [
-            # validate 1; eta_P: P psi 1 + one block forward and back 2;
-            # the P law after reads the block's forward transform: 0
-            (GaussianState(1.0, 0.5, 1.0), FlipChannel(), 4),
-            # as the flip, with the slit's two blocks: 1 + 1 + 4 + 0
-            (BumpState(0.0, 1.0), SlitChannel(0.0, 1.0), 6),
-            # the window covers the bump, so the fail branch is exactly 0
-            # and is not transformed: 1 + 1 + 2 + 0
-            (BumpState(0.0, 1.0), SlitChannel(0.0, 4.0), 4),
-        ],
-    )
-    def test_state_transforms_to_momentum_once(self, std_grid, monkeypatch, spec, channel, expected):
-        # every later read of psi's momentum amplitudes (moments, the P law
-        # before, P psi) uses the view that validation computed
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Patch every edlab binding of ``kernel_transform`` and numpy's fft
+        and ifft to count their calls; returns the two lists of calls."""
         import edlab.grids
 
         original = edlab.grids.kernel_transform
-        calls = []
+        transforms, ffts = [], []
 
         def counted(*args, **kwargs):
-            calls.append(args[3])
+            transforms.append(args[3])
             return original(*args, **kwargs)
 
         binders = [
@@ -694,9 +719,49 @@ class TestTransformCounts:
         assert {m.__name__ for m in binders} >= {"edlab.grids", "edlab.channels", "edlab.metrics"}
         for module in binders:
             monkeypatch.setattr(module, "kernel_transform", counted)
+
+        def counted_fft(fn):
+            def call(*args, **kwargs):
+                ffts.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted_fft(getattr(np.fft, name)))
+        return transforms, ffts
+
+    @pytest.mark.parametrize(
+        "spec, channel, expected",
+        [
+            # validate 1 and P psi 1, both through kernel_transform; the
+            # block's P multiplier: one FFT forward and one back, 2; the P
+            # law after reads the block's forward FFT: 0
+            (GaussianState(1.0, 0.5, 1.0), FlipChannel(), 4),
+            # as the flip, with the slit's two blocks: 1 + 1 + 4 + 0
+            (BumpState(0.0, 1.0), SlitChannel(0.0, 1.0), 6),
+            # the window covers the bump, so the fail branch is exactly 0
+            # and is not transformed: 1 + 1 + 2 + 0
+            (BumpState(0.0, 1.0), SlitChannel(0.0, 4.0), 4),
+        ],
+    )
+    def test_state_transforms_to_momentum_once(self, std_grid, counts, spec, channel, expected):
+        # every later read of psi's momentum amplitudes (moments, the P law
+        # before, P psi) uses the view that validation computed; ``expected``
+        # counts every FFT, those inside kernel_transform too
+        transforms, ffts = counts
         psi = make_state(std_grid, spec)
         compute_report(channel, psi)
-        assert len(calls) == expected, calls
+        assert transforms == [-1, 1], transforms
+        assert len(ffts) == expected, ffts
+
+    def test_pointer_report_transforms_four_times(self, std_grid, counts):
+        # psi, the ready state, the table's shifted rows and P psi; the
+        # branches and the P law after take plain FFTs only
+        transforms, _ = counts
+        psi = make_state(std_grid, GaussianState(0.5, 1.0, 1.0))
+        compute_report(make_vn_channel(std_grid, psi, 1.0, 0.5), psi)
+        assert transforms == [-1, -1, 1, 1], transforms
 
 
 # ---------------------------------------------------------------------------

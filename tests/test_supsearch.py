@@ -119,6 +119,12 @@ class TestMaximize:
             sigma_spec(lo=0.5).validate(std_grid)
         with pytest.raises(ValueError, match=r"^sigma_hi 5\.0 exceeds domain/8 = 4\.0$"):
             sigma_spec(hi=5.0).validate(std_grid)
+        # the x0 bounds stay on the grid, so they cannot size a probe past it
+        for x0_bounds in ((-1.0, 1e300), (-16.5, 0.0)):
+            spec = SearchSpec(x0_bounds, (0.0, 0.0), (1.0, 4.0))
+            with pytest.raises(ValueError, match=r"^x0 bounds .* outside the grid domain \[-16\.0, 16\.0\]$"):
+                spec.validate(std_grid)
+        SearchSpec((-16.0, 16.0), (0.0, 0.0), (1.0, 4.0)).validate(std_grid)
 
     def test_trace_csv(self, std_grid, tmp_path):
         channel = family_probe(std_grid, None, 1.0, 0.5)
