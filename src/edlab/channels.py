@@ -155,7 +155,8 @@ class KrausBlock:
         With a kernel, the law is dx^2/(2 pi hbar) times the DFT of
         sum_l A(l) c(l) over l = q (mod n), where A is the linear
         autocorrelation of a (one zero-padded FFT of length 2n) and c the
-        kernel; grid.p starts at -n/2 dp, so the DFT is read fftshifted.
+        kernel; grid.p starts at -n/2 dp, so the DFT is read from index n/2
+        to the end, then from 0 (two slices, the permutation of fftshift).
         """
         if self.coherence is None:
             branches = self(a)
@@ -167,7 +168,7 @@ class KrausBlock:
         folded = lagged[:n] * self.coherence[:n]
         folded[1:] += lagged[n + 1 :] * self.coherence[n:]
         law = np.fft.fft(folded).real * (grid.dx**2 / (2.0 * np.pi * grid.hbar))
-        return np.fft.fftshift(law)
+        return np.concatenate((law[n // 2 :], law[: n // 2]))
 
 
 def branch_mass(branches: np.ndarray) -> np.ndarray:
@@ -333,7 +334,7 @@ def check_confinement(channel: Channel, psi: WaveFunction) -> None:
     if isinstance(channel, VonNeumannChannel):
         pg = channel.probe.grid
         row_edge = channel.table(psi.grid).row_edge
-        edge_mass = float(np.sum(np.abs(psi.amplitudes) ** 2 * row_edge) * psi.grid.dx * pg.dx)
+        edge_mass = float((np.abs(psi.amplitudes) ** 2 * row_edge).sum() * psi.grid.dx * pg.dx)
         if edge_mass > CONFINEMENT_TOL:
             raise ConfinementError(
                 f"probe confinement violated after shift: edge mass {edge_mass:.3e} "

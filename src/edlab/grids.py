@@ -13,12 +13,14 @@ Because dx * dp = 2*pi*hbar / n exactly, its plane-wave kernel splits into
 the FFT kernel, an exact real sign (-1)^i * (-1)^j, and one twiddle
 exp(-1j*p_j*c/hbar) with c = center + dx/2.  The twiddle's phase arguments
 are at most pi/2 on a centred grid, so no ``exp`` is evaluated at the large
-arguments p*x/hbar, and it is built from about 2*sqrt(n) ``exp`` values.
+arguments p*x/hbar.  Its constants, about 2*sqrt(n) ``exp`` values and the
+scale, are built once per grid and direction (``GridSpec.twiddles``).
 A transform is three full-size passes (input product, FFT in place, and
 output product with the scale folded in) and builds no n-size phase array:
 the sign (-1)^i is an exact sign flip of every odd element, and the twiddle
 is multiplied in blocks of ``TWIDDLE_BLOCK`` elements, each block's
-anchor-times-offset product formed just before it is used.
+anchor-times-offset product formed just before it is used; a grid that fits
+one block keeps its whole twiddle with the constants.
 
 The twiddle and the scale have constant modulus, and a transform forward
 and back multiplies them to 1.  So where only |.|^2 on p is read, or p is
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -67,8 +69,8 @@ class GridSpec:
     x_min, x_max : domain edges (grid points sit strictly inside)
     hbar : value of the reduced Planck constant (default 1)
 
-    ``x``, ``p`` and ``aliasing_band`` are built once per grid object and
-    are read-only.
+    ``x``, ``p``, ``aliasing_band`` and ``twiddles`` are built once per grid
+    object and are read-only.
     """
 
     n_points: int
@@ -114,6 +116,11 @@ class GridSpec:
         magnitude = np.abs(self.p)
         return _read_only(magnitude >= 0.9 * magnitude.max())
 
+    @cached_property
+    def twiddles(self) -> dict[int, Twiddle]:
+        """``kernel_transform``'s constants for sign -1 and +1, keyed by sign."""
+        return {sign: _twiddle(self, sign) for sign in (-1, 1)}
+
     @property
     def center(self) -> float:
         return 0.5 * (self.x_min + self.x_max)
@@ -126,6 +133,35 @@ class GridSpec:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class Twiddle(NamedTuple):
+    """The constants of ``kernel_transform`` on one grid in one direction,
+    all read-only: the twiddle at j = a*b + r is anchors[a] * offsets[r]
+    (see there), and ``whole`` holds that product for every j when the grid
+    fits one block of ``TWIDDLE_BLOCK`` elements, None otherwise."""
+
+    anchors: np.ndarray
+    offsets: np.ndarray
+    whole: np.ndarray | None
+    scale: float
+
+
+def _twiddle(grid: GridSpec, sign: int) -> Twiddle:
+    n = grid.n_points
+    b = 1 << (n.bit_length() - 1) // 2
+    phase = sign * 1j * (grid.center + 0.5 * grid.dx) / grid.hbar
+    # grid.p[::b], bit for bit, without building the cached n-point grid.p
+    anchors = np.exp(phase * ((np.arange(0, n, b) - n // 2) * grid.dp))
+    offsets = np.exp(phase * (np.arange(b) * grid.dp))
+    offsets[1::2] *= -1.0
+    scale = (grid.dx if sign < 0 else n * grid.dp) / np.sqrt(2.0 * np.pi * grid.hbar)
+    if sign < 0:
+        anchors *= scale
+    whole = None
+    if n <= TWIDDLE_BLOCK:
+        whole = _read_only(np.multiply(anchors[:, None], offsets))
+    return Twiddle(_read_only(anchors), _read_only(offsets), whole, scale)
 
 
 def make_grid(n_points: int, x_min: float, x_max: float, hbar: float = 1.0) -> GridSpec:
@@ -160,7 +196,7 @@ class WaveFunction:
             raise ValueError(
                 f"amplitudes shape {a.shape} does not match grid ({self.grid.n_points},)"
             )
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", _read_only(a))
 
@@ -170,7 +206,7 @@ class WaveFunction:
         return _read_only(kernel_transform(self.amplitudes, 0, self.grid, -1))
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx))
+        return float(np.sqrt((np.abs(self.amplitudes) ** 2).sum() * self.grid.dx))
 
     def validate(self) -> "WaveFunction":
         """Check normalization, boundary confinement and aliasing control.
@@ -185,13 +221,13 @@ class WaveFunction:
             (self.amplitudes[:N_BOUNDARY_POINTS], self.amplitudes[-N_BOUNDARY_POINTS:])
         )
         edge_mass = np.abs(edge) ** 2 * self.grid.dx
-        if np.any(edge_mass > BOUNDARY_TOL):
+        if (edge_mass > BOUNDARY_TOL).any():
             raise InvariantViolation(
                 f"boundary confinement violated: edge probability {edge_mass.max():.3e} "
                 f"exceeds {BOUNDARY_TOL}"
             )
         band = self.grid.aliasing_band
-        band_mass = float(np.sum(np.abs(self.momentum[band]) ** 2) * self.grid.dp)
+        band_mass = float((np.abs(self.momentum[band]) ** 2).sum() * self.grid.dp)
         if band_mass > ALIASING_TOL:
             raise InvariantViolation(
                 f"aliasing control violated: near-Nyquist momentum mass {band_mass:.3e} "
@@ -223,36 +259,31 @@ def kernel_transform(
     as in ``channels._conditional_shift``: with b = 2^floor(log2(n)/2), e at
     j = a*b + r is anchor a times offset r, n/b + b calls of ``exp`` and one
     complex product per element, and b is even, so (-1)^j = (-1)^r is
-    folded into the offsets.
+    folded into the offsets.  These constants and the scale are built once
+    per grid and direction and kept read-only (``GridSpec.twiddles``), so a
+    transform on a grid used before evaluates no ``exp``.
 
     No n-size phase array is built.  The sign (-1)^i is an exact flip of the
     odd element of each pair: for -1 it is multiplied by -1, and for +1,
     where the sign carries the scale, the even elements are multiplied by
-    the scale and the odd ones by its negative.  The twiddle is multiplied in blocks of whole anchor rows, about
-    ``TWIDDLE_BLOCK`` elements each, and each block's anchor-times-offset
-    product is formed just before it is used; a grid of n <= 2^14 takes one
-    block.  Every element gets the same products as from the full arrays.
+    the scale and the odd ones by its negative.  The twiddle is multiplied
+    in blocks of whole anchor rows, about ``TWIDDLE_BLOCK`` elements each,
+    and each block's anchor-times-offset product is formed just before it is
+    used; a grid of n <= 2^14 takes one block, the grid's cached whole
+    twiddle.  Every element gets the same products as from the full arrays.
 
     ``out`` follows numpy's idiom: the result is written into it and
     returned, so ``out=arr`` transforms in place.  Without it, one new array
     of the input's size holds the result and ``arr`` is left untouched; the
     FFT and the output product run inside that one array.
     """
-    n = grid.n_points
-    b = 1 << (n.bit_length() - 1) // 2
-    phase = sign * 1j * (grid.center + 0.5 * grid.dx) / grid.hbar
-    # grid.p[::b], bit for bit, without building the cached n-point grid.p
-    anchors = np.exp(phase * ((np.arange(0, n, b) - n // 2) * grid.dp))
-    offsets = np.exp(phase * (np.arange(b) * grid.dp))
-    offsets[1::2] *= -1.0
-    scale = (grid.dx if sign < 0 else n * grid.dp) / np.sqrt(2.0 * np.pi * grid.hbar)
+    twiddle = grid.twiddles[sign]
     index = [slice(None)] * arr.ndim
     index[axis] = slice(0, None, 2)
     even = tuple(index)
     index[axis] = slice(1, None, 2)
     odd = tuple(index)
     if sign < 0:
-        anchors *= scale
         if out is None:
             work = np.array(arr, dtype=complex)
         else:
@@ -261,13 +292,13 @@ def kernel_transform(
                 np.copyto(work, arr)
         np.multiply(work[odd], -1.0, out=work[odd])
         np.fft.fft(work, axis=axis, out=work)
-        _multiply_twiddle(work, work, axis, anchors, offsets, twiddle_first=True)
+        _multiply_twiddle(work, work, axis, twiddle, twiddle_first=True)
     else:
         work = np.empty_like(arr, dtype=complex) if out is None else out
-        _multiply_twiddle(arr, work, axis, anchors, offsets, twiddle_first=False)
+        _multiply_twiddle(arr, work, axis, twiddle, twiddle_first=False)
         np.fft.ifft(work, axis=axis, out=work)
-        np.multiply(scale, work[even], out=work[even])
-        np.multiply(-scale, work[odd], out=work[odd])
+        np.multiply(twiddle.scale, work[even], out=work[even])
+        np.multiply(-twiddle.scale, work[odd], out=work[odd])
     return work
 
 
@@ -292,24 +323,26 @@ def _multiply_twiddle(
     src: np.ndarray,
     dst: np.ndarray,
     axis: int,
-    anchors: np.ndarray,
-    offsets: np.ndarray,
+    twiddle: Twiddle,
     twiddle_first: bool,
 ) -> None:
     """dst = src * e along ``axis`` for e_(a*b + r) = anchors[a] * offsets[r],
     formed and used in blocks of whole anchor rows, about TWIDDLE_BLOCK
-    elements each.  ``twiddle_first`` puts e as the first factor of each
-    product, as in the transform's full-array products: numpy's complex
-    product is not bitwise commutative.  ``src`` may be ``dst``."""
+    elements each; a grid that fits one block uses its cached ``whole``.
+    ``twiddle_first`` puts e as the first factor of each product, as in the
+    transform's full-array products: numpy's complex product is not bitwise
+    commutative.  ``src`` may be ``dst``."""
+    anchors, offsets, whole = twiddle.anchors, twiddle.offsets, twiddle.whole
     n_anchors, b = anchors.size, offsets.size
     rows = min(n_anchors, max(1, TWIDDLE_BLOCK // b))  # powers of two: rows divides n_anchors
-    e = np.empty((rows, b), dtype=complex)
+    e = np.empty((rows, b), dtype=complex) if whole is None else whole
     shape = [1] * dst.ndim
     shape[axis] = rows * b
     e_along = e.reshape(shape)
     index = [slice(None)] * dst.ndim
     for a0 in range(0, n_anchors, rows):
-        np.multiply(anchors[a0 : a0 + rows, None], offsets, out=e)
+        if whole is None:
+            np.multiply(anchors[a0 : a0 + rows, None], offsets, out=e)
         index[axis] = slice(a0 * b, (a0 + rows) * b)
         block = dst[tuple(index)]
         factor = block if src is dst else src[tuple(index)]
@@ -362,18 +395,15 @@ class ProbabilityDistribution:
         w = np.asarray(self.weights, dtype=float)
         if s.shape != w.shape or s.ndim != 1:
             raise ValueError("support and weights must be 1D arrays of equal length")
-        # a NaN or inf in either array, even at a zero weight, makes this
-        # one product non-finite (0 * inf is NaN)
-        with np.errstate(invalid="ignore"):
-            finite = np.isfinite(np.dot(s, w))
-        if not finite:
+        # a NaN or inf in either array is rejected, even at a zero weight
+        if not (np.isfinite(s).all() and np.isfinite(w).all()):
             raise InvariantViolation("distribution support and weights must be finite")
-        w_min = np.min(w)
+        w_min = w.min()
         if w_min < -1e-10:
             raise InvariantViolation(f"negative weight {w_min:.3e} below tolerance")
         if w_min < 0.0:  # rounding negatives; clamp into a new array, never the caller's
             w = np.maximum(w, 0.0)
-        total = float(np.sum(w) * self.spacing)
+        total = float(w.sum() * self.spacing)
         if abs(total - 1.0) > NORM_TOL:
             raise InvariantViolation(f"distribution mass {total!r} deviates from 1")
         object.__setattr__(self, "support", s)

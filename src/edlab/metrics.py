@@ -104,7 +104,7 @@ def wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> fl
     total = 0.0
     for j in range(1, levels.size, W2_BLOCK):
         u = levels[j : j + W2_BLOCK]
-        du = np.diff(levels[j - 1 : j + W2_BLOCK])
+        du = u - levels[j - 1 : j - 1 + u.size]
         step = du != 0.0
         u, du = u[step], du[step]
         shifted = np.subtract(u, 1e-15)
@@ -140,7 +140,7 @@ def _cumulative_levels(d: ProbabilityDistribution) -> tuple[np.ndarray, np.ndarr
     kept = w > W2_FLOOR * w.max()
     if not kept.all():
         support, w = support[kept], w[kept]
-    c = np.cumsum(w, out=w)
+    c = w.cumsum(out=w)
     c /= c[-1]
     return support, c
 
@@ -365,7 +365,11 @@ def lund_wiseman_eta(channel: Channel, psi: WaveFunction, observable: Observable
     m_in = float(np.sum(np.abs(b_psi) ** 2) * psi.grid.dx)
 
     def out_minus_twice_cross(b_k: np.ndarray, k_b: np.ndarray) -> float:
-        return float(np.sum(np.abs(b_k) ** 2)) - 2.0 * float(np.real(np.vdot(k_b, b_k)))
+        # Re<k_b, b_k> and |b_k|^2 from the float64 views, in place and
+        # without the BLAS thread pool that np.vdot would start
+        b_parts, k_parts = b_k.view(np.float64), k_b.view(np.float64)
+        cross = float(np.multiply(k_parts, b_parts, out=k_parts).sum())
+        return float(np.square(b_parts, out=b_parts).sum()) - 2.0 * cross
 
     raw = m_in + _kraus_sum(channel, psi, observable, out_minus_twice_cross)
     if raw < 0.0:

@@ -65,15 +65,25 @@ def _check_margin(grid: GridSpec, lo: float, hi: float, what: str) -> None:
 
 
 def _normalized(grid: GridSpec, amplitudes: np.ndarray) -> WaveFunction:
-    nrm = np.sqrt(np.sum(np.abs(amplitudes) ** 2) * grid.dx)
-    return WaveFunction(grid, amplitudes / nrm)
+    """The state of ``amplitudes`` divided by their norm, in place."""
+    amplitudes /= np.sqrt((np.abs(amplitudes) ** 2).sum() * grid.dx)
+    return WaveFunction(grid, amplitudes)
 
 
 def gaussian_amplitudes(grid: GridSpec, x0: float, p0: float, sigma: float) -> np.ndarray:
-    """Unnormalized minimum-uncertainty packet: DeltaX = sigma, <P> = p0."""
+    """Unnormalized minimum-uncertainty packet: DeltaX = sigma, <P> = p0, formed
+    in place in the order of c * exp(-(x - x0)^2 / (4 sigma^2)) * exp(1j p0 x / hbar)."""
     x = grid.x
-    envelope = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((x - x0) ** 2) / (4.0 * sigma**2))
-    return envelope * np.exp(1j * p0 * x / grid.hbar)
+    envelope = np.subtract(x, x0)
+    np.square(envelope, out=envelope)
+    np.negative(envelope, out=envelope)
+    envelope /= 4.0 * sigma**2
+    np.exp(envelope, out=envelope)
+    np.multiply((2.0 * np.pi * sigma**2) ** (-0.25), envelope, out=envelope)
+    wave = np.multiply(1j * p0, x)
+    wave /= grid.hbar
+    np.exp(wave, out=wave)
+    return np.multiply(envelope, wave, out=wave)
 
 
 def _hermite_series(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -339,6 +339,18 @@ class TestPointerTable:
                             law = block.momentum_mass(a, grid) * dy
                             assert np.max(np.abs(law - oracle)) < 1e-14, (hbar, g, probe_grid, boost)
 
+    def test_momentum_mass_equals_fftshift_form(self, std_grid, vn_default):
+        # the law read from two slices is np.fft.fftshift of the DFT, bit for bit
+        (block,) = kraus_of(vn_default[0], std_grid)
+        n = std_grid.n_points
+        for seed in range(3):
+            a = random_amplitudes(std_grid, seed)
+            lagged = np.fft.ifft(np.abs(np.fft.fft(a, 2 * n)) ** 2)
+            folded = lagged[:n] * block.coherence[:n]
+            folded[1:] += lagged[n + 1 :] * block.coherence[n:]
+            law = np.fft.fft(folded).real * (std_grid.dx**2 / (2.0 * np.pi * std_grid.hbar))
+            assert np.array_equal(block.momentum_mass(a, std_grid), np.fft.fftshift(law)), seed
+
     def test_one_shift_per_channel_and_grid(self, std_grid, vn_default, monkeypatch):
         from edlab import channels, grids, metrics
 

@@ -15,9 +15,15 @@ from edlab import (
     make_state,
     moments,
 )
-from edlab.grids import kernel_transform
+from edlab.grids import TWIDDLE_BLOCK, kernel_transform
 
-from conftest import random_amplitudes, rel_err, two_exp_transform, unitary_dft
+from conftest import (
+    random_amplitudes,
+    rel_err,
+    two_exp_transform,
+    uncached_kernel_transform,
+    unitary_dft,
+)
 
 
 class TestMakeGrid:
@@ -190,6 +196,48 @@ class TestKernelTransformOracles:
             expected = two_exp_transform(arr, axis, g, sign)
             got = kernel_transform(arr, axis, g, sign)
             assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected)), axis
+
+
+class TestTwiddleCache:
+    @pytest.mark.parametrize(
+        # one grid on each side of TWIDDLE_BLOCK: a whole cached twiddle, and blocks
+        "spec", ORACLE_GRIDS + ((2**14, -40.0, 40.0, 1.0), (2**15, -3.0, 13.0, 2.0))
+    )
+    @pytest.mark.parametrize("sign", (-1, +1))
+    def test_equals_uncached_constants(self, spec, sign):
+        g = make_grid(*spec)
+        for arr, axis in oracle_inputs(g.n_points):
+            expected = uncached_kernel_transform(arr, axis, g, sign)
+            # the first call on the fresh grid builds the constants, the next reads them
+            for _ in range(2):
+                assert np.array_equal(kernel_transform(arr, axis, g, sign), expected), axis
+
+    def test_warm_grid_evaluates_no_exp(self, monkeypatch):
+        calls = []
+        exp = np.exp
+
+        def counted_exp(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted_exp)
+        g = make_grid(256, -16.0, 16.0)
+        a = random_amplitudes(g, 1)
+        kernel_transform(kernel_transform(a, 0, g, -1), 0, g, +1)
+        assert calls  # the fresh grid builds its constants
+        calls.clear()
+        kernel_transform(kernel_transform(a, 0, g, -1), 0, g, +1)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", (256, 2**15))
+    def test_cached_constants_are_read_only(self, n):
+        g = make_grid(n, -16.0, 16.0)
+        for twiddle in g.twiddles.values():
+            assert (twiddle.whole is None) == (n > TWIDDLE_BLOCK)
+            for cached in (twiddle.anchors, twiddle.offsets, twiddle.whole):
+                if cached is not None:
+                    with pytest.raises(ValueError):
+                        cached[0] = 1.0
 
 
 COS4_NORM = 3.0 / 4.0  # integral of cos^4(pi x / 2) over [-1, 1]

@@ -14,12 +14,21 @@ from edlab import (
     moments,
 )
 
-from edlab.states import _hermite_series
+from edlab.states import _hermite_series, gaussian_amplitudes
 
 from conftest import rel_err
 
 
 class TestMakeState:
+    @pytest.mark.parametrize("hbar", (1.0, 2.0))
+    @pytest.mark.parametrize("x0, p0, sigma", ((0.0, 0.0, 1.0), (-2.5, 1.3, 0.7), (3.0, -0.6, 2.5)))
+    def test_gaussian_in_place_equals_plain_expression(self, x0, p0, sigma, hbar):
+        g = make_grid(256, -16.0, 16.0, hbar)
+        x = g.x
+        envelope = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((x - x0) ** 2) / (4.0 * sigma**2))
+        plain = envelope * np.exp(1j * p0 * x / g.hbar)
+        assert np.array_equal(gaussian_amplitudes(g, x0, p0, sigma), plain)
+
     def test_gaussian_width(self, std_grid):
         psi = make_state(std_grid, GaussianState(0, 0, 1))
         assert rel_err(moments(psi).delta_x, 1.0) < 1e-6
