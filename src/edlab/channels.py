@@ -278,7 +278,9 @@ def _conditional_shift(
     """Probe momentum amplitudes, one row to broadcast or an (n_s, n_p) array
     that is overwritten, to an (n_s, n_p) array of probe position amplitudes,
     row i translated by g*x_i through the momentum-space phases
-    exp(-1j*g*x_i*p_j/hbar).
+    exp(-1j*g*x_i*p_j/hbar).  These are diagonal in p, so they commute with
+    the fixed phase per momentum of the basis ``kernel_transform`` keeps,
+    and the shift is the same as in the plane-wave basis.
 
     The phases are a two-level product: with b = 2^floor(log2(n_s)/2), row
     a*b + r is anchor row a (at x_(a*b)) times offset row r (a shift of

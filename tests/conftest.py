@@ -17,7 +17,7 @@ from edlab import (
     probe_grid_for,
 )
 from edlab.channels import apply_von_neumann, check_confinement, embed_joint, kraus_of
-from edlab.grids import TWIDDLE_BLOCK, kernel_transform, signed_fft
+from edlab.grids import kernel_transform, signed_fft
 from edlab.metrics import W2_FLOOR
 
 
@@ -72,10 +72,16 @@ def unitary_dft(grid: GridSpec) -> np.ndarray:
     return scale * np.exp(-1j * np.outer(grid.p, grid.x) / grid.hbar)
 
 
+def plane_wave_phase(grid: GridSpec) -> np.ndarray:
+    """phi_j = (-1)^j exp(-1j p_j (center + dx/2) / hbar): the plane-wave
+    momentum amplitude on p_j is phi_j times that of ``kernel_transform``."""
+    signs = (-1.0) ** np.arange(grid.n_points)
+    return signs * np.exp(-1j * grid.p * (grid.center + 0.5 * grid.dx) / grid.hbar)
+
+
 def two_exp_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> np.ndarray:
-    """``kernel_transform`` as two n-point phase vectors around one FFT, each
-    an ``exp`` per element at arguments up to |p_0 x|/hbar; the reference
-    for the package's sign/twiddle factorisation."""
+    """The plane-wave transform as two n-point phase vectors around one FFT,
+    each an ``exp`` per element at arguments up to |p_0 x|/hbar."""
     if sign < 0:
         src0, src_step, dst0, dst_step = grid.x[0], grid.dx, grid.p[0], grid.dp
     else:
@@ -91,54 +97,6 @@ def two_exp_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> 
     else:
         work = np.fft.ifft(arr * inner, axis=axis) * n
     return src_step / math.sqrt(2 * math.pi * grid.hbar) * outer * work
-
-
-def uncached_kernel_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> np.ndarray:
-    """``kernel_transform`` with its twiddle constants built on every call and
-    the twiddle formed in blocks of ``TWIDDLE_BLOCK`` elements, each block
-    just before it is used: the package's earlier body, kept as the oracle
-    of the constants that each grid now caches, which must equal it bit for
-    bit."""
-    n = grid.n_points
-    b = 1 << (n.bit_length() - 1) // 2
-    phase = sign * 1j * (grid.center + 0.5 * grid.dx) / grid.hbar
-    anchors = np.exp(phase * ((np.arange(0, n, b) - n // 2) * grid.dp))
-    offsets = np.exp(phase * (np.arange(b) * grid.dp))
-    offsets[1::2] *= -1.0
-    scale = (grid.dx if sign < 0 else n * grid.dp) / np.sqrt(2.0 * np.pi * grid.hbar)
-    index = [slice(None)] * arr.ndim
-    index[axis] = slice(0, None, 2)
-    even = tuple(index)
-    index[axis] = slice(1, None, 2)
-    odd = tuple(index)
-
-    def multiply_twiddle(src, dst, twiddle_first):
-        rows = min(anchors.size, max(1, TWIDDLE_BLOCK // b))
-        e = np.empty((rows, b), dtype=complex)
-        shape = [1] * dst.ndim
-        shape[axis] = rows * b
-        block_index = [slice(None)] * dst.ndim
-        for a0 in range(0, anchors.size, rows):
-            np.multiply(anchors[a0 : a0 + rows, None], offsets, out=e)
-            block_index[axis] = slice(a0 * b, (a0 + rows) * b)
-            block = dst[tuple(block_index)]
-            factor = block if src is dst else src[tuple(block_index)]
-            pair = (e.reshape(shape), factor) if twiddle_first else (factor, e.reshape(shape))
-            np.multiply(*pair, out=block)
-
-    if sign < 0:
-        anchors *= scale
-        work = np.array(arr, dtype=complex)
-        np.multiply(work[odd], -1.0, out=work[odd])
-        np.fft.fft(work, axis=axis, out=work)
-        multiply_twiddle(work, work, twiddle_first=True)
-    else:
-        work = np.empty_like(arr, dtype=complex)
-        multiply_twiddle(arr, work, twiddle_first=False)
-        np.fft.ifft(work, axis=axis, out=work)
-        np.multiply(scale, work[even], out=work[even])
-        np.multiply(-scale, work[odd], out=work[odd])
-    return work
 
 
 def direct_phases(system_grid: GridSpec, probe_grid: GridSpec, g: float) -> np.ndarray:

@@ -15,15 +15,24 @@ from edlab import (
     make_state,
     moments,
 )
-from edlab.grids import TWIDDLE_BLOCK, kernel_transform
+from edlab.grids import kernel_transform
 
 from conftest import (
+    plane_wave_phase,
     random_amplitudes,
     rel_err,
     two_exp_transform,
-    uncached_kernel_transform,
     unitary_dft,
 )
+
+
+def plane_wave_transform(arr: np.ndarray, axis: int, grid, sign: int) -> np.ndarray:
+    """``kernel_transform`` in the plane-wave momentum basis: its output times
+    phi for sign -1, its input times conj(phi) for +1."""
+    phi = plane_wave_phase(grid).reshape([-1 if d == axis else 1 for d in range(arr.ndim)])
+    if sign < 0:
+        return phi * kernel_transform(arr, axis, grid, -1)
+    return kernel_transform(np.conj(phi) * arr, axis, grid, +1)
 
 
 class TestMakeGrid:
@@ -93,19 +102,22 @@ class TestToMomentum:
         assert np.max(np.abs(back - psi.amplitudes)) < 1e-15
 
     def test_roundtrip_fine_grid(self):
-        # the twiddle's phase arguments stay <= pi/2 however fine the grid;
-        # a per-element exp at |p_0 x| ~ 1e4 would lose ~1e-11 here
+        # the transform is a scaled FFT pair and evaluates no exp, so nothing
+        # rounds at the large arguments p*x/hbar; a per-element exp at
+        # |p_0 x| ~ 1e4 would lose ~1e-11 here
         g = make_grid(2**18, -40.0, 40.0)
         a = random_amplitudes(g, 3)
         back = kernel_transform(kernel_transform(a, 0, g, -1), 0, g, +1)
-        assert np.max(np.abs(back - a)) <= 1e-14
+        assert np.max(np.abs(back - a)) <= 1e-15
 
     def test_double_transform_is_parity(self, corpus):
-        # the forward kernel applied to momentum amplitudes gives psi(-x);
-        # on the momentum grid it is the conjugate of the inverse kernel
+        # the forward plane-wave kernel applied to plane-wave momentum
+        # amplitudes gives psi(-x); on the momentum grid it is the conjugate
+        # of the inverse kernel
         for _, psi in corpus:
             g = psi.grid
-            twice = np.conj(kernel_transform(np.conj(psi.momentum), 0, g, +1))
+            plane_wave = plane_wave_phase(g) * psi.momentum
+            twice = np.conj(plane_wave_transform(np.conj(plane_wave), 0, g, +1))
             assert np.max(np.abs(twice - psi.amplitudes[::-1])) < 2e-15
 
 
@@ -128,8 +140,8 @@ class TestKernelTransformOut:
     @pytest.mark.parametrize("sign", (-1, +1))
     def test_builds_no_full_size_phase_array(self, sign):
         # the traced peak of an in-place transform stays within the input's
-        # own size: no n-point sign array, no n-point twiddle.  One call
-        # first, so the FFT's plan is not counted.
+        # own size: no n-point sign or phase array.  One call first, so the
+        # FFT's plan is not counted.
         g = make_grid(2**16, -16.0, 16.0)
         a = random_amplitudes(g, 7)
         kernel_transform(a, 0, g, sign, out=a)
@@ -143,13 +155,26 @@ class TestKernelTransformOut:
 
     @pytest.mark.parametrize("n", (16, 32, 256, 2**17, 2**18))
     def test_fresh_grid_keeps_p_unbuilt(self, n):
-        # the twiddle anchors are formed from their n/b points alone, and
-        # equal grid.p[::b] bit for bit
+        # the transform reads the spacings alone, never the n-point grid.p
         g = make_grid(n, -40.0, 40.0)
-        kernel_transform(np.ones(n, complex), 0, g, -1)
+        kernel_transform(kernel_transform(np.ones(n, complex), 0, g, -1), 0, g, +1)
         assert "p" not in g.__dict__
-        b = 1 << (n.bit_length() - 1) // 2
-        assert np.array_equal((np.arange(0, n, b) - n // 2) * g.dp, g.p[::b])
+
+    def test_evaluates_no_exp(self, monkeypatch):
+        # a scaled FFT pair: no phase is evaluated, on a fresh grid or a used one
+        calls = []
+        exp = np.exp
+
+        def counted_exp(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        g = make_grid(256, -3.0, 13.0, 2.0)
+        a = random_amplitudes(g, 1)
+        monkeypatch.setattr(np, "exp", counted_exp)
+        for _ in range(2):
+            kernel_transform(kernel_transform(a, 0, g, -1), 0, g, +1)
+        assert calls == []
 
 
 # centred and off-centre domains, hbar 1 and 2
@@ -180,7 +205,7 @@ class TestKernelTransformOracles:
         kernel = np.sqrt(g.dx / g.dp) * dft if sign < 0 else np.sqrt(g.dp / g.dx) * dft.conj().T
         for arr, axis in oracle_inputs(g.n_points):
             expected = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
-            got = kernel_transform(arr, axis, g, sign)
+            got = plane_wave_transform(arr, axis, g, sign)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), axis
 
     @pytest.mark.parametrize(
@@ -194,50 +219,8 @@ class TestKernelTransformOracles:
         tol = 1e-13 + 4 * np.finfo(float).eps * largest_phase
         for arr, axis in oracle_inputs(g.n_points):
             expected = two_exp_transform(arr, axis, g, sign)
-            got = kernel_transform(arr, axis, g, sign)
+            got = plane_wave_transform(arr, axis, g, sign)
             assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected)), axis
-
-
-class TestTwiddleCache:
-    @pytest.mark.parametrize(
-        # one grid on each side of TWIDDLE_BLOCK: a whole cached twiddle, and blocks
-        "spec", ORACLE_GRIDS + ((2**14, -40.0, 40.0, 1.0), (2**15, -3.0, 13.0, 2.0))
-    )
-    @pytest.mark.parametrize("sign", (-1, +1))
-    def test_equals_uncached_constants(self, spec, sign):
-        g = make_grid(*spec)
-        for arr, axis in oracle_inputs(g.n_points):
-            expected = uncached_kernel_transform(arr, axis, g, sign)
-            # the first call on the fresh grid builds the constants, the next reads them
-            for _ in range(2):
-                assert np.array_equal(kernel_transform(arr, axis, g, sign), expected), axis
-
-    def test_warm_grid_evaluates_no_exp(self, monkeypatch):
-        calls = []
-        exp = np.exp
-
-        def counted_exp(*args, **kwargs):
-            calls.append(1)
-            return exp(*args, **kwargs)
-
-        monkeypatch.setattr(np, "exp", counted_exp)
-        g = make_grid(256, -16.0, 16.0)
-        a = random_amplitudes(g, 1)
-        kernel_transform(kernel_transform(a, 0, g, -1), 0, g, +1)
-        assert calls  # the fresh grid builds its constants
-        calls.clear()
-        kernel_transform(kernel_transform(a, 0, g, -1), 0, g, +1)
-        assert calls == []
-
-    @pytest.mark.parametrize("n", (256, 2**15))
-    def test_cached_constants_are_read_only(self, n):
-        g = make_grid(n, -16.0, 16.0)
-        for twiddle in g.twiddles.values():
-            assert (twiddle.whole is None) == (n > TWIDDLE_BLOCK)
-            for cached in (twiddle.anchors, twiddle.offsets, twiddle.whole):
-                if cached is not None:
-                    with pytest.raises(ValueError):
-                        cached[0] = 1.0
 
 
 COS4_NORM = 3.0 / 4.0  # integral of cos^4(pi x / 2) over [-1, 1]
@@ -310,6 +293,20 @@ class TestDistribution:
         for s, w in ((support, np.array([bad, 1.0, 0.0])), (np.array([bad, 1.0, 2.0]), weights)):
             with pytest.raises(InvariantViolation, match="finite"):
                 ProbabilityDistribution(s, w, 1.0)
+
+    @pytest.mark.parametrize("spacing", (np.nan, np.inf, 0.0, -1.0))
+    def test_rejects_bad_spacing(self, spacing):
+        # a NaN spacing passes |mass - 1| > tol, and wasserstein2 then fails
+        # with an IndexError
+        with pytest.raises(InvariantViolation, match="spacing"):
+            ProbabilityDistribution(np.arange(3.0), np.array([0.0, 1.0, 0.0]), spacing)
+
+    @pytest.mark.parametrize("support", ([3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 2.0]))
+    def test_rejects_support_not_strictly_ascending(self, support):
+        # on the reversed support the uniform law would read W2 2.236 from
+        # the ascending one, instead of 0
+        with pytest.raises(InvariantViolation, match="ascending"):
+            ProbabilityDistribution(np.array(support), np.full(4, 0.25), 1.0)
 
     def test_rounding_negative_weight_is_clamped(self):
         w = np.array([-1e-17, 0.5, 0.5])

@@ -413,7 +413,7 @@ class TestOzawaDisturbance:
         # the Kraus loop's two operands are sigma P K psi and sigma K P psi,
         # sigma_i = (-1)^i, and its P law after is sum_m |F K_m psi|^2 / dp,
         # for P = F^dag diag(p) F from a dense unitary DFT F; the off-centre
-        # grid has a twiddle that is not 1
+        # grid's plane-wave phase e_j is not 1
         grid = make_grid(64, x_min, x_max, hbar)
         dft = unitary_dft(grid)
         dense_p = dft.conj().T @ (grid.p[:, None] * dft)
