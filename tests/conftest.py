@@ -72,13 +72,6 @@ def unitary_dft(grid: GridSpec) -> np.ndarray:
     return scale * np.exp(-1j * np.outer(grid.p, grid.x) / grid.hbar)
 
 
-def plane_wave_phase(grid: GridSpec) -> np.ndarray:
-    """phi_j = (-1)^j exp(-1j p_j (center + dx/2) / hbar): the plane-wave
-    momentum amplitude on p_j is phi_j times that of ``kernel_transform``."""
-    signs = (-1.0) ** np.arange(grid.n_points)
-    return signs * np.exp(-1j * grid.p * (grid.center + 0.5 * grid.dx) / grid.hbar)
-
-
 def two_exp_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> np.ndarray:
     """The plane-wave transform as two n-point phase vectors around one FFT,
     each an ``exp`` per element at arguments up to |p_0 x|/hbar."""

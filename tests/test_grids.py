@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from edlab import (
     GaussianState,
+    GridSpec,
     InvariantViolation,
     ProbabilityDistribution,
     WaveFunction,
@@ -18,7 +19,6 @@ from edlab import (
 from edlab.grids import kernel_transform
 
 from conftest import (
-    plane_wave_phase,
     random_amplitudes,
     rel_err,
     two_exp_transform,
@@ -26,7 +26,14 @@ from conftest import (
 )
 
 
-def plane_wave_transform(arr: np.ndarray, axis: int, grid, sign: int) -> np.ndarray:
+def plane_wave_phase(grid: GridSpec) -> np.ndarray:
+    """phi_j = (-1)^j exp(-1j p_j (center + dx/2) / hbar): the plane-wave
+    momentum amplitude on p_j is phi_j times that of ``kernel_transform``."""
+    signs = (-1.0) ** np.arange(grid.n_points)
+    return signs * np.exp(-1j * grid.p * (grid.center + 0.5 * grid.dx) / grid.hbar)
+
+
+def plane_wave_transform(arr: np.ndarray, axis: int, grid: GridSpec, sign: int) -> np.ndarray:
     """``kernel_transform`` in the plane-wave momentum basis: its output times
     phi for sign -1, its input times conj(phi) for +1."""
     phi = plane_wave_phase(grid).reshape([-1 if d == axis else 1 for d in range(arr.ndim)])
