@@ -6,12 +6,9 @@ from .channels import (
     Channel,
     ConfinementError,
     FlipChannel,
-    JointState,
     ProbeSpec,
     SlitChannel,
     VonNeumannChannel,
-    apply_von_neumann,
-    embed_joint,
     kraus_of,
     probe_grid_for,
 )

@@ -110,8 +110,8 @@ class SlitChannel:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"slit width must be positive, got {self.width}")
+        if not (self.width > 0 and np.isfinite(self.width)):
+            raise ValueError(f"slit width must be positive and finite, got {self.width}")
         if not np.isfinite(self.center):
             raise ValueError(f"slit center must be finite, got {self.center}")
 
@@ -235,29 +235,6 @@ class VonNeumannChannel:
 Channel = Union[FlipChannel, SlitChannel, VonNeumannChannel]
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Amplitudes indexed (system point, probe point), unit total norm."""
-
-    system_grid: GridSpec
-    probe_grid: GridSpec
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        expected = (self.system_grid.n_points, self.probe_grid.n_points)
-        if a.shape != expected:
-            raise ValueError(f"joint amplitudes shape {a.shape}, expected {expected}")
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def measure(self) -> float:
-        return self.system_grid.dx * self.probe_grid.dx
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.measure))
-
-
 def slit_mask(grid: GridSpec, center: float, width: float) -> np.ndarray:
     if center - 0.5 * width < grid.x_min or center + 0.5 * width > grid.x_max:
         raise InvariantViolation(
@@ -267,26 +244,20 @@ def slit_mask(grid: GridSpec, center: float, width: float) -> np.ndarray:
     return np.abs(grid.x - center) <= 0.5 * width
 
 
-def embed_joint(psi: WaveFunction, probe: ProbeSpec) -> JointState:
-    """Product state psi (x) ready."""
-    return JointState(psi.grid, probe.grid, np.outer(psi.amplitudes, probe.ready_state.amplitudes))
-
-
 def _conditional_shift(
     mom: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec, g: float
 ) -> np.ndarray:
-    """Probe momentum amplitudes, one row to broadcast or an (n_s, n_p) array
-    that is overwritten, to an (n_s, n_p) array of probe position amplitudes,
-    row i translated by g*x_i through the momentum-space phases
-    exp(-1j*g*x_i*p_j/hbar).  These are diagonal in p, so they commute with
-    the fixed phase per momentum of the basis ``kernel_transform`` keeps,
+    """One row of probe momentum amplitudes to an (n_s, n_p) array of probe
+    position amplitudes, row i translated by g*x_i through the momentum-space
+    phases exp(-1j*g*x_i*p_j/hbar).  These are diagonal in p, so they commute
+    with the fixed phase per momentum of the basis ``kernel_transform`` keeps,
     and the shift is the same as in the plane-wave basis.
 
     The phases are a two-level product: with b = 2^floor(log2(n_s)/2), row
     a*b + r is anchor row a (at x_(a*b)) times offset row r (a shift of
     r*dx), so n_s/b + b rows of ``exp`` and one complex product per element
-    build them, straight into the array that is then transformed in place.
-    The amplitudes stay the first operand, so the anchor rows (offset
+    build them, straight into one new array that is then transformed in
+    place.  The amplitudes stay the first operand, so the anchor rows (offset
     exactly 1) are bit-identical to one ``exp`` per element.
     """
     pg = probe_grid
@@ -294,32 +265,27 @@ def _conditional_shift(
     b = 1 << (n.bit_length() - 1) // 2
     anchors = np.exp(-1j * g * np.outer(system_grid.x[::b], pg.p) / pg.hbar)[:, None]
     offsets = np.exp(-1j * g * np.outer(np.arange(b) * system_grid.dx, pg.p) / pg.hbar)
-    blocks = (n // b, b, pg.n_points)
-    if mom.ndim == 1:
-        shifted = np.multiply(mom * offsets, anchors, out=np.empty(blocks, complex))
-    else:
-        shifted = mom.reshape(blocks)
-        shifted *= anchors
-        shifted *= offsets
+    shifted = np.multiply(mom * offsets, anchors, out=np.empty((n // b, b, pg.n_points), complex))
     shifted = shifted.reshape(n, pg.n_points)
     return kernel_transform(shifted, 1, pg, +1, out=shifted)
 
 
-def apply_von_neumann(joint: JointState, g: float) -> JointState:
-    """Apply U = exp(-i g X_s P_p / hbar) exactly to a joint array; its adjoint is gain -g.
+def apply_von_neumann(
+    amplitudes: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec, g: float
+) -> np.ndarray:
+    """U = exp(-i g X_s P_p / hbar) on an (n_s, n_p) array of amplitudes, as a
+    new array; its adjoint is gain -g.
 
-    Each system row's probe wave function is translated by g*x_i via
-    momentum-space phase multiplication, on one copy of the joint array
-    transformed in place.  This is the plain unitary: it judges no
-    confinement, for states and operator images alike; the figure that
-    couples a state calls ``check_confinement`` on it first.  No figure in
-    ``metrics`` calls this: they all read the coupling from the channel's
-    cached ``PointerTable``.  It stays as the public unitary and the tests'
-    direct oracle of that table.
+    The tests' direct coupling, the oracle of the channel's ``PointerTable``:
+    one ``exp(-1j*g*x_i*p_j/hbar)`` per element between the two transforms
+    along the probe axis, so it shares no code with ``_conditional_shift``.
+    It judges no confinement.  No figure calls it: they all read the
+    coupling from the table.
     """
-    sg, pg = joint.system_grid, joint.probe_grid
-    mom = kernel_transform(joint.amplitudes, 1, pg, -1)
-    return JointState(sg, pg, _conditional_shift(mom, sg, pg, g))
+    pg = probe_grid
+    mom = kernel_transform(amplitudes, 1, pg, -1)
+    mom *= np.exp(-1j * g * np.outer(system_grid.x, pg.p) / pg.hbar)
+    return kernel_transform(mom, 1, pg, +1, out=mom)
 
 
 def check_confinement(channel: Channel, psi: WaveFunction) -> None:

@@ -194,22 +194,18 @@ def parse_config_text(text: str) -> dict:
 def _read_keys(cfg: dict, verb: str) -> set[str]:
     """The keys ``verb`` reads with the variants selected in cfg.
 
-    eq2 reads no state: its states come from the two searches.  The
+    eq2 reads no state and no selector: its states come from the two
+    searches and its channel is the vonneumann preset's pointer.  The
     scenario verb takes its scenario from its positional name, not from the
     ``scenario`` key.  Raises ConfigError for an unknown variant or a read
     key without a value.
     """
     keys = {"grid.n_points", "grid.x_min", "grid.x_max", "grid.hbar"}
-    if verb != "scenario":
-        keys.add("scenario")
-    selectors = ["channel.variant"]
     if verb == "eq2":
-        if cfg["channel.variant"] != "von_neumann":
-            raise ConfigError("eq2 requires a von_neumann channel")
-        keys.update(_SEARCH_DEFAULTS)
-    else:
-        selectors.append("state.variant")
-    for selector in selectors:
+        return keys.union(_SEARCH_DEFAULTS, _VARIANT_KEYS["channel.variant"]["von_neumann"])
+    if verb == "sweep":
+        keys.add("scenario")
+    for selector in ("channel.variant", "state.variant"):
         variant = cfg[selector]
         if variant not in _VARIANT_KEYS[selector]:
             raise ConfigError(f"unknown {selector} {variant!r}")
@@ -222,10 +218,11 @@ def _read_keys(cfg: dict, verb: str) -> set[str]:
 
 
 def _not_read(what: str, cfg: dict, verb: str) -> ConfigError:
-    state = "" if verb == "eq2" else f"state.variant={cfg['state.variant']}, "
+    if verb == "eq2":
+        return ConfigError(f"{what} is not read by the eq2 verb, which runs the vonneumann pointer")
     return ConfigError(
         f"{what} is not read by the {verb} verb with scenario={cfg['scenario']}, "
-        f"{state}channel.variant={cfg['channel.variant']}"
+        f"state.variant={cfg['state.variant']}, channel.variant={cfg['channel.variant']}"
     )
 
 
@@ -233,7 +230,7 @@ def load_config(path: str | None, sets: list[str], scenario: str | None, verb: s
     """Defaults, then the scenario's preset, then ``--config``, then ``--set``.
 
     A key from the file or from ``--set`` that ``verb`` does not read is a
-    ConfigError.  eq2 fills keys the named preset lacks from vonneumann's.
+    ConfigError.  eq2 always takes the vonneumann preset.
     """
     given: dict = {}
     if path is not None:
@@ -247,14 +244,10 @@ def load_config(path: str | None, sets: list[str], scenario: str | None, verb: s
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
         given[key.strip()] = _coerce(key.strip(), raw.strip())
-    name = scenario or given.get("scenario") or "vonneumann"
+    name = "vonneumann" if verb == "eq2" else scenario or given.get("scenario") or "vonneumann"
     if name not in _SCENARIO_DEFAULTS:
         raise ConfigError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
-    presets = ("vonneumann", name) if verb == "eq2" else (name,)
-    cfg = {**_BASE_DEFAULTS, **_SEARCH_DEFAULTS}
-    for preset in presets:
-        cfg.update(_SCENARIO_DEFAULTS[preset])
-    cfg.update(given)
+    cfg = {**_BASE_DEFAULTS, **_SEARCH_DEFAULTS, **_SCENARIO_DEFAULTS[name], **given}
     cfg["scenario"] = name
     reads = _read_keys(cfg, verb)
     unread = [k for k in given if k not in reads]
@@ -671,6 +664,13 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"physics invariant violation: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(
+            f"config error: the arrays of this run do not fit in memory ({exc}); "
+            "lower grid.n_points or probe.n_points",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

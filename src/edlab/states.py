@@ -58,6 +58,9 @@ def _check_sigma(grid: GridSpec, sigma: float) -> None:
 
 
 def _check_margin(grid: GridSpec, lo: float, hi: float, what: str) -> None:
+    # a geometry that is not finite is a bad input, not a state off the grid
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{what} spans [{lo}, {hi}]: its parameters must be finite")
     if lo < grid.x_min or hi > grid.x_max:
         raise InvariantViolation(
             f"{what} spans [{lo}, {hi}], outside grid domain [{grid.x_min}, {grid.x_max}]"

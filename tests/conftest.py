@@ -16,7 +16,7 @@ from edlab import (
     make_state,
     probe_grid_for,
 )
-from edlab.channels import apply_von_neumann, check_confinement, embed_joint, kraus_of
+from edlab.channels import apply_von_neumann, check_confinement, kraus_of
 from edlab.grids import kernel_transform, signed_fft
 from edlab.metrics import W2_FLOOR
 
@@ -100,10 +100,19 @@ def direct_phases(system_grid: GridSpec, probe_grid: GridSpec, g: float) -> np.n
 def direct_conditional_shift(
     mom: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec, g: float
 ) -> np.ndarray:
-    """Probe momentum amplitudes (a row or an (n_s, n_p) array) translated by
-    g*x_i in row i, from the direct phases; the oracle of the package's
-    two-level phase product."""
+    """A row of probe momentum amplitudes translated by g*x_i in row i, from
+    the direct phases; the oracle of the package's two-level phase product."""
     return kernel_transform(mom * direct_phases(system_grid, probe_grid, g), 1, probe_grid, +1)
+
+
+def product_state(psi, probe: ProbeSpec) -> np.ndarray:
+    """psi (x) ready as an (n_s, n_p) array of amplitudes."""
+    return np.outer(psi.amplitudes, probe.ready_state.amplitudes)
+
+
+def joint_norm(amplitudes: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec) -> float:
+    """The L2 norm of an (n_s, n_p) array, with the cell dx * dy of the two grids."""
+    return float(np.sqrt(np.sum(np.abs(amplitudes) ** 2) * system_grid.dx * probe_grid.dx))
 
 
 def pointer_kraus_matrices(channel: VonNeumannChannel, grid: GridSpec) -> np.ndarray:
@@ -197,10 +206,10 @@ def direct_ozawa_error(channel: VonNeumannChannel, psi) -> float:
     psi (x) ready: the package's earlier path, kept as the oracle of
     ``metrics.ozawa_error``, which reads |T|^2 from the channel's table."""
     check_confinement(channel, psi)
-    coupled = apply_von_neumann(embed_joint(psi, channel.probe), channel.g)
-    offset = channel.probe.grid.x[None, :] / channel.g - psi.grid.x[:, None]
-    np.multiply(coupled.amplitudes, offset, out=coupled.amplitudes)
-    return coupled.norm()
+    pg = channel.probe.grid
+    coupled = apply_von_neumann(product_state(psi, channel.probe), psi.grid, pg, channel.g)
+    coupled *= pg.x[None, :] / channel.g - psi.grid.x[:, None]
+    return joint_norm(coupled, psi.grid, pg)
 
 
 def unchunked_kraus_sum(channel, psi, observable: str, term, skip_commuting: bool = False):

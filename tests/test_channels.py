@@ -17,11 +17,9 @@ from edlab import (
     SlitChannel,
     VonNeumannChannel,
     WaveFunction,
-    apply_von_neumann,
     busch_state_disturbance,
     compute_report,
     distribution,
-    embed_joint,
     eq2_check,
     kraus_of,
     make_grid,
@@ -32,13 +30,15 @@ from edlab import (
     wasserstein2,
 )
 
-from edlab.channels import CONFINEMENT_TOL, _conditional_shift, check_confinement
+from edlab.channels import CONFINEMENT_TOL, _conditional_shift, apply_von_neumann, check_confinement
 from edlab.grids import kernel_transform
 from edlab.states import gaussian_amplitudes
 from conftest import (
     direct_conditional_shift,
+    joint_norm,
     make_vn_channel,
     pointer_kraus_matrices,
+    product_state,
     random_amplitudes,
     unitary_dft,
 )
@@ -83,29 +83,14 @@ class TestFlip:
             flip(psi)
 
 
-class TestEmbedJoint:
-    def test_unit_norm(self, std_grid, vn_default):
-        channel, psi = vn_default
-        joint = embed_joint(psi, channel.probe)
-        assert abs(joint.norm() - 1.0) < 1e-12
-
-    def test_marginals_factorize(self, std_grid, vn_default):
-        channel, psi = vn_default
-        joint = embed_joint(psi, channel.probe)
-        sys_m = np.sum(np.abs(joint.amplitudes) ** 2, axis=1) * channel.probe.grid.dx
-        probe_m = np.sum(np.abs(joint.amplitudes) ** 2, axis=0) * psi.grid.dx
-        assert np.max(np.abs(sys_m - np.abs(psi.amplitudes) ** 2)) < 1e-12
-        assert np.max(np.abs(probe_m - np.abs(channel.probe.ready_state.amplitudes) ** 2)) < 1e-12
-
-
 class TestVonNeumann:
     def test_conditional_shift_recenters_pointer(self):
         # near-position-eigenstate: pointer marginal recenters at g * x0
         grid = make_grid(2048, -8, 8)
         psi = make_state(grid, GaussianState(2.0, 0.0, 0.1))
         channel = make_vn_channel(grid, psi, 1.0, 0.5)
-        joint = apply_von_neumann(embed_joint(psi, channel.probe), 1.0)
-        probe_m = np.sum(np.abs(joint.amplitudes) ** 2, axis=0) * grid.dx
+        joint = apply_von_neumann(product_state(psi, channel.probe), grid, channel.probe.grid, 1.0)
+        probe_m = np.sum(np.abs(joint) ** 2, axis=0) * grid.dx
         mean = np.sum(channel.probe.grid.x * probe_m) * channel.probe.grid.dx
         assert mean == pytest.approx(2.0, abs=1e-9)
         var = np.sum(channel.probe.grid.x**2 * probe_m) * channel.probe.grid.dx - mean**2
@@ -113,11 +98,12 @@ class TestVonNeumann:
 
     def test_unitarity_and_inverse(self, std_grid, vn_default):
         channel, psi = vn_default
-        joint = embed_joint(psi, channel.probe)
-        forward = apply_von_neumann(joint, channel.g)
-        assert abs(forward.norm() - 1.0) < 1e-12
-        back = apply_von_neumann(forward, -channel.g)
-        assert np.max(np.abs(back.amplitudes - joint.amplitudes)) < 1e-12
+        pg = channel.probe.grid
+        joint = product_state(psi, channel.probe)
+        forward = apply_von_neumann(joint, std_grid, pg, channel.g)
+        assert abs(joint_norm(forward, std_grid, pg) - 1.0) < 1e-12
+        back = apply_von_neumann(forward, std_grid, pg, -channel.g)
+        assert np.max(np.abs(back - joint)) < 1e-12
 
     def test_zero_gain_rejected(self, vn_default):
         channel, _ = vn_default
@@ -127,12 +113,11 @@ class TestVonNeumann:
     def test_tiny_gain_is_continuous(self, std_grid, vn_default):
         # first-order response: ||U_g Psi - Psi|| = g * sqrt(<x^2><p_probe^2>) = g here
         channel, psi = vn_default
-        joint = embed_joint(psi, channel.probe)
+        pg = channel.probe.grid
+        joint = product_state(psi, channel.probe)
         for g in (1e-9, 1e-10):
-            nudged = apply_von_neumann(joint, g)
-            delta = np.sqrt(
-                np.sum(np.abs(nudged.amplitudes - joint.amplitudes) ** 2) * joint.measure
-            )
+            nudged = apply_von_neumann(joint, std_grid, pg, g)
+            delta = joint_norm(nudged - joint, std_grid, pg)
             assert delta == pytest.approx(g, rel=1e-3)
 
     def test_confinement_error_raised(self, std_grid):
@@ -146,16 +131,16 @@ class TestVonNeumann:
     def test_unitary_on_corpus(self, std_grid, corpus):
         for _, psi in corpus[:6]:
             channel = make_vn_channel(std_grid, psi, 1.0, 0.5)
-            joint = apply_von_neumann(embed_joint(psi, channel.probe), 1.0)
-            assert abs(joint.norm() - 1.0) < 1e-12
+            pg = channel.probe.grid
+            joint = apply_von_neumann(product_state(psi, channel.probe), std_grid, pg, 1.0)
+            assert abs(joint_norm(joint, std_grid, pg) - 1.0) < 1e-12
 
 
 class TestConditionalShift:
     def test_two_level_phases_match_direct_phases(self):
         # anchor rows times in-block offsets against one exp per element, on
-        # a row to broadcast (the table) and on a full array (the direct
-        # coupling, which is overwritten); on the narrow probe domain the
-        # shifts wrap around
+        # the row the table broadcasts; on the narrow probe domain the shifts
+        # wrap around
         rng = np.random.default_rng(5)
         for n in (16, 64, 256):
             for hbar in (1.0, 2.0):
@@ -163,13 +148,11 @@ class TestConditionalShift:
                 spread = WaveFunction(grid, random_amplitudes(grid, 0))
                 for g in (0.5, 1.0, 2.0, -1.0):
                     for pg in (probe_grid_for(grid, spread, g, 0.5, 128), make_grid(128, -4.0, 4.0, hbar)):
-                        row = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-                        full = rng.standard_normal((n, 128)) + 1j * rng.standard_normal((n, 128))
-                        for mom in (row, full):
-                            oracle = direct_conditional_shift(mom, grid, pg, g)
-                            shifted = _conditional_shift(mom.copy(), grid, pg, g)
-                            err = np.max(np.abs(shifted - oracle))
-                            assert err <= 1e-13 * np.max(np.abs(oracle)), (n, hbar, g, pg)
+                        mom = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+                        oracle = direct_conditional_shift(mom, grid, pg, g)
+                        shifted = _conditional_shift(mom, grid, pg, g)
+                        err = np.max(np.abs(shifted - oracle))
+                        assert err <= 1e-13 * np.max(np.abs(oracle)), (n, hbar, g, pg)
 
 
 def slit(psi, center, width):
@@ -391,10 +374,11 @@ class TestPointerTable:
         psi = make_state(std_grid, GaussianState(1.0, 0.0, 1.0))
         verdicts = []
         for half in (5.0, 6.0, 7.0, 8.0, 10.0, 12.0):
-            channel = VonNeumannChannel(1.0, ProbeSpec(make_grid(256, -half, half), 0.25))
-            coupled = apply_von_neumann(embed_joint(psi, channel.probe), 1.0)
-            edges = np.abs(coupled.amplitudes[:, [0, 1, -2, -1]]) ** 2
-            direct = float(np.sum(edges) * coupled.measure) > CONFINEMENT_TOL
+            pg = make_grid(256, -half, half)
+            channel = VonNeumannChannel(1.0, ProbeSpec(pg, 0.25))
+            coupled = apply_von_neumann(product_state(psi, channel.probe), std_grid, pg, 1.0)
+            edges = np.abs(coupled[:, [0, 1, -2, -1]]) ** 2
+            direct = float(np.sum(edges) * std_grid.dx * pg.dx) > CONFINEMENT_TOL
             try:
                 check_confinement(channel, psi)
             except ConfinementError:
@@ -406,10 +390,10 @@ class TestPointerTable:
         assert verdicts == [True, True, True, False, False, False]
 
 
-def _reduced_density(joint):
-    """Partial trace over the probe, as a dimensionless n_s x n_s matrix."""
-    a = joint.amplitudes
-    return (a @ a.conj().T) * joint.measure
+def _reduced_density(joint, system_grid, probe_grid):
+    """Partial trace over the probe of an (n_s, n_p) array, as a dimensionless
+    n_s x n_s matrix."""
+    return (joint @ joint.conj().T) * system_grid.dx * probe_grid.dx
 
 
 class TestDensityOperator:
@@ -418,14 +402,16 @@ class TestDensityOperator:
 
     def test_product_state_is_pure(self, vn_default):
         channel, psi = vn_default
-        rho = _reduced_density(embed_joint(psi, channel.probe))
+        rho = _reduced_density(product_state(psi, channel.probe), psi.grid, channel.probe.grid)
         assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-10)
         assert np.real(np.trace(rho @ rho)) == pytest.approx(1.0, abs=1e-10)
 
     def test_coupling_entangles(self, std_grid):
         psi = make_state(std_grid, GaussianState(0, 0, 1))
         channel = make_vn_channel(std_grid, psi, 1.0, 0.25)
-        rho = _reduced_density(apply_von_neumann(embed_joint(psi, channel.probe), 1.0))
+        pg = channel.probe.grid
+        coupled = apply_von_neumann(product_state(psi, channel.probe), std_grid, pg, 1.0)
+        rho = _reduced_density(coupled, std_grid, pg)
         assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-10)
         assert np.real(np.trace(rho @ rho)) < 0.9
 

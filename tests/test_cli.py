@@ -77,7 +77,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "verb, scenario, n_read",
         [("scenario", "flip", 9), ("scenario", "slit", 10), ("scenario", "vonneumann", 15),
-         ("sweep", None, 16), ("eq2", None, 34)],
+         ("sweep", None, 16), ("eq2", None, 32)],
     )
     def test_each_verb_accepts_only_the_keys_it_reads(self, verb, scenario, n_read):
         cfg = load_config(None, [], scenario, verb)
@@ -195,6 +195,24 @@ class TestScenarios:
         assert main(["scenario", "flip", "--set", "state.x0=20"]) == 2
         assert "invariant" in capsys.readouterr().err
 
+    def test_unallocatable_arrays_are_config_errors(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError for an array the host cannot allocate.  No
+        # such size is run here: with overcommit, a size the host could map
+        # would be faulted in.
+        from edlab import cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 TiB for an array with shape (1099511627776,)")
+
+        monkeypatch.setattr(cli, "compute_report", no_memory)
+        monkeypatch.setattr(cli, "eq2_check", no_memory)
+        for argv in (["scenario", "flip"], ["eq2", "--out-dir", str(tmp_path / "eq2")]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and "Unable to allocate 16.0 TiB" in err, err
+            assert "grid.n_points" in err and "probe.n_points" in err, err
+        assert not (tmp_path / "eq2").exists()
+
     def test_grid_spec_error_is_config_error(self, capsys):
         assert main(["scenario", "flip", "--set", "grid.n_points=100"]) == 1
         for bad in ("grid.hbar=inf", "grid.hbar=nan", "grid.x_max=inf", "grid.x_min=-inf"):
@@ -231,6 +249,20 @@ class TestScenarios:
             assert main(["scenario", "vonneumann", "--set", bad, *fixed]) == 1, bad
         for bad in ("channel.center=nan", "channel.center=inf"):
             assert main(["scenario", "slit", "--set", bad]) == 1, bad
+        # a slit width or state geometry that is not finite is a bad input,
+        # not a physics violation
+        for name, *given in (
+            ("slit", "channel.width=inf"),
+            ("flip", "state.sigma=inf"),
+            ("flip", "state.x0=inf"),
+            ("flip", "state.x0=-inf"),
+            ("slit", "state.center=inf"),
+            ("slit", "state.halfwidth=inf"),
+            ("flip", "state.variant=symmetric_pair", "state.separation=inf"),
+        ):
+            capsys.readouterr()
+            assert main(["scenario", name, *(a for g in given for a in ("--set", g))]) == 1, given
+            assert "config error" in capsys.readouterr().err, given
         seeded = ["--set", "state.variant=random", "--set", "state.seed=1"]
         for bad in ("state.smoothness=-1", "state.smoothness=256"):
             assert main(["scenario", "flip", *seeded, "--set", bad]) == 1, bad
@@ -439,13 +471,13 @@ class TestEq2Verb:
         assert not outdir.exists()
 
     def test_other_scenario_with_pointer_channel(self, tmp_path, capsys):
-        small = ["--set", "search_err.max_refine_iters=0", "--set", "search_dist.max_refine_iters=0"]
-        argv = ["eq2", "--out-dir", str(tmp_path / "eq2"), "--set", "scenario=flip", *small]
-        assert main(argv) == 1
-        assert "requires a von_neumann channel" in capsys.readouterr().err
-        # the keys the flip preset lacks come from the vonneumann preset
-        assert main(argv + ["--set", "channel.variant=von_neumann"]) == 0
-        assert json.loads((tmp_path / "eq2" / "summary.json").read_text())["product"] <= 0.5
+        # eq2 runs the vonneumann preset's pointer alone, so neither key selects anything
+        outdir = tmp_path / "eq2"
+        for given in ("scenario=flip", "scenario=vonneumann", "channel.variant=von_neumann"):
+            assert main(["eq2", "--out-dir", str(outdir), "--set", given]) == 1, given
+            err = capsys.readouterr().err
+            assert f"key {given.partition('=')[0]} is not read by the eq2 verb" in err, err
+        assert not outdir.exists()
 
 
 class TestDeterminism:
