@@ -28,7 +28,6 @@ from .metrics import (
     busch_state_error,
     compute_report,
     evaluate_relations,
-    lund_wiseman_eta,
     ozawa_disturbance,
     ozawa_error,
     wasserstein2,

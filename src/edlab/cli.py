@@ -303,7 +303,18 @@ def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channe
         raise ConfigError(f"{bounds[0]} is set without {missing}; set both probe bounds or neither")
     else:
         probe_grid = _guard(probe_grid_for, grid, psi, g, s, n_probe)
+        _check_pointer_reach(g, s, probe_grid)
     return _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
+
+
+def _check_pointer_reach(g: float, s: float, probe_grid: GridSpec) -> None:
+    """ConfigError when the gain widens an auto-sized probe grid until its points
+    nearest 0, at +-dx/2, lie 40 pointer widths out, where the pointer is 0."""
+    if s > 0 and s * s > 0 and probe_grid.dx > 80.0 * s:  # ProbeSpec rejects s**2 == 0
+        raise ConfigError(
+            f"channel.g={_fmt(g)} sizes the probe domain to ±{_fmt(probe_grid.x_max)}, where "
+            f"probe.n_points={probe_grid.n_points} cannot resolve the pointer width {_fmt(s)}"
+        )
 
 
 def _check_joint_memory(n_system: int, n_probe: int, cap_mib: float) -> None:
@@ -473,6 +484,8 @@ def run_eq2(cfg: dict) -> Eq2Report:
             abs(cfg["search_dist.x0_max"]),
         ) + 8.0 * max(cfg["search_err.sigma_max"], cfg["search_dist.sigma_max"])
         half = probe_half_width(cfg["channel.g"], reach, cfg["probe.s"])
+        probe_grid = _guard(make_grid, cfg["probe.n_points"], -half, half, grid.hbar)
+        _check_pointer_reach(cfg["channel.g"], cfg["probe.s"], probe_grid)
         cfg["probe.x_min"] = -half
         cfg["probe.x_max"] = half
     channel = _channel_from(cfg, grid, None)

@@ -12,19 +12,12 @@ Two families of figures for the same (state, channel) pair:
   (disturbance), or between the calibrated pointer readout distribution and
   the ideal one (error).  Maximized over state families elsewhere, these
   quantify the device's worst case rather than the state at hand.
-
-A weak-valued estimator of the RMS disturbance is included: it rebuilds
-eta from the joint quasiprobability of a weak observable reading before the
-channel and a strong one after, and agrees with the noise-operator value
-identically when the bins are the native grid points.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -46,8 +39,6 @@ from .grids import (
     moments,
     signed_fft,
 )
-
-logger = logging.getLogger(__name__)
 
 ObservableName = str  # "X" or "P"
 
@@ -154,39 +145,23 @@ def _check_observable(observable: ObservableName) -> None:
         raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
 
 
-def _observable_on_state(psi: WaveFunction, observable: ObservableName) -> np.ndarray:
-    """B psi as a new array; P psi from the state's cached momentum view."""
-    g = psi.grid
-    if observable == "P":
-        mom = psi.momentum * g.p
-        return kernel_transform(mom, 0, g, +1, out=mom)
-    return g.x * psi.amplitudes
-
-
 def _kraus_sum(
     channel: Channel,
     psi: WaveFunction,
     observable: ObservableName,
-    term: Callable[[np.ndarray, np.ndarray], float],
-    skip_commuting: bool = False,
     law: np.ndarray | None = None,
 ) -> float:
-    """sum_m term(B K_m psi, K_m B psi) over the Kraus blocks, each times dx_s
-    and its measure.
+    """eta^2 = sum_m || B K_m psi - K_m B psi ||^2 over the Kraus blocks.
 
     The one place where B acts on branches: a chunk of a block's columns at
     a time, about BRANCH_ELEMS elements, so the pointer's (n_s, n_p) branch
     array is never built, and B acts on each chunk in place while it is in
-    cache.  X multiplies by x.  P is a plain spectral multiplier,
+    cache.  X multiplies by x, and a block of step 1, which commutes with X,
+    is not built for it.  P is a plain spectral multiplier,
     P b = sigma * IFFT(p * FFT(sigma * b)) with sigma_i = (-1)^i (see
     ``grids.signed_fft``), and the closing sigma is left off: the chunk of
-    K B psi takes sigma instead, so ``term`` gets sigma times both operands,
-    which leaves |gap|^2, |B K psi|^2 and their inner product as they are.
-    sigma goes on after K, as the flip's reversal would change its sign.
-    ``term`` reduces one chunk's pair of branch arrays to a number and may
-    overwrite them; the pair is freed before the next chunk is built.  With
-    ``skip_commuting``, a block that commutes with B adds nothing and is not
-    built: a block of step 1 weights each system point, so it commutes with X.
+    K B psi takes sigma instead, which leaves |gap|^2 as it is.  sigma goes
+    on after K, as the flip's reversal would change its sign.
 
     With ``law``, zeros on grid.p, a P sum also adds the P law after the
     channel into it, block by block in order, as ``busch_state_disturbance``
@@ -208,7 +183,7 @@ def _kraus_sum(
     b_psi = None
     total = 0.0
     for k in kraus_of(channel, g):
-        if skip_commuting and observable == "X" and k.step == 1:
+        if observable == "X" and k.step == 1:
             continue
         if law is not None and k.coherence is not None:
             law += k.momentum_mass(psi.amplitudes, g) * k.measure
@@ -223,12 +198,14 @@ def _kraus_sum(
                     law += branch_mass(b_k) * scale * k.measure
                 b_k *= g.p[:, None]
                 np.fft.ifft(b_k, axis=0, out=b_k)
-            if b_psi is None:
-                b_psi = _observable_on_state(psi, observable)
+            if b_psi is None and observable == "X":
+                b_psi = g.x * psi.amplitudes
+            elif b_psi is None:  # in place, from the state's cached momentum view
+                b_psi = kernel_transform(mom := psi.momentum * g.p, 0, g, +1, out=mom)
             k_b = k(b_psi, columns)
             if observable == "P":
                 k_b[1::2] *= -1.0  # sigma, as on b_k
-            total += term(b_k, k_b) * g.dx * k.measure
+            total += _squared_gap(b_k, k_b) * g.dx * k.measure
             del b_k, k_b  # freed before the next chunk is built
     return total
 
@@ -266,7 +243,7 @@ def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: Observabl
     eta^2 = sum_m || B K_m psi - K_m B psi ||^2, which is exact for any
     Stinespring dilation of the Kraus family.
     """
-    return math.sqrt(_kraus_sum(channel, psi, observable, _squared_gap, skip_commuting=True))
+    return math.sqrt(_kraus_sum(channel, psi, observable))
 
 
 def _squared_gap(b_k: np.ndarray, k_b: np.ndarray) -> float:
@@ -323,7 +300,7 @@ def _momentum_figures(channel: Channel, psi: WaveFunction) -> tuple[float, float
     the P law after is read from eta_P's own forward transforms, and it is
     freed on return, before the report's other figures run."""
     law = np.zeros(psi.grid.n_points)
-    eta = math.sqrt(_kraus_sum(channel, psi, "P", _squared_gap, law=law))
+    eta = math.sqrt(_kraus_sum(channel, psi, "P", law=law))
     return eta, _momentum_w2(psi, law)
 
 
@@ -346,35 +323,6 @@ def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
         support, scaled = support[::-1].copy(), scaled[::-1].copy()
     readout = ProbabilityDistribution(support, scaled, pg.dx / abs(channel.g))
     return wasserstein2(readout, distribution(psi, "position"))
-
-
-# ---------------------------------------------------------------------------
-# Weak-valued estimator of the RMS disturbance
-# ---------------------------------------------------------------------------
-
-def lund_wiseman_eta(channel: Channel, psi: WaveFunction, observable: ObservableName) -> float:
-    """Disturbance from the weak-valued joint distribution of (before, after).
-
-    With one bin per grid point, sum_{j,k} (b_k - b_j)^2 *
-    Re<Psi| Pi_j U^dag Pi_k U |Psi> reduces to second moments of the
-    observable before and after plus one cross term; floating-point noise can
-    drive the square slightly negative near zero disturbance, so the raw
-    value is clamped at zero (and logged).
-    """
-    b_psi = _observable_on_state(psi, observable)
-    m_in = float(np.sum(np.abs(b_psi) ** 2) * psi.grid.dx)
-
-    def out_minus_twice_cross(b_k: np.ndarray, k_b: np.ndarray) -> float:
-        # Re<k_b, b_k> and |b_k|^2 from the float64 views, in place and
-        # without the BLAS thread pool that np.vdot would start
-        b_parts, k_parts = b_k.view(np.float64), k_b.view(np.float64)
-        cross = float(np.multiply(k_parts, b_parts, out=k_parts).sum())
-        return float(np.square(b_parts, out=b_parts).sum()) - 2.0 * cross
-
-    raw = m_in + _kraus_sum(channel, psi, observable, out_minus_twice_cross)
-    if raw < 0.0:
-        logger.debug("weak-valued eta^2 clamped to 0 (raw value %.3e)", raw)
-    return math.sqrt(max(raw, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,8 @@ def make_state(grid: GridSpec, spec: StateSpec) -> WaveFunction:
     WaveFunction invariant.
     """
     if isinstance(spec, GaussianState):
+        if not np.isfinite(spec.p0):
+            raise ValueError(f"gaussian p0 must be finite, got {spec.p0}")
         _check_sigma(grid, spec.sigma)
         m = GAUSSIAN_MARGIN_SIGMAS * spec.sigma
         _check_margin(grid, spec.x0 - m, spec.x0 + m, "gaussian feature")

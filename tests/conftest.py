@@ -283,3 +283,12 @@ def unchunked_lund_wiseman_square(channel, psi, observable: str) -> tuple[float,
 
     raw, magnitude = unchunked_kraus_sum(channel, psi, observable, term)
     return m_in + raw, m_in + magnitude
+
+
+def lund_wiseman_eta(channel, psi, observable: str) -> float:
+    """eta from the weak-valued joint distribution of (before, after), the
+    estimator of Lund and Wiseman that left the package: criterion 5's
+    oracle of ``metrics.ozawa_disturbance``.  Rounding can drive the square
+    slightly negative near zero disturbance, so it is clamped at zero."""
+    raw, _ = unchunked_lund_wiseman_square(channel, psi, observable)
+    return math.sqrt(max(raw, 0.0))

@@ -33,7 +33,6 @@ from edlab import (
     busch_state_disturbance,
     eq2_check,
     kraus_of,
-    lund_wiseman_eta,
     make_grid,
     make_state,
     moments,
@@ -42,7 +41,7 @@ from edlab import (
 )
 from edlab.cli import load_config, main, run_scenario
 
-from conftest import dense_pointer_eta_p, rel_err
+from conftest import dense_pointer_eta_p, lund_wiseman_eta, rel_err
 
 HBAR = 1.0
 

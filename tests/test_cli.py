@@ -2,6 +2,7 @@ import json
 import math
 import platform
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,28 @@ class TestScenarios:
             capsys.readouterr()
             assert main(["scenario", name, *(a for g in given for a in ("--set", g))]) == 1, given
             assert "config error" in capsys.readouterr().err, given
+        # a momentum that is not finite, or a gain that widens the auto-sized
+        # probe past what probe.n_points resolves, is named before numpy
+        # warns of an invalid or overflowing value
+        eq2 = ["eq2", "--out-dir", str(tmp_path / "eq2")]
+        for argv, key in (
+            (["scenario", "flip", "--set", "state.p0=inf"], "p0"),
+            (["scenario", "flip", "--set", "state.p0=-inf"], "p0"),
+            (["scenario", "flip", "--set", "state.p0=nan"], "p0"),
+            (["scenario", "vonneumann", "--set", "state.p0=inf"], "p0"),
+            (["scenario", "vonneumann", "--set", "channel.g=1e300"], "channel.g"),
+            (["scenario", "vonneumann", "--set", "channel.g=1e10"], "channel.g"),
+            ([*eq2, "--set", "channel.g=1e300"], "channel.g"),
+        ):
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "config error" in err and key in err, (argv, err)
+        assert not (tmp_path / "eq2").exists()
+        # a finite but huge momentum is still judged by the aliasing gate
+        assert main(["scenario", "flip", "--set", "state.p0=1e300"]) == 2
         seeded = ["--set", "state.variant=random", "--set", "state.seed=1"]
         for bad in ("state.smoothness=-1", "state.smoothness=256"):
             assert main(["scenario", "flip", *seeded, "--set", bad]) == 1, bad

@@ -23,7 +23,6 @@ from edlab import (
     distribution,
     evaluate_relations,
     kraus_of,
-    lund_wiseman_eta,
     make_grid,
     make_state,
     moments,
@@ -37,10 +36,10 @@ from edlab import metrics
 from conftest import (
     dense_pointer_eta_p,
     direct_ozawa_error,
+    lund_wiseman_eta,
     make_vn_channel,
     pointer_kraus_matrices,
     rel_err,
-    unchunked_lund_wiseman_square,
     unblocked_wasserstein2,
     unchunked_ozawa_disturbance,
     union1d_wasserstein2,
@@ -390,9 +389,7 @@ class TestOzawaDisturbance:
     )
     def test_chunks_match_unchunked_oracle(self, monkeypatch, n, n_probe, g, hbar, chunk_columns):
         # eta from chunks of branch columns against the whole (n_s, k)
-        # branch arrays, for the pointer, the flip and the slit; the
-        # weak-valued square is a difference of terms of size <B^2>, so its
-        # agreement is judged against the sum of their magnitudes
+        # branch arrays, for the pointer, the flip and the slit
         if chunk_columns is not None:
             monkeypatch.setattr(metrics, "BRANCH_ELEMS", chunk_columns * n)
         grid = make_grid(n, -16.0, 16.0, hbar)
@@ -404,12 +401,9 @@ class TestOzawaDisturbance:
                     eta = ozawa_disturbance(channel, psi, obs)
                     oracle = unchunked_ozawa_disturbance(channel, psi, obs)
                     assert eta == oracle or rel_err(eta, oracle) <= 1e-14, (channel, obs)
-                    raw, magnitude = unchunked_lund_wiseman_square(channel, psi, obs)
-                    weak = lund_wiseman_eta(channel, psi, obs)
-                    assert abs(weak**2 - max(raw, 0.0)) <= 1e-14 * magnitude, (channel, obs)
 
     @pytest.mark.parametrize("hbar, x_min, x_max", [(1.0, -8.0, 8.0), (2.0, -5.0, 11.0)])
-    def test_p_multiplier_matches_dense_dft(self, hbar, x_min, x_max):
+    def test_p_multiplier_matches_dense_dft(self, monkeypatch, hbar, x_min, x_max):
         # the Kraus loop's two operands are sigma P K psi and sigma K P psi,
         # sigma_i = (-1)^i, and its P law after is sum_m |F K_m psi|^2 / dp,
         # for P = F^dag diag(p) F from a dense unitary DFT F; the off-centre
@@ -422,15 +416,17 @@ class TestOzawaDisturbance:
         channels = [SlitChannel(grid.center + 0.5, 3.0), make_vn_channel(grid, psi, 1.0, 0.5, 64)]
         if grid.is_symmetric():
             channels.append(FlipChannel())
+        operands = []
+
+        def keep(b_k, k_b):
+            operands.append((b_k.copy(), k_b.copy()))
+            return 0.0
+
+        monkeypatch.setattr(metrics, "_squared_gap", keep)
         for channel in channels:
-            operands = []
-
-            def keep(b_k, k_b):
-                operands.append((b_k.copy(), k_b.copy()))
-                return 0.0
-
+            operands.clear()
             law = np.zeros(64)
-            metrics._kraus_sum(channel, psi, "P", keep, law=law)
+            metrics._kraus_sum(channel, psi, "P", law=law)
             blocks = kraus_of(channel, grid)
             assert len(operands) == len(blocks)  # one chunk per block at n = 64
             dense_law = np.zeros(64)
@@ -487,7 +483,7 @@ class TestBuschStateDisturbance:
         assert ozawa_disturbance(FlipChannel(), psi, "X") == pytest.approx(2.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("figure", (ozawa_disturbance, lund_wiseman_eta, busch_state_disturbance))
+@pytest.mark.parametrize("figure", (ozawa_disturbance, busch_state_disturbance))
 @pytest.mark.parametrize("observable", ("x", "p", "Q"))
 def test_unknown_observable_is_rejected(std_grid, figure, observable):
     psi = make_state(std_grid, GaussianState(1.0, 0.5, 1.0))
@@ -586,7 +582,7 @@ class TestBuschStateError:
 
 
 # ---------------------------------------------------------------------------
-# Weak-valued estimator
+# eta against the weak-valued joint distribution
 # ---------------------------------------------------------------------------
 
 def lw_matrix_oracle(kraus_mats, psi_l2, basis_map, b_values) -> float:
@@ -647,8 +643,8 @@ class TestLundWiseman:
             basis = np.eye(n) if obs == "X" else V
             b = grid.x if obs == "X" else grid.p
             oracle = lw_matrix_oracle(mats, psi_l2, basis, b)
-            value = lund_wiseman_eta(channel, psi, obs)
-            assert value == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+            value = ozawa_disturbance(channel, psi, obs)
+            assert value == pytest.approx(oracle, rel=1e-12)
 
     def test_brute_force_oracle_von_neumann(self):
         grid = make_grid(32, -8, 8)
@@ -659,8 +655,8 @@ class TestLundWiseman:
         mats = pointer_kraus_matrices(channel, grid)
         V = unitary_dft(grid)
         oracle = lw_matrix_oracle(mats, psi_l2, V, grid.p)
-        value = lund_wiseman_eta(channel, psi, "P")
-        assert value == pytest.approx(oracle, rel=1e-8)
+        value = ozawa_disturbance(channel, psi, "P")
+        assert value == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +676,6 @@ class TestPointerMemory:
         assert table.density.shape == (1024, 256)
         figures = {
             "eta_P": lambda: ozawa_disturbance(channel, psi, "P"),
-            "weak eta_P": lambda: lund_wiseman_eta(channel, psi, "P"),
             "eps": lambda: ozawa_error(channel, psi),
         }
         for name, figure in figures.items():
