@@ -7,10 +7,15 @@ an exact conditional shift: for each system column at x_i the probe is
 translated by g*x_i through momentum-space phases, which is unitary to
 machine precision at any coupling strength.  Since U is a conditional
 shift, U (a (x) ready) = a[:, None] * T, where row i of the table T is the
-translated ready state; each channel builds T once per system grid.  The
-shifts are unitary translations, so the overlap of rows i and i' depends only
-on the lag i - i': the system's post-coupling state is rho o Toeplitz(c), and
-its momentum law needs no (n_s, n_p) transform.
+translated ready state; each channel builds T once per system grid, reads
+its edge mass, readout density and coherence kernel from it, and frees it.
+The shifts are unitary translations, so the overlap of rows i and i' depends
+only on the lag i - i': the system's post-coupling state is rho o
+Toeplitz(c), and its momentum law needs no (n_s, n_p) transform.  In the
+probe's momentum basis the Kraus operators are diagonal phases,
+K_q = m_q exp(-i g X p_q / hbar), so the branches the pointer keeps are the
+columns of those phases at the momenta where the ready state m has
+amplitude, with no transform.
 
 ``kraus_of`` is the one implementation of a channel's action on a state: its
 Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
@@ -19,7 +24,6 @@ Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -35,6 +39,13 @@ from .grids import (
 from .states import gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
+# Probe momenta whose |m_q|^2 is at or below this fraction of the ready
+# state's largest carry no pointer branch: eps^2 = 2^-104 is the rounding of
+# the ready state's own transform, not amplitude (see VonNeumannChannel.table).
+# A dropped branch is a kick whose commutator with P has norm at most
+# 2 p_max ||psi||, p_max = pi hbar / dx_s, so dropping branches changes eta^2
+# by at most sum_dropped |m_q|^2 dp (2 p_max)^2 ||psi||^2.
+BRANCH_FLOOR = 2.0**-104
 
 
 class ConfinementError(InvariantViolation):
@@ -82,15 +93,20 @@ def probe_grid_for(
 ) -> GridSpec:
     """Auto-size a probe grid so the conditional shifts stay confined.
 
-    The half-domain is ``probe_half_width`` at the reach of psi (its support
-    at the 1e-14 probability level).  The ready state's own validation then
-    rejects widths the resulting spacing cannot represent.
+    The half-domain is ``probe_half_width`` at the ``state_reach`` of psi.
+    The ready state's own validation then rejects widths the resulting
+    spacing cannot represent.
     """
+    half = probe_half_width(g, state_reach(system_grid, psi), s)
+    return GridSpec(n_points, -half, half, system_grid.hbar)
+
+
+def state_reach(system_grid: GridSpec, psi: WaveFunction) -> float:
+    """The largest |x| of psi's support at the 1e-14 probability level, or of
+    the grid when no point reaches that level."""
     w = np.abs(psi.amplitudes) ** 2 * system_grid.dx
     sig = np.abs(system_grid.x[w > 1e-14])
-    reach = float(sig.max()) if sig.size else abs(system_grid.x).max()
-    half = probe_half_width(g, reach, s)
-    return GridSpec(n_points, -half, half, system_grid.hbar)
+    return float(sig.max()) if sig.size else abs(system_grid.x).max()
 
 
 def probe_half_width(g: float, reach: float, s: float) -> float:
@@ -125,9 +141,9 @@ class KrausBlock:
     (step -1 is the flip) and then weights each branch pointwise; no weights
     means one unweighted branch.  A figure sums |.|^2 over the columns and
     multiplies by ``measure``.  A block with a ``coherence`` kernel (the
-    pointer's ``PointerTable``, the one subclass) holds the lagged column
-    sums of weights * conj(weights), so its momentum law needs no branch
-    array.
+    pointer's ``PointerTable``, the one subclass) holds the lagged overlaps
+    of the rows of a branch table that spans the same Kraus family, so its
+    momentum law needs no branch array.
     """
 
     step: int = 1
@@ -179,28 +195,30 @@ def branch_mass(branches: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, kw_only=True)
 class PointerTable(KrausBlock):
-    """The pointer's Kraus block on one system grid: U(a (x) ready) = a[:, None] * weights.
+    """The pointer's Kraus block on one system grid, with what the figures
+    read of the table T of translated ready states; T itself is not kept.
 
-    Row i of the table T = ``weights`` is the ready state translated by
-    g*x_i, and ``measure`` is the probe cell dy.  ``row_edge`` is the sum of
-    |row|^2 over the two probe cells at each end (times dy for
-    probabilities).  ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j)
-    of rows l apart, for lags -(n_s - 1) <= l < n_s in numpy's index order (a
+    Row i of T is the ready state translated by g*x_i, so that
+    U(a (x) ready) = a[:, None] * T, with the probe cell dy as its measure.
+    ``row_edge`` is the sum of |row|^2 over the two probe cells at each end
+    (times dy for probabilities), and ``density`` is |T|^2 for the readout
+    law.  ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j) of rows
+    l apart, for lags -(n_s - 1) <= l < n_s in numpy's index order (a
     negative lag is a negative index); times dy it is the characteristic
     function of the kick g*P_probe at g*l*dx.  The translations are unitary
     on the periodic probe grid, so it depends on the lag alone, on every
     grid.  A row beyond the reach of the states coupled may wrap around the
     probe grid; ``check_confinement`` judges each state by its own weights.
+
+    ``weights`` are the (n_s, k) branches of the kept probe momenta: column
+    q is m_q sqrt(dp/dy) exp(-i g x p_q / hbar), so that with ``measure``
+    dy a column is K_q a / sqrt(dy) for K_q = sqrt(dp) <p_q| U |., ready>.
+    Only the momenta with |m_q|^2 above ``BRANCH_FLOOR`` times the largest
+    are kept, k <= n_p.
     """
 
     row_edge: np.ndarray
-
-    @cached_property
-    def density(self) -> np.ndarray:
-        """|weights|^2 for the readout law, built on first use rather than
-        with the table, so that it is not alive while the other figures of a
-        report hold their (n_s, n_p) temporaries."""
-        return np.abs(self.weights) ** 2
+    density: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -215,18 +233,35 @@ class VonNeumannChannel:
             raise ValueError(f"coupling gain g must be finite and nonzero, got {self.g}")
 
     def table(self, grid: GridSpec) -> PointerTable:
-        """The coupling's PointerTable on a system grid, built once per grid."""
+        """The coupling's PointerTable on a system grid, built once per grid.
+
+        T is read and freed before the kept branches are formed, so the two
+        are never alive together.
+        """
         table = self._tables.get(grid)
         if table is None:
             pg = self.probe.grid
-            weights = _conditional_shift(self.probe.ready_state.momentum, grid, pg, self.g)
-            row_edge = np.sum(np.abs(weights[:, :N_BOUNDARY_POINTS]) ** 2, axis=1)
-            row_edge += np.sum(np.abs(weights[:, -N_BOUNDARY_POINTS:]) ** 2, axis=1)
-            # one matvec; weights.conj() @ ... would copy the whole table
-            lags = weights @ weights[0].conj()
+            mom = self.probe.ready_state.momentum
+            shifted = _conditional_shift(mom, grid, pg, self.g)
+            row_edge = np.sum(np.abs(shifted[:, :N_BOUNDARY_POINTS]) ** 2, axis=1)
+            row_edge += np.sum(np.abs(shifted[:, -N_BOUNDARY_POINTS:]) ** 2, axis=1)
+            # one matvec; shifted.conj() @ ... would copy the whole table
+            lags = shifted @ shifted[0].conj()
             coherence = np.concatenate((lags, lags[:0:-1].conj()))
+            density = np.abs(shifted)
+            np.square(density, out=density)
+            del shifted
+            mass = np.abs(mom) ** 2
+            kept = mass > BRANCH_FLOOR * mass.max()
+            weights = _shift_phases(
+                mom[kept] * np.sqrt(pg.dp / pg.dx), grid, pg.p[kept], self.g, pg.hbar
+            )
             table = PointerTable(
-                weights=weights, measure=pg.dx, coherence=coherence, row_edge=row_edge
+                weights=weights,
+                measure=pg.dx,
+                coherence=coherence,
+                row_edge=row_edge,
+                density=density,
             )
             self._tables[grid] = table
         return table
@@ -249,25 +284,35 @@ def _conditional_shift(
 ) -> np.ndarray:
     """One row of probe momentum amplitudes to an (n_s, n_p) array of probe
     position amplitudes, row i translated by g*x_i through the momentum-space
-    phases exp(-1j*g*x_i*p_j/hbar).  These are diagonal in p, so they commute
-    with the fixed phase per momentum of the basis ``kernel_transform`` keeps,
-    and the shift is the same as in the plane-wave basis.
+    phases exp(-1j*g*x_i*p_j/hbar) of ``_shift_phases``.  These are diagonal
+    in p, so they commute with the fixed phase per momentum of the basis
+    ``kernel_transform`` keeps, and the shift is the same as in the
+    plane-wave basis.  The phases are built straight into one new array that
+    is then transformed in place.
+    """
+    pg = probe_grid
+    shifted = _shift_phases(mom, system_grid, pg.p, g, pg.hbar)
+    return kernel_transform(shifted, 1, pg, +1, out=shifted)
+
+
+def _shift_phases(
+    mom: np.ndarray, system_grid: GridSpec, p: np.ndarray, g: float, hbar: float
+) -> np.ndarray:
+    """The (n_s, len(p)) array mom_j * exp(-1j*g*x_i*p_j/hbar), as a new array.
 
     The phases are a two-level product: with b = 2^floor(log2(n_s)/2), row
     a*b + r is anchor row a (at x_(a*b)) times offset row r (a shift of
     r*dx), so n_s/b + b rows of ``exp`` and one complex product per element
-    build them, straight into one new array that is then transformed in
-    place.  The amplitudes stay the first operand, so the anchor rows (offset
-    exactly 1) are bit-identical to one ``exp`` per element.
+    build them.  The amplitudes stay the first operand, so the anchor rows
+    (offset exactly 1) are bit-identical to one ``exp`` per element, and a
+    column is the same for any subset of momenta ``p`` it is built with.
     """
-    pg = probe_grid
     n = system_grid.n_points
     b = 1 << (n.bit_length() - 1) // 2
-    anchors = np.exp(-1j * g * np.outer(system_grid.x[::b], pg.p) / pg.hbar)[:, None]
-    offsets = np.exp(-1j * g * np.outer(np.arange(b) * system_grid.dx, pg.p) / pg.hbar)
-    shifted = np.multiply(mom * offsets, anchors, out=np.empty((n // b, b, pg.n_points), complex))
-    shifted = shifted.reshape(n, pg.n_points)
-    return kernel_transform(shifted, 1, pg, +1, out=shifted)
+    anchors = np.exp(-1j * g * np.outer(system_grid.x[::b], p) / hbar)[:, None]
+    offsets = np.exp(-1j * g * np.outer(np.arange(b) * system_grid.dx, p) / hbar)
+    shifted = np.multiply(mom * offsets, anchors, out=np.empty((n // b, b, p.size), complex))
+    return shifted.reshape(n, p.size)
 
 
 def apply_von_neumann(
@@ -321,13 +366,13 @@ def kraus_of(channel: Channel, grid: GridSpec) -> list[KrausBlock]:
 
     flip -> one 1-column block (the reversal), measure 1;
     slit -> two 1-column blocks (pass and fail projectors), measure 1;
-    von_neumann -> one (n_s, n_p) block, the channel's cached
-    ``PointerTable`` on this grid itself: a[:, None] * T = U (a (x) ready),
-    with the probe cell dy as measure; column j is K_j a / sqrt(dy) for
-    K_j = sqrt(dy) <y_j| U |., ready>.  The table carries its coherence
-    kernel, so the momentum law does not build the branch array.  The
-    block does not check confinement: ``check_confinement`` judges the state
-    a figure is about.
+    von_neumann -> one (n_s, k) block, the channel's cached ``PointerTable``
+    on this grid itself: the branches of the kept probe momenta, k <= n_p,
+    with the probe cell dy as measure; column q is K_q a / sqrt(dy) for
+    K_q = sqrt(dp) <p_q| U |., ready> = sqrt(dp) m_q exp(-i g X p_q / hbar).
+    The table carries its coherence kernel, so the momentum law does not
+    build the branch array.  The block does not check confinement:
+    ``check_confinement`` judges the state a figure is about.
     """
     if isinstance(channel, FlipChannel):
         if not grid.is_symmetric():

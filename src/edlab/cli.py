@@ -27,8 +27,8 @@ from .channels import (
     SlitChannel,
     VonNeumannChannel,
     kraus_of,
-    probe_grid_for,
     probe_half_width,
+    state_reach,
 )
 from .grids import GridSpec, InvariantViolation, WaveFunction, make_grid
 from .metrics import CSV_COLUMNS, EDRReport, compute_report
@@ -128,9 +128,11 @@ _BASE_DEFAULTS = {
 }
 
 # Bytes per system x probe point that a pointer run holds at its peak: the
-# complex table T (16) and, beside it, |T|^2 with its abs temporary (16).
-# The peak RSS above the interpreter's measures about 31 at n_s = n_p = 2048
-# and 4096 (numpy 2.4, 64-bit Linux).
+# complex table T (16) and, beside it, |T|^2 (8) while the table is built;
+# after it, |T|^2 and the kept probe-momentum branches (at most 16).  The RMS
+# error forms its products in row blocks.  The peak RSS above the
+# interpreter's measures about 25 at n_s = n_p = 2048 and 4096 (numpy 2.4,
+# 64-bit Linux); 32 also covers a pointer that keeps every branch.
 _JOINT_BYTES_PER_POINT = 32
 
 _SCENARIO_DEFAULTS = {
@@ -297,23 +299,43 @@ def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channe
     _check_joint_memory(grid.n_points, n_probe, cfg["probe.max_joint_mib"])
     bounds = [k for k in _PROBE_BOUNDS if k in cfg]
     if len(bounds) == 2:
-        probe_grid = _guard(make_grid, n_probe, cfg["probe.x_min"], cfg["probe.x_max"], grid.hbar)
+        x_min, x_max = cfg["probe.x_min"], cfg["probe.x_max"]
+        probe_grid = _guard(make_grid, n_probe, x_min, x_max, grid.hbar)
+        cause = f"probe.x_min={_fmt(x_min)} and probe.x_max={_fmt(x_max)} set the probe domain"
+        _check_pointer_reach(s, probe_grid, cause)
     elif bounds:
         missing = "probe.x_max" if bounds == ["probe.x_min"] else "probe.x_min"
         raise ConfigError(f"{bounds[0]} is set without {missing}; set both probe bounds or neither")
     else:
-        probe_grid = _guard(probe_grid_for, grid, psi, g, s, n_probe)
-        _check_pointer_reach(g, s, probe_grid)
+        probe_grid = _auto_probe_grid(g, s, n_probe, grid.hbar, state_reach(grid, psi))
     return _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
 
 
-def _check_pointer_reach(g: float, s: float, probe_grid: GridSpec) -> None:
-    """ConfigError when the gain widens an auto-sized probe grid until its points
-    nearest 0, at +-dx/2, lie 40 pointer widths out, where the pointer is 0."""
+def _auto_probe_grid(g: float, s: float, n_probe: int, hbar: float, reach: float) -> GridSpec:
+    """The probe grid ``probe_half_width`` sizes for states within ``reach`` of
+    0.  A ConfigError names channel.g when the gain gives the domain no finite
+    half-width or widens it past what probe.n_points resolves."""
+    half = probe_half_width(g, reach, s)
+    if np.isfinite(s) and not np.isfinite(half):
+        raise ConfigError(
+            f"channel.g={_fmt(g)} gives the probe domain no finite half-width "
+            f"(|g| * {_fmt(reach)} + 12 * probe.s = {_fmt(half)})"
+        )
+    probe_grid = _guard(make_grid, n_probe, -half, half, hbar)
+    cause = f"channel.g={_fmt(g)} sizes the probe domain to ±{_fmt(probe_grid.x_max)}"
+    _check_pointer_reach(s, probe_grid, cause)
+    return probe_grid
+
+
+def _check_pointer_reach(s: float, probe_grid: GridSpec, cause: str) -> None:
+    """ConfigError, after ``cause``, when the probe spacing exceeds 80 pointer
+    widths: the points nearest 0, at +-dx/2 on a symmetric domain, lie 40
+    widths out, where the pointer is 0, so it is judged before any of its
+    amplitudes is formed."""
     if s > 0 and s * s > 0 and probe_grid.dx > 80.0 * s:  # ProbeSpec rejects s**2 == 0
         raise ConfigError(
-            f"channel.g={_fmt(g)} sizes the probe domain to ±{_fmt(probe_grid.x_max)}, where "
-            f"probe.n_points={probe_grid.n_points} cannot resolve the pointer width {_fmt(s)}"
+            f"{cause}, where probe.n_points={probe_grid.n_points} cannot resolve "
+            f"the pointer width {_fmt(s)}"
         )
 
 
@@ -483,11 +505,11 @@ def run_eq2(cfg: dict) -> Eq2Report:
             abs(cfg["search_dist.x0_min"]),
             abs(cfg["search_dist.x0_max"]),
         ) + 8.0 * max(cfg["search_err.sigma_max"], cfg["search_dist.sigma_max"])
-        half = probe_half_width(cfg["channel.g"], reach, cfg["probe.s"])
-        probe_grid = _guard(make_grid, cfg["probe.n_points"], -half, half, grid.hbar)
-        _check_pointer_reach(cfg["channel.g"], cfg["probe.s"], probe_grid)
-        cfg["probe.x_min"] = -half
-        cfg["probe.x_max"] = half
+        probe_grid = _auto_probe_grid(
+            cfg["channel.g"], cfg["probe.s"], cfg["probe.n_points"], grid.hbar, reach
+        )
+        cfg["probe.x_min"] = probe_grid.x_min
+        cfg["probe.x_max"] = probe_grid.x_max
     channel = _channel_from(cfg, grid, None)
     return eq2_check(channel, grid, *specs)
 

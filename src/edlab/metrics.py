@@ -44,6 +44,7 @@ ObservableName = str  # "X" or "P"
 
 # Branch elements that _kraus_sum forms at once, in whole columns of n_s
 # elements: 512 KiB of complex amplitudes, small enough to stay in L2.
+# ozawa_error forms its real products in whole rows of as many elements.
 BRANCH_ELEMS = 1 << 15
 # Merged quantile levels that wasserstein2 searches and sums at once: each
 # temporary of a block is 256 KiB.
@@ -154,10 +155,11 @@ def _kraus_sum(
     """eta^2 = sum_m || B K_m psi - K_m B psi ||^2 over the Kraus blocks.
 
     The one place where B acts on branches: a chunk of a block's columns at
-    a time, about BRANCH_ELEMS elements, so the pointer's (n_s, n_p) branch
-    array is never built, and B acts on each chunk in place while it is in
-    cache.  X multiplies by x, and a block of step 1, which commutes with X,
-    is not built for it.  P is a plain spectral multiplier,
+    a time, about BRANCH_ELEMS elements, so the pointer's (n_s, k) branches
+    of the kept probe momenta are never built at once, and B acts on each
+    chunk in place while it is in cache.  X multiplies by x, and a block of
+    step 1, which commutes with X, is not built for it.  P is a plain
+    spectral multiplier,
     P b = sigma * IFFT(p * FFT(sigma * b)) with sigma_i = (-1)^i (see
     ``grids.signed_fft``), and the closing sigma is left off: the chunk of
     K B psi takes sigma instead, which leaves |gap|^2 as it is.  sigma goes
@@ -221,18 +223,25 @@ def ozawa_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     with X_s (x) 1, so this equals || (M - X_s) U |psi, ready> ||, and
     U |psi, ready> = psi[:, None] * T for the channel's table T.  So
     eps^2 = dx dy sum_i |psi_i|^2 sum_j D_ij (y_j/g - x_i)^2 with D = |T|^2,
-    the table's cached ``density``: one real (n_s, n_p) temporary, no
-    coupling.  Like every other pointer figure, it first judges psi with
+    the table's ``density``, and no coupling.  The products are formed a
+    block of rows at a time, about BRANCH_ELEMS elements, so no real
+    (n_s, n_p) temporary is built; each row sums as it would in the whole
+    array.  Like every other pointer figure, it first judges psi with
     ``check_confinement``.
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the RMS measurement error requires a probe coupling")
     check_confinement(channel, psi)
     g, pg = psi.grid, channel.probe.grid
-    offset = np.subtract(pg.x[None, :] / channel.g, g.x[:, None])
-    offset *= offset
-    offset *= channel.table(g).density
-    spread = np.sum(offset, axis=1)
+    density = channel.table(g).density
+    reading = pg.x / channel.g
+    rows = max(1, BRANCH_ELEMS // pg.n_points)
+    spread = np.empty(g.n_points)
+    for i in range(0, g.n_points, rows):
+        offset = np.subtract(reading, g.x[i : i + rows, None])
+        offset *= offset
+        offset *= density[i : i + rows]
+        np.sum(offset, axis=1, out=spread[i : i + rows])
     return math.sqrt(float(np.abs(psi.amplitudes) ** 2 @ spread) * (g.dx * pg.dx))
 
 
@@ -308,7 +317,7 @@ def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     """W2 distance between the calibrated readout and the ideal position law.
 
     The readout distribution is the probe position marginal after the
-    coupling, (|psi|^2 dx) @ |T|^2 for the channel's table T (its cached
+    coupling, (|psi|^2 dx) @ |T|^2 for the channel's table T (its
     ``density``), with the coordinate divided by the gain.
     """
     if not isinstance(channel, VonNeumannChannel):

@@ -16,7 +16,7 @@ from edlab import (
     make_state,
     probe_grid_for,
 )
-from edlab.channels import apply_von_neumann, check_confinement, kraus_of
+from edlab.channels import _conditional_shift, apply_von_neumann, check_confinement, kraus_of
 from edlab.grids import kernel_transform, signed_fft
 from edlab.metrics import W2_FLOOR
 
@@ -140,6 +140,27 @@ def dense_pointer_eta_p(channel: VonNeumannChannel, psi) -> float:
     v = psi.amplitudes * math.sqrt(psi.grid.dx)
     Ks = pointer_kraus_matrices(channel, psi.grid)
     return math.sqrt(sum(np.linalg.norm(P @ K @ v - K @ P @ v) ** 2 for K in Ks))
+
+
+def position_basis_eta_p(channel: VonNeumannChannel, psi) -> float:
+    """eta_P^2 = sum_j dy ||P K_j psi - K_j P psi||^2 over the pointer's
+    position-basis branches, the columns of a[:, None] * T with measure dy
+    for the table T of translated ready states from ``_conditional_shift``:
+    the package's earlier Kraus block, kept as the oracle of its
+    probe-momentum branches.  P is the spectral multiplier through
+    ``kernel_transform``, on the whole (n_s, n_p) array."""
+    check_confinement(channel, psi)
+    g, pg = psi.grid, channel.probe.grid
+    table = _conditional_shift(channel.probe.ready_state.momentum, g, pg, channel.g)
+
+    def momentum_op(amps):
+        mom = kernel_transform(amps, 0, g, -1)
+        mom *= g.p[:, None]
+        return kernel_transform(mom, 0, g, +1, out=mom)
+
+    a = psi.amplitudes[:, None]
+    gap = momentum_op(a * table) - momentum_op(a) * table
+    return math.sqrt(float(np.sum(np.abs(gap) ** 2)) * g.dx * pg.dx)
 
 
 def union1d_wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribution) -> float:

@@ -30,14 +30,22 @@ from edlab import (
     wasserstein2,
 )
 
-from edlab.channels import CONFINEMENT_TOL, _conditional_shift, apply_von_neumann, check_confinement
+from edlab.channels import (
+    BRANCH_FLOOR,
+    CONFINEMENT_TOL,
+    _conditional_shift,
+    apply_von_neumann,
+    check_confinement,
+)
 from edlab.grids import kernel_transform
 from edlab.states import gaussian_amplitudes
 from conftest import (
     direct_conditional_shift,
     joint_norm,
     make_vn_channel,
+    direct_phases,
     pointer_kraus_matrices,
+    position_basis_eta_p,
     product_state,
     random_amplitudes,
     unitary_dft,
@@ -243,7 +251,8 @@ class TestKraus:
         assert k.measure == channel.probe.grid.dx
         for seed in range(50):
             amp = random_amplitudes(std_grid, seed)
-            assert k(amp).shape == (256, channel.probe.grid.n_points)
+            assert k(amp).shape[0] == 256
+            assert k(amp).shape[1] <= channel.probe.grid.n_points
             assert self.completeness_defect(channel, std_grid, amp) < 1e-8
 
     @pytest.mark.parametrize("channel", (FlipChannel(), SlitChannel(0.5, 3.0)))
@@ -284,18 +293,60 @@ class TestKraus:
 
 class TestPointerTable:
     def test_block_matches_dense_kraus_operators(self):
-        # column j of the table block times sqrt(dy) is K_j a, for states and
-        # for operator images alike, including rows that wrap around the probe
+        # column q of the block times sqrt(dy) is K_q a for the probe-momentum
+        # Kraus operator K_q = sqrt(dp) m_q exp(-i g X p_q / hbar), built
+        # densely with one exp per element, for states and for operator
+        # images alike; the block holds the momenta above the floor, in order
         grid = make_grid(64, -8, 8)
         psi = make_state(grid, BumpState(0.0, 2.0))
         channel = make_vn_channel(grid, psi, 1.0, 0.5, 64)
+        pg = channel.probe.grid
         (block,) = kraus_of(channel, grid)
-        dense = pointer_kraus_matrices(channel, grid)
+        m = channel.probe.ready_state.momentum
+        kept = np.abs(m) ** 2 > BRANCH_FLOOR * np.max(np.abs(m) ** 2)
+        phases = direct_phases(grid, pg, channel.g).T  # (n_p, n_s)
+        dense = np.sqrt(pg.dp) * m[:, None, None] * phases[:, :, None] * np.eye(grid.n_points)
+        assert block.n_branches == kept.sum() < pg.n_points
         for seed in range(3):
             a = random_amplitudes(grid, seed)
             for amp in (a, grid.x * a):
-                oracle = np.einsum("jik,k->ij", dense, amp)
+                oracle = np.einsum("qik,k->iq", dense[kept], amp)
                 assert np.max(np.abs(block(amp) * np.sqrt(block.measure) - oracle)) < 1e-12
+
+    def test_eta_p_matches_position_basis_branches(self):
+        # eta_P from the kept probe-momentum branches against the sum over
+        # the position-basis table's columns, on auto-sized probe grids and
+        # on narrow ones whose rows beyond 6 wrap around the probe grid
+        states = (GaussianState(0.0, 1.0, 1.0), BumpState(0.5, 2.0), RandomState(3, 2))
+        for hbar in (1.0, 2.0):
+            grid = make_grid(128, -8.0, 8.0, hbar)
+            for spec in states:
+                psi = make_state(grid, spec)
+                for g in (0.5, 1.0, 2.0, -1.0):
+                    for s in (0.1, 0.5, 1.0):
+                        half = abs(g) * 6.0 + 12.0 * s
+                        for pg in (probe_grid_for(grid, psi, g, s, 256), make_grid(256, -half, half, hbar)):
+                            channel = VonNeumannChannel(g, ProbeSpec(pg, s))
+                            eta = ozawa_disturbance(channel, psi, "P")
+                            oracle = position_basis_eta_p(channel, psi)
+                            assert eta == pytest.approx(oracle, rel=1e-14), (hbar, spec, g, s, pg)
+
+    def test_branch_floor_drops_only_rounding(self):
+        # the dropped probe momenta hold at most n_p eps^2 max|m|^2 dp of the
+        # pointer's mass, and the narrowest pointer of the benchmark's
+        # models keeps nearly every momentum
+        grid = make_grid(1024, -16.0, 16.0)
+        psi = make_state(grid, GaussianState(0.0, 0.0, 1.0))
+        for s, g in ((0.1, 1.0), (0.25, 1.0), (0.5, 1.0), (1.0, 1.0), (0.5, 0.5), (0.5, 2.0)):
+            channel = make_vn_channel(grid, psi, g, s)
+            pg = channel.probe.grid
+            mass = np.abs(channel.probe.ready_state.momentum) ** 2
+            kept = mass > BRANCH_FLOOR * mass.max()
+            dropped = float(np.sum(mass[~kept])) * pg.dp
+            assert dropped <= pg.n_points * BRANCH_FLOOR * mass.max() * pg.dp, (s, g)
+            assert channel.table(grid).n_branches == kept.sum(), (s, g)
+            if s == 0.1:
+                assert kept.sum() >= 250
 
     def test_momentum_law_matches_branch_transform(self):
         # the block's P law from the coherence kernel against the transform

@@ -221,18 +221,21 @@ class TestScenarios:
             assert "must be finite" in capsys.readouterr().err
 
     def test_degenerate_pointer_width_is_config_error(self, capsys):
-        # s**2 underflows to 0 or overflows, or the Gaussian underflows at
-        # every probe point
+        # s**2 underflows to 0 or overflows, or the probe spacing is so wide
+        # that the Gaussian would underflow at every probe point: that grid
+        # is named before any pointer amplitude is formed
         fixed = ["--set", "probe.x_min=-10", "--set", "probe.x_max=10"]
         cases = (
-            ["--set", "probe.s=1e-300"],
-            ["--set", "probe.s=1e-300", *fixed],
-            ["--set", "probe.s=1e200", *fixed],
-            ["--set", "probe.s=1e-30", *fixed],
+            (["--set", "probe.s=1e-300"], "config error: pointer width"),
+            (["--set", "probe.s=1e-300", *fixed], "config error: pointer width"),
+            (["--set", "probe.s=1e200", *fixed], "config error: pointer width"),
+            (["--set", "probe.s=1e-30", *fixed],
+             "config error: probe.x_min=-10 and probe.x_max=10 set the probe domain, where "
+             "probe.n_points=256 cannot resolve the pointer width 1e-30"),
         )
-        for argv in cases:
+        for argv, message in cases:
             assert main(["scenario", "vonneumann", *argv]) == 1, argv
-            assert "config error: pointer width" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         # a narrow but representable pointer is judged by the aliasing gate
         assert main(["scenario", "vonneumann", "--set", "probe.s=0.01"]) == 2
         assert "aliasing" in capsys.readouterr().err
@@ -264,9 +267,10 @@ class TestScenarios:
             capsys.readouterr()
             assert main(["scenario", name, *(a for g in given for a in ("--set", g))]) == 1, given
             assert "config error" in capsys.readouterr().err, given
-        # a momentum that is not finite, or a gain that widens the auto-sized
-        # probe past what probe.n_points resolves, is named before numpy
-        # warns of an invalid or overflowing value
+        # a momentum that is not finite, a gain that overflows the auto-sized
+        # probe or widens it past what probe.n_points resolves, and explicit
+        # probe bounds too far apart to resolve, are named before numpy warns
+        # of an invalid or overflowing value
         eq2 = ["eq2", "--out-dir", str(tmp_path / "eq2")]
         for argv, key in (
             (["scenario", "flip", "--set", "state.p0=inf"], "p0"),
@@ -275,7 +279,12 @@ class TestScenarios:
             (["scenario", "vonneumann", "--set", "state.p0=inf"], "p0"),
             (["scenario", "vonneumann", "--set", "channel.g=1e300"], "channel.g"),
             (["scenario", "vonneumann", "--set", "channel.g=1e10"], "channel.g"),
+            (["scenario", "vonneumann", "--set", "channel.g=1e308"], "channel.g"),
             ([*eq2, "--set", "channel.g=1e300"], "channel.g"),
+            ([*eq2, "--set", "channel.g=1e308"], "channel.g"),
+            # explicit probe bounds too far apart to resolve the pointer
+            (["scenario", "vonneumann", "--set", "probe.x_min=-1e300", "--set", "probe.x_max=1e300"],
+             "probe.x_min"),
         ):
             capsys.readouterr()
             with warnings.catch_warnings():
@@ -283,6 +292,8 @@ class TestScenarios:
                 assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert "config error" in err and key in err, (argv, err)
+            if key == "probe.x_min":
+                assert "probe.x_max" in err and "probe.n_points" in err, err
         assert not (tmp_path / "eq2").exists()
         # a finite but huge momentum is still judged by the aliasing gate
         assert main(["scenario", "flip", "--set", "state.p0=1e300"]) == 2

@@ -322,6 +322,20 @@ class TestOzawaError:
                 eps = ozawa_error(channel, psi)
                 assert rel_err(eps, direct_ozawa_error(channel, psi)) <= 1e-15, (s, g)
 
+    @pytest.mark.parametrize("n_probe", (256, 1024))
+    def test_row_blocks_match_whole_array(self, n_probe):
+        # eps from products formed a block of rows at a time against one
+        # whole (n_s, n_p) array of them, bit for bit: each row sums alike
+        grid = make_grid(1024, -16.0, 16.0)
+        psi = make_state(grid, GaussianState(1.0, 1.5, 1.2))
+        for s, g in POINTERS:
+            channel = make_vn_channel(grid, psi, g, s, n_probe)
+            pg = channel.probe.grid
+            offset = np.subtract(pg.x[None, :] / g, grid.x[:, None]) ** 2
+            spread = np.sum(offset * channel.table(grid).density, axis=1)
+            whole = math.sqrt(float(np.abs(psi.amplitudes) ** 2 @ spread) * (grid.dx * pg.dx))
+            assert ozawa_error(channel, psi) == whole, (s, g)
+
 
 # ---------------------------------------------------------------------------
 # RMS disturbance
@@ -665,15 +679,16 @@ class TestLundWiseman:
 
 class TestPointerMemory:
     def test_rms_figures_build_no_branch_array(self):
-        # with the table and its density built, the traced peak of each RMS
-        # figure stays well below one (n_s, n_p) complex array: eta forms its
-        # branches in chunks and eps needs one real temporary.  One call
-        # first, so cached grids and FFT plans are not counted.
+        # with the table built, the traced peak of each RMS figure stays well
+        # below one (n_s, n_p) complex array: eta forms its branches in
+        # chunks and eps its products in blocks of rows.  One call first, so
+        # cached grids and FFT plans are not counted.
         grid = make_grid(1024, -16.0, 16.0)
         psi = make_state(grid, GaussianState(0.5, 1.0, 1.0))
         channel = make_vn_channel(grid, psi, 1.0, 0.5, 256)
         table = channel.table(grid)
         assert table.density.shape == (1024, 256)
+        joint = 16 * 1024 * 256  # bytes of one complex (n_s, n_p) array
         figures = {
             "eta_P": lambda: ozawa_disturbance(channel, psi, "P"),
             "eps": lambda: ozawa_error(channel, psi),
@@ -686,7 +701,7 @@ class TestPointerMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 0.6 * table.weights.nbytes, (name, peak / table.weights.nbytes)
+            assert peak <= 0.6 * joint, (name, peak / joint)
 
 
 # ---------------------------------------------------------------------------
