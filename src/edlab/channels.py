@@ -233,11 +233,8 @@ class VonNeumannChannel:
             raise ValueError(f"coupling gain g must be finite and nonzero, got {self.g}")
 
     def table(self, grid: GridSpec) -> PointerTable:
-        """The coupling's PointerTable on a system grid, built once per grid.
-
-        T is read and freed before the kept branches are formed, so the two
-        are never alive together.
-        """
+        """The coupling's PointerTable on a system grid, built once per grid;
+        T is freed before the kept branches are formed."""
         table = self._tables.get(grid)
         if table is None:
             pg = self.probe.grid
@@ -257,11 +254,7 @@ class VonNeumannChannel:
                 mom[kept] * np.sqrt(pg.dp / pg.dx), grid, pg.p[kept], self.g, pg.hbar
             )
             table = PointerTable(
-                weights=weights,
-                measure=pg.dx,
-                coherence=coherence,
-                row_edge=row_edge,
-                density=density,
+                weights=weights, measure=pg.dx, coherence=coherence, row_edge=row_edge, density=density
             )
             self._tables[grid] = table
         return table
