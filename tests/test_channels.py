@@ -41,9 +41,9 @@ from edlab.grids import kernel_transform
 from edlab.states import gaussian_amplitudes
 from conftest import (
     direct_conditional_shift,
+    direct_phases,
     joint_norm,
     make_vn_channel,
-    direct_phases,
     pointer_kraus_matrices,
     position_basis_eta_p,
     product_state,
