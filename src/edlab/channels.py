@@ -7,15 +7,17 @@ an exact conditional shift: for each system column at x_i the probe is
 translated by g*x_i through momentum-space phases, which is unitary to
 machine precision at any coupling strength.  Since U is a conditional
 shift, U (a (x) ready) = a[:, None] * T, where row i of the table T is the
-translated ready state; each channel builds T once per system grid, reads
-its edge mass, readout density and coherence kernel from it, and frees it.
-The shifts are unitary translations, so the overlap of rows i and i' depends
-only on the lag i - i': the system's post-coupling state is rho o
-Toeplitz(c), and its momentum law needs no (n_s, n_p) transform.  In the
-probe's momentum basis the Kraus operators are diagonal phases,
+translated ready state.  Each channel builds T once per system grid, a
+block of rows at a time, and keeps only what the figures read of it: each
+row's edge mass, readout density and RMS-error spread, and the coherence
+kernel.  The shifts are unitary translations, so the overlap of rows i and
+i' depends only on the lag i - i': the system's post-coupling state is
+rho o Toeplitz(c), and its momentum law needs no (n_s, n_p) transform.  In
+the probe's momentum basis the Kraus operators are diagonal phases,
 K_q = m_q exp(-i g X p_q / hbar), so the branches the pointer keeps are the
 columns of those phases at the momenta where the ready state m has
-amplitude, with no transform.
+amplitude, formed a chunk of columns at a time from the two-level phase
+factors the table keeps, with no transform.
 
 ``kraus_of`` is the one implementation of a channel's action on a state: its
 Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
@@ -39,6 +41,10 @@ from .grids import (
 from .states import gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
+# Complex elements that the pointer's table build and metrics._kraus_sum form
+# at once: 512 KiB, small enough to stay in L2.  The table's blocks are whole
+# anchor groups of ``_shift_factors``, so one block may hold more.
+BRANCH_ELEMS = 1 << 15
 # Probe momenta whose |m_q|^2 is at or below this fraction of the ready
 # state's largest carry no pointer branch: eps^2 = 2^-104 is the rounding of
 # the ready state's own transform, not amplitude (see VonNeumannChannel.table).
@@ -143,7 +149,8 @@ class KrausBlock:
     multiplies by ``measure``.  A block with a ``coherence`` kernel (the
     pointer's ``PointerTable``, the one subclass) holds the lagged overlaps
     of the rows of a branch table that spans the same Kraus family, so its
-    momentum law needs no branch array.
+    momentum law needs no branch array; it keeps no ``weights`` either, and
+    forms the weights of a chunk of its columns on demand.
     """
 
     step: int = 1
@@ -156,11 +163,21 @@ class KrausBlock:
         """k, the number of branches (columns) of the block."""
         return 1 if self.weights is None else self.weights.shape[1]
 
+    def column_weights(self, columns: slice = slice(None)) -> np.ndarray | None:
+        """The (n_s, c) weights of the branches in ``columns``, a view of
+        ``weights``; None for one unweighted branch."""
+        return None if self.weights is None else self.weights[:, columns]
+
+    def weighted(self, a: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        """The branches a[::step, None] * weights of ``column_weights``, as a
+        new array that the caller may overwrite."""
+        branches = a[:: self.step, None]
+        return branches.copy() if weights is None else branches * weights
+
     def __call__(self, a: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
         """The (n_s, k) branch array, or the branches in ``columns`` only, as a
         new array that the caller may overwrite."""
-        branches = a[:: self.step, None]
-        return branches.copy() if self.weights is None else branches * self.weights[:, columns]
+        return self.weighted(a, self.column_weights(columns))
 
     def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
         """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
@@ -202,7 +219,8 @@ class PointerTable(KrausBlock):
     U(a (x) ready) = a[:, None] * T, with the probe cell dy as its measure.
     ``row_edge`` is the sum of |row|^2 over the two probe cells at each end
     (times dy for probabilities), and ``density`` is |T|^2 for the readout
-    law.  ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j) of rows
+    law.  ``spread`` is the RMS error's sum_j |T_ij|^2 (y_j/g - x_i)^2 per
+    row.  ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j) of rows
     l apart, for lags -(n_s - 1) <= l < n_s in numpy's index order (a
     negative lag is a negative index); times dy it is the characteristic
     function of the kick g*P_probe at g*l*dx.  The translations are unitary
@@ -210,15 +228,32 @@ class PointerTable(KrausBlock):
     grid.  A row beyond the reach of the states coupled may wrap around the
     probe grid; ``check_confinement`` judges each state by its own weights.
 
-    ``weights`` are the (n_s, k) branches of the kept probe momenta: column
-    q is m_q sqrt(dp/dy) exp(-i g x p_q / hbar), so that with ``measure``
-    dy a column is K_q a / sqrt(dy) for K_q = sqrt(dp) <p_q| U |., ready>.
-    Only the momenta with |m_q|^2 above ``BRANCH_FLOOR`` times the largest
-    are kept, k <= n_p.
+    The branches are those of the kept probe momenta: column q is
+    m_q sqrt(dp/dy) exp(-i g x p_q / hbar), so that with ``measure`` dy a
+    column is K_q a / sqrt(dy) for K_q = sqrt(dp) <p_q| U |., ready>.  Only
+    the momenta with |m_q|^2 above ``BRANCH_FLOOR`` times the largest are
+    kept, k <= n_p.  The block keeps their two-level phase factors of
+    ``_shift_factors``, no (n_s, k) array: ``amps`` (k,) are the
+    m_q sqrt(dp/dy), ``offsets`` (b, k) and ``anchors`` (n_s/b, k) the
+    phases, and ``column_weights`` forms the columns a caller asks for.
     """
 
     row_edge: np.ndarray
     density: np.ndarray
+    spread: np.ndarray
+    amps: np.ndarray
+    offsets: np.ndarray
+    anchors: np.ndarray
+
+    @property
+    def n_branches(self) -> int:
+        return self.amps.size
+
+    def column_weights(self, columns: slice = slice(None)) -> np.ndarray:
+        """The (n_s, c) weights of the branches in ``columns``, as a new
+        array, each element the product of ``_shift_phases``."""
+        lead = self.amps[columns] * self.offsets[:, columns]
+        return _shift_phases(lead, self.anchors[:, columns])
 
 
 @dataclass(frozen=True)
@@ -233,31 +268,75 @@ class VonNeumannChannel:
             raise ValueError(f"coupling gain g must be finite and nonzero, got {self.g}")
 
     def table(self, grid: GridSpec) -> PointerTable:
-        """The coupling's PointerTable on a system grid, built once per grid;
-        T is freed before the kept branches are formed."""
+        """The coupling's PointerTable on a system grid, built once per grid
+        by ``_pointer_table``."""
         table = self._tables.get(grid)
         if table is None:
-            pg = self.probe.grid
-            mom = self.probe.ready_state.momentum
-            shifted = _conditional_shift(mom, grid, pg, self.g)
-            row_edge = np.sum(np.abs(shifted[:, :N_BOUNDARY_POINTS]) ** 2, axis=1)
-            row_edge += np.sum(np.abs(shifted[:, -N_BOUNDARY_POINTS:]) ** 2, axis=1)
-            # one matvec; shifted.conj() @ ... would copy the whole table
-            lags = shifted @ shifted[0].conj()
-            coherence = np.concatenate((lags, lags[:0:-1].conj()))
-            density = np.abs(shifted)
-            np.square(density, out=density)
-            del shifted
-            mass = np.abs(mom) ** 2
-            kept = mass > BRANCH_FLOOR * mass.max()
-            weights = _shift_phases(
-                mom[kept] * np.sqrt(pg.dp / pg.dx), grid, pg.p[kept], self.g, pg.hbar
-            )
-            table = PointerTable(
-                weights=weights, measure=pg.dx, coherence=coherence, row_edge=row_edge, density=density
-            )
-            self._tables[grid] = table
+            table = self._tables[grid] = _pointer_table(grid, self.probe, self.g)
         return table
+
+
+def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
+    """The PointerTable of gain g on a system grid, from the rows of T a
+    block at a time, so that no (n_s, n_p) complex array is built.
+
+    Row i of T is the ready state's momentum amplitudes times the phases
+    exp(-1j*g*x_i*p_j/hbar), transformed along the probe axis.  The phases
+    are diagonal in p, so they commute with the fixed phase per momentum of
+    the basis ``kernel_transform`` keeps, and the shift is the same as in
+    the plane-wave basis.
+
+    A block is whole anchor groups of ``_shift_factors``, about BRANCH_ELEMS
+    elements and at least one group, transformed in place.  It gives its
+    rows' edge mass, their overlaps with row 0 (a matvec with the conjugate
+    of the first block's row 0), |T|^2 into ``density``, and ``spread``,
+    whose real products are formed about BRANCH_ELEMS at a time.  Each row's
+    figures are bit-identical to those of the whole T.  The factors of the
+    kept momenta are columns of the build's, since a column is the same for
+    any subset of momenta it is built with.
+    """
+    pg = probe.grid
+    mom = probe.ready_state.momentum
+    n, n_p = grid.n_points, pg.n_points
+    anchors, offsets = _shift_factors(grid, pg.p, g, pg.hbar)
+    b = offsets.shape[0]
+    lead = mom * offsets
+    groups = max(1, BRANCH_ELEMS // (b * n_p))
+    rows = max(1, BRANCH_ELEMS // n_p)
+    reading = pg.x / g
+    row_edge, spread = np.empty(n), np.empty(n)
+    lags = np.empty(n, complex)
+    density = np.empty((n, n_p))
+    for start in range(0, n, groups * b):
+        block = _shift_phases(lead, anchors[start // b : start // b + groups])
+        kernel_transform(block, 1, pg, +1, out=block)
+        stop = start + block.shape[0]
+        edge = np.sum(np.abs(block[:, :N_BOUNDARY_POINTS]) ** 2, axis=1)
+        edge += np.sum(np.abs(block[:, -N_BOUNDARY_POINTS:]) ** 2, axis=1)
+        row_edge[start:stop] = edge
+        if start == 0:
+            first = block[0].conj()
+        lags[start:stop] = block @ first
+        square = np.abs(block, out=density[start:stop])
+        np.square(square, out=square)
+        del block
+        for i in range(start, stop, rows):
+            offset = np.subtract(reading, grid.x[i : min(i + rows, stop), None])
+            offset *= offset
+            offset *= density[i : i + offset.shape[0]]
+            np.sum(offset, axis=1, out=spread[i : i + offset.shape[0]])
+    mass = np.abs(mom) ** 2
+    kept = mass > BRANCH_FLOOR * mass.max()
+    return PointerTable(
+        measure=pg.dx,
+        coherence=np.concatenate((lags, lags[:0:-1].conj())),
+        row_edge=row_edge,
+        density=density,
+        spread=spread,
+        amps=mom[kept] * np.sqrt(pg.dp / pg.dx),
+        offsets=offsets[:, kept],
+        anchors=anchors[:, kept],
+    )
 
 
 Channel = Union[FlipChannel, SlitChannel, VonNeumannChannel]
@@ -272,40 +351,32 @@ def slit_mask(grid: GridSpec, center: float, width: float) -> np.ndarray:
     return np.abs(grid.x - center) <= 0.5 * width
 
 
-def _conditional_shift(
-    mom: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec, g: float
-) -> np.ndarray:
-    """One row of probe momentum amplitudes to an (n_s, n_p) array of probe
-    position amplitudes, row i translated by g*x_i through the momentum-space
-    phases exp(-1j*g*x_i*p_j/hbar) of ``_shift_phases``.  These are diagonal
-    in p, so they commute with the fixed phase per momentum of the basis
-    ``kernel_transform`` keeps, and the shift is the same as in the
-    plane-wave basis.  The phases are built straight into one new array that
-    is then transformed in place.
-    """
-    pg = probe_grid
-    shifted = _shift_phases(mom, system_grid, pg.p, g, pg.hbar)
-    return kernel_transform(shifted, 1, pg, +1, out=shifted)
-
-
-def _shift_phases(
-    mom: np.ndarray, system_grid: GridSpec, p: np.ndarray, g: float, hbar: float
-) -> np.ndarray:
-    """The (n_s, len(p)) array mom_j * exp(-1j*g*x_i*p_j/hbar), as a new array.
-
-    The phases are a two-level product: with b = 2^floor(log2(n_s)/2), row
-    a*b + r is anchor row a (at x_(a*b)) times offset row r (a shift of
-    r*dx), so n_s/b + b rows of ``exp`` and one complex product per element
-    build them.  The amplitudes stay the first operand, so the anchor rows
-    (offset exactly 1) are bit-identical to one ``exp`` per element, and a
-    column is the same for any subset of momenta ``p`` it is built with.
-    """
+def _shift_factors(
+    system_grid: GridSpec, p: np.ndarray, g: float, hbar: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two levels of the phases exp(-1j*g*x_i*p_j/hbar): with
+    b = 2^floor(log2(n_s)/2), the (n_s/b, len(p)) anchor rows at x_(a*b) and
+    the (b, len(p)) offset rows of a shift of r*dx, one ``exp`` per element,
+    so that row a*b + r of the phases is anchor row a times offset row r
+    (``_shift_phases``): n_s/b + b rows of ``exp`` and one complex product
+    per element.  An anchor row (offset exactly 1) is bit-identical to one
+    ``exp`` per element, and a column is the same for any subset of momenta
+    ``p`` it is built with."""
     n = system_grid.n_points
     b = 1 << (n.bit_length() - 1) // 2
-    anchors = np.exp(-1j * g * np.outer(system_grid.x[::b], p) / hbar)[:, None]
+    anchors = np.exp(-1j * g * np.outer(system_grid.x[::b], p) / hbar)
     offsets = np.exp(-1j * g * np.outer(np.arange(b) * system_grid.dx, p) / hbar)
-    shifted = np.multiply(mom * offsets, anchors, out=np.empty((n // b, b, p.size), complex))
-    return shifted.reshape(n, p.size)
+    return anchors, offsets
+
+
+def _shift_phases(lead: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Rows a*b + r = lead[r] * anchors[a] for (b, k) ``lead`` rows (the
+    offsets of ``_shift_factors`` times amplitudes, which stay the first
+    operand) and (m, k) ``anchors``: one complex product per element, into
+    one new (m*b, k) array."""
+    (m, k), b = anchors.shape, lead.shape[0]
+    shifted = np.multiply(lead, anchors[:, None], out=np.empty((m, b, k), complex))
+    return shifted.reshape(m * b, k)
 
 
 def apply_von_neumann(
@@ -316,7 +387,8 @@ def apply_von_neumann(
 
     The tests' direct coupling, the oracle of the channel's ``PointerTable``:
     one ``exp(-1j*g*x_i*p_j/hbar)`` per element between the two transforms
-    along the probe axis, so it shares no code with ``_conditional_shift``.
+    along the probe axis, so it shares no code with the table's
+    ``_shift_factors``.
     It judges no confinement.  No figure calls it: they all read the
     coupling from the table.
     """
@@ -363,8 +435,10 @@ def kraus_of(channel: Channel, grid: GridSpec) -> list[KrausBlock]:
     on this grid itself: the branches of the kept probe momenta, k <= n_p,
     with the probe cell dy as measure; column q is K_q a / sqrt(dy) for
     K_q = sqrt(dp) <p_q| U |., ready> = sqrt(dp) m_q exp(-i g X p_q / hbar).
-    The table carries its coherence kernel, so the momentum law does not
-    build the branch array.  The block does not check confinement:
+    The table keeps the branches' two-level phase factors, not the (n_s, k)
+    array: a figure asks for a chunk of columns at a time
+    (``column_weights``).  It carries its coherence kernel, so the momentum
+    law does not build the branch array.  The block does not check confinement:
     ``check_confinement`` judges the state a figure is about.
     """
     if isinstance(channel, FlipChannel):

@@ -123,17 +123,16 @@ _BASE_DEFAULTS = {
     "grid.x_max": 16.0,
     "grid.hbar": 1.0,
     "state.smoothness": 6,
-    # admits n_s = n_p = 4096, estimated at 512 MiB
+    # admits n_s = n_p = 8192, estimated at 768 MiB
     "probe.max_joint_mib": 1024.0,
 }
 
 # Bytes per system x probe point that a pointer run holds at its peak: the
-# complex table T (16) and, beside it, |T|^2 (8) while the table is built;
-# after it, |T|^2 and the kept probe-momentum branches (at most 16).  The RMS
-# error forms its products in row blocks.  The peak RSS above the
-# interpreter's measures about 25 at n_s = n_p = 2048 and 4096 (numpy 2.4,
-# 64-bit Linux); 32 also covers a pointer that keeps every branch.
-_JOINT_BYTES_PER_POINT = 32
+# table's readout law |T|^2 (8), beside one block of T's rows and the phase
+# factors it is built from.  A report's traced peak measures 9.4 at
+# n_s = n_p = 2048, and the peak RSS above the interpreter's 10.2, 9.3 and
+# 8.8 at 2048, 4096 and 8192 (numpy 2.4, 64-bit Linux).
+_JOINT_BYTES_PER_POINT = 12
 
 _SCENARIO_DEFAULTS = {
     "flip": {
@@ -287,7 +286,9 @@ def _grid_from(cfg: dict) -> GridSpec:
 
 
 def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channel:
-    """The selected channel; psi sizes the probe when no probe bounds are set."""
+    """The selected channel; psi sizes the probe when no probe bounds are set.
+    The pointer's inputs are judged before its amplitudes are formed, and
+    its gain before any table is built."""
     variant = cfg["channel.variant"]
     if variant == "flip":
         return FlipChannel()
@@ -299,6 +300,7 @@ def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channe
     _check_joint_memory(grid.n_points, n_probe, cfg["probe.max_joint_mib"])
     bounds = [k for k in _PROBE_BOUNDS if k in cfg]
     if len(bounds) == 2:
+        _check_pointer_width(s)
         x_min, x_max = cfg["probe.x_min"], cfg["probe.x_max"]
         probe_grid = _guard(make_grid, n_probe, x_min, x_max, grid.hbar)
         cause = f"probe.x_min={_fmt(x_min)} and probe.x_max={_fmt(x_max)} set the probe domain"
@@ -308,21 +310,37 @@ def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channe
         raise ConfigError(f"{bounds[0]} is set without {missing}; set both probe bounds or neither")
     else:
         probe_grid = _auto_probe_grid(g, s, n_probe, grid.hbar, state_reach(grid, psi))
-    return _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
+    channel = _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
+    _check_readout_offsets(g, grid, probe_grid)
+    return channel
+
+
+def _check_pointer_width(s: float) -> None:
+    """ConfigError naming probe.s unless 0 < s**2 < inf, as ``ProbeSpec``
+    requires: before s sizes a probe domain that is not finite."""
+    if not (s > 0 and 0 < s * s < np.inf):
+        raise ConfigError(
+            f"pointer width probe.s must be positive with 0 < s**2 < inf, got {_fmt(s)}"
+        )
 
 
 def _auto_probe_grid(g: float, s: float, n_probe: int, hbar: float, reach: float) -> GridSpec:
     """The probe grid ``probe_half_width`` sizes for states within ``reach`` of
-    0.  A ConfigError names channel.g when the gain gives the domain no finite
-    half-width or widens it past what probe.n_points resolves."""
+    0.  A ConfigError names probe.s when it is no pointer width, and
+    channel.g when the gain gives the domain no finite half-width or widens
+    it past what probe.n_points resolves."""
+    _check_pointer_width(s)
     half = probe_half_width(g, reach, s)
-    if np.isfinite(s) and not np.isfinite(half):
+    if not np.isfinite(half):
         raise ConfigError(
             f"channel.g={_fmt(g)} gives the probe domain no finite half-width "
             f"(|g| * {_fmt(reach)} + 12 * probe.s = {_fmt(half)})"
         )
     probe_grid = _guard(make_grid, n_probe, -half, half, hbar)
-    cause = f"channel.g={_fmt(g)} sizes the probe domain to ±{_fmt(probe_grid.x_max)}"
+    cause = (
+        f"channel.g={_fmt(g)} and probe.s={_fmt(s)} size the probe domain "
+        f"to ±{_fmt(probe_grid.x_max)}"
+    )
     _check_pointer_reach(s, probe_grid, cause)
     return probe_grid
 
@@ -331,11 +349,31 @@ def _check_pointer_reach(s: float, probe_grid: GridSpec, cause: str) -> None:
     """ConfigError, after ``cause``, when the probe spacing exceeds 80 pointer
     widths: the points nearest 0, at +-dx/2 on a symmetric domain, lie 40
     widths out, where the pointer is 0, so it is judged before any of its
-    amplitudes is formed."""
-    if s > 0 and s * s > 0 and probe_grid.dx > 80.0 * s:  # ProbeSpec rejects s**2 == 0
+    amplitudes is formed.  So are probe coordinates whose squares, which
+    the pointer's Gaussian forms, overflow."""
+    if probe_grid.dx > 80.0 * s:
         raise ConfigError(
             f"{cause}, where probe.n_points={probe_grid.n_points} cannot resolve "
             f"the pointer width {_fmt(s)}"
+        )
+    edge = max(-probe_grid.x_min, probe_grid.x_max)
+    if not edge * edge < np.inf:
+        raise ConfigError(
+            f"{cause}, whose coordinates up to {_fmt(edge)} overflow when squared "
+            f"in the Gaussian of the pointer width probe.s={_fmt(s)}"
+        )
+
+
+def _check_readout_offsets(g: float, grid: GridSpec, probe_grid: GridSpec) -> None:
+    """ConfigError naming channel.g when the pointer reading y/g lies so far
+    from the system's x that the RMS error's squared offsets (y/g - x)^2 could
+    overflow.  Weighted by |T|^2 dy and |psi|^2 dx, which each sum to 1, no
+    sum of them exceeds the largest over dx dy, so that bound is checked."""
+    offset = max(-probe_grid.x_min, probe_grid.x_max) / abs(g) + max(-grid.x_min, grid.x_max)
+    if not offset * offset / (grid.dx * probe_grid.dx) < np.inf:
+        raise ConfigError(
+            f"channel.g={_fmt(g)} puts the pointer reading y/g up to {_fmt(offset)} "
+            "from the system's x, too far for the squared offsets of the RMS error to stay finite"
         )
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channels import (
+    BRANCH_ELEMS,
     Channel,
     SlitChannel,
     VonNeumannChannel,
@@ -42,10 +43,6 @@ from .grids import (
 
 ObservableName = str  # "X" or "P"
 
-# Branch elements that _kraus_sum forms at once, in whole columns of n_s
-# elements: 512 KiB of complex amplitudes, small enough to stay in L2.
-# ozawa_error forms its real products in whole rows of as many elements.
-BRANCH_ELEMS = 1 << 15
 # Merged quantile levels that wasserstein2 searches and sums at once: each
 # temporary of a block is 256 KiB.
 W2_BLOCK = 1 << 15
@@ -157,9 +154,10 @@ def _kraus_sum(
     The one place where B acts on branches: a chunk of a block's columns at
     a time, about BRANCH_ELEMS elements, so the pointer's (n_s, k) branches
     of the kept probe momenta are never built at once, and B acts on each
-    chunk in place while it is in cache.  X multiplies by x, and a block of
-    step 1, which commutes with X, is not built for it.  P is a plain
-    spectral multiplier,
+    chunk in place while it is in cache.  A chunk's weights are formed once
+    (``KrausBlock.column_weights``) and weight both K psi and K B psi.  X
+    multiplies by x, and a block of step 1, which commutes with X, is not
+    built for it.  P is a plain spectral multiplier,
     P b = sigma * IFFT(p * FFT(sigma * b)) with sigma_i = (-1)^i (see
     ``grids.signed_fft``), and the closing sigma is left off: the chunk of
     K B psi takes sigma instead, which leaves |gap|^2 as it is.  sigma goes
@@ -190,8 +188,8 @@ def _kraus_sum(
         if law is not None and k.coherence is not None:
             law += k.momentum_mass(psi.amplitudes, g) * k.measure
         for j in range(0, k.n_branches, size):
-            columns = slice(j, j + size)
-            b_k = k(psi.amplitudes, columns)
+            weights = k.column_weights(slice(j, j + size))
+            b_k = k.weighted(psi.amplitudes, weights)
             if observable == "X":
                 np.multiply(g.x[:, None], b_k, out=b_k)
             elif k.coherence is not None or b_k.any():
@@ -204,11 +202,11 @@ def _kraus_sum(
                 b_psi = g.x * psi.amplitudes
             elif b_psi is None:  # in place, from the state's cached momentum view
                 b_psi = kernel_transform(mom := psi.momentum * g.p, 0, g, +1, out=mom)
-            k_b = k(b_psi, columns)
+            k_b = k.weighted(b_psi, weights)
             if observable == "P":
                 k_b[1::2] *= -1.0  # sigma, as on b_k
             total += _squared_gap(b_k, k_b) * g.dx * k.measure
-            del b_k, k_b  # freed before the next chunk is built
+            del weights, b_k, k_b  # freed before the next chunk is built
     return total
 
 
@@ -222,26 +220,16 @@ def ozawa_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     || (U^dag M U - X_s) |psi, ready> || with M = X_probe / g.  U commutes
     with X_s (x) 1, so this equals || (M - X_s) U |psi, ready> ||, and
     U |psi, ready> = psi[:, None] * T for the channel's table T.  So
-    eps^2 = dx dy sum_i |psi_i|^2 sum_j D_ij (y_j/g - x_i)^2 with D = |T|^2,
-    the table's ``density``, and no coupling.  The products are formed a
-    block of rows at a time, about BRANCH_ELEMS elements, so no real
-    (n_s, n_p) temporary is built; each row sums as it would in the whole
-    array.  Like every other pointer figure, it first judges psi with
-    ``check_confinement``.
+    eps^2 = dx dy sum_i |psi_i|^2 spread_i with the table's ``spread``,
+    spread_i = sum_j |T_ij|^2 (y_j/g - x_i)^2, which does not depend on the
+    state, and no coupling.  Like every other pointer figure, it first
+    judges psi with ``check_confinement``.
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the RMS measurement error requires a probe coupling")
     check_confinement(channel, psi)
     g, pg = psi.grid, channel.probe.grid
-    density = channel.table(g).density
-    reading = pg.x / channel.g
-    rows = max(1, BRANCH_ELEMS // pg.n_points)
-    spread = np.empty(g.n_points)
-    for i in range(0, g.n_points, rows):
-        offset = np.subtract(reading, g.x[i : i + rows, None])
-        offset *= offset
-        offset *= density[i : i + rows]
-        np.sum(offset, axis=1, out=spread[i : i + rows])
+    spread = channel.table(g).spread
     return math.sqrt(float(np.abs(psi.amplitudes) ** 2 @ spread) * (g.dx * pg.dx))
 
 
@@ -422,11 +410,11 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
     eta_P and the P law after share one forward FFT per Kraus branch
     (``_momentum_figures``): ``_kraus_sum`` adds each branch's law from the
     spectrum its P multiplier forms.  So ``kernel_transform`` runs twice for
-    the flip or the slit (psi once, P psi once) and 4 times for the pointer
-    (psi, the ready state, the table and P psi); the branches take an FFT
-    and an inverse FFT each, and a slit whose window covers the state skips
-    its fail branch, which is exactly 0.  Each figure is bit-identical to
-    its separate call.
+    the flip or the slit (psi once, P psi once) and 3 times plus once per
+    block of table rows for the pointer (psi, the ready state, each block
+    of the table and P psi); the branches take an FFT and an inverse FFT
+    each, and a slit whose window covers the state skips its fail branch,
+    which is exactly 0.  Each figure is bit-identical to its separate call.
     """
     mom = moments(psi)
     eta_p, w2_p = _momentum_figures(channel, psi)

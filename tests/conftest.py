@@ -16,7 +16,14 @@ from edlab import (
     make_state,
     probe_grid_for,
 )
-from edlab.channels import _conditional_shift, apply_von_neumann, check_confinement, kraus_of
+from edlab.channels import (
+    N_BOUNDARY_POINTS,
+    _shift_factors,
+    _shift_phases,
+    apply_von_neumann,
+    check_confinement,
+    kraus_of,
+)
 from edlab.grids import kernel_transform, signed_fft
 from edlab.metrics import W2_FLOOR
 
@@ -105,6 +112,38 @@ def direct_conditional_shift(
     return kernel_transform(mom * direct_phases(system_grid, probe_grid, g), 1, probe_grid, +1)
 
 
+def conditional_shift(
+    mom: np.ndarray, system_grid: GridSpec, probe_grid: GridSpec, g: float
+) -> np.ndarray:
+    """The whole (n_s, n_p) table T of translated ready states: ``mom``, a row
+    of probe momentum amplitudes, times the two-level phases of
+    ``channels._shift_factors`` in row i, transformed in place along the
+    probe axis.  The package's earlier whole-table build, kept as the oracle
+    of the ``PointerTable`` that is built a block of rows at a time."""
+    pg = probe_grid
+    anchors, offsets = _shift_factors(system_grid, pg.p, g, pg.hbar)
+    shifted = _shift_phases(mom * offsets, anchors)
+    return kernel_transform(shifted, 1, pg, +1, out=shifted)
+
+
+def whole_table_fields(channel: VonNeumannChannel, grid: GridSpec) -> dict[str, np.ndarray]:
+    """``row_edge``, ``coherence``, ``density`` and ``spread`` of the channel's
+    table on a grid, each read from the whole T of ``conditional_shift`` as
+    one whole-array expression."""
+    pg = channel.probe.grid
+    table = conditional_shift(channel.probe.ready_state.momentum, grid, pg, channel.g)
+    edges = np.abs(table[:, :N_BOUNDARY_POINTS]) ** 2, np.abs(table[:, -N_BOUNDARY_POINTS:]) ** 2
+    lags = table @ table[0].conj()
+    density = np.abs(table) ** 2
+    offset = np.subtract(pg.x[None, :] / channel.g, grid.x[:, None]) ** 2
+    return {
+        "row_edge": np.sum(edges[0], axis=1) + np.sum(edges[1], axis=1),
+        "coherence": np.concatenate((lags, lags[:0:-1].conj())),
+        "density": density,
+        "spread": np.sum(offset * density, axis=1),
+    }
+
+
 def product_state(psi, probe: ProbeSpec) -> np.ndarray:
     """psi (x) ready as an (n_s, n_p) array of amplitudes."""
     return np.outer(psi.amplitudes, probe.ready_state.amplitudes)
@@ -145,13 +184,13 @@ def dense_pointer_eta_p(channel: VonNeumannChannel, psi) -> float:
 def position_basis_eta_p(channel: VonNeumannChannel, psi) -> float:
     """eta_P^2 = sum_j dy ||P K_j psi - K_j P psi||^2 over the pointer's
     position-basis branches, the columns of a[:, None] * T with measure dy
-    for the table T of translated ready states from ``_conditional_shift``:
+    for the table T of translated ready states from ``conditional_shift``:
     the package's earlier Kraus block, kept as the oracle of its
     probe-momentum branches.  P is the spectral multiplier through
     ``kernel_transform``, on the whole (n_s, n_p) array."""
     check_confinement(channel, psi)
     g, pg = psi.grid, channel.probe.grid
-    table = _conditional_shift(channel.probe.ready_state.momentum, g, pg, channel.g)
+    table = conditional_shift(channel.probe.ready_state.momentum, g, pg, channel.g)
 
     def momentum_op(amps):
         mom = kernel_transform(amps, 0, g, -1)
@@ -225,7 +264,8 @@ def unblocked_wasserstein2(d1: ProbabilityDistribution, d2: ProbabilityDistribut
 def direct_ozawa_error(channel: VonNeumannChannel, psi) -> float:
     """eps = || (X_probe/g - X_s) U |psi, ready> || from the direct coupling of
     psi (x) ready: the package's earlier path, kept as the oracle of
-    ``metrics.ozawa_error``, which reads |T|^2 from the channel's table."""
+    ``metrics.ozawa_error``, which reads the spread of |T|^2 from the
+    channel's table."""
     check_confinement(channel, psi)
     pg = channel.probe.grid
     coupled = apply_von_neumann(product_state(psi, channel.probe), psi.grid, pg, channel.g)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,13 +34,14 @@ from edlab import (
 from edlab.channels import (
     BRANCH_FLOOR,
     CONFINEMENT_TOL,
-    _conditional_shift,
+    PointerTable,
     apply_von_neumann,
     check_confinement,
 )
 from edlab.grids import kernel_transform
 from edlab.states import gaussian_amplitudes
 from conftest import (
+    conditional_shift,
     direct_conditional_shift,
     direct_phases,
     joint_norm,
@@ -49,6 +51,7 @@ from conftest import (
     product_state,
     random_amplitudes,
     unitary_dft,
+    whole_table_fields,
 )
 
 
@@ -93,16 +96,25 @@ class TestFlip:
 
 class TestVonNeumann:
     def test_conditional_shift_recenters_pointer(self):
-        # near-position-eigenstate: pointer marginal recenters at g * x0
+        # near-position-eigenstate: the pointer marginal recenters at g * x0,
+        # from the direct coupling, the whole table T and the channel's
+        # readout law alike
         grid = make_grid(2048, -8, 8)
         psi = make_state(grid, GaussianState(2.0, 0.0, 0.1))
         channel = make_vn_channel(grid, psi, 1.0, 0.5)
-        joint = apply_von_neumann(product_state(psi, channel.probe), grid, channel.probe.grid, 1.0)
-        probe_m = np.sum(np.abs(joint) ** 2, axis=0) * grid.dx
-        mean = np.sum(channel.probe.grid.x * probe_m) * channel.probe.grid.dx
-        assert mean == pytest.approx(2.0, abs=1e-9)
-        var = np.sum(channel.probe.grid.x**2 * probe_m) * channel.probe.grid.dx - mean**2
-        assert var == pytest.approx(0.5**2 + 1.0**2 * 0.1**2, rel=1e-6)
+        pg = channel.probe.grid
+        joint = apply_von_neumann(product_state(psi, channel.probe), grid, pg, 1.0)
+        table = conditional_shift(channel.probe.ready_state.momentum, grid, pg, 1.0)
+        weights = np.abs(psi.amplitudes) ** 2 * grid.dx
+        for probe_m in (
+            np.sum(np.abs(joint) ** 2, axis=0) * grid.dx,
+            weights @ np.abs(table) ** 2,
+            weights @ channel.table(grid).density,
+        ):
+            mean = np.sum(pg.x * probe_m) * pg.dx
+            assert mean == pytest.approx(2.0, abs=1e-9)
+            var = np.sum(pg.x**2 * probe_m) * pg.dx - mean**2
+            assert var == pytest.approx(0.5**2 + 1.0**2 * 0.1**2, rel=1e-6)
 
     def test_unitarity_and_inverse(self, std_grid, vn_default):
         channel, psi = vn_default
@@ -158,7 +170,7 @@ class TestConditionalShift:
                     for pg in (probe_grid_for(grid, spread, g, 0.5, 128), make_grid(128, -4.0, 4.0, hbar)):
                         mom = rng.standard_normal(128) + 1j * rng.standard_normal(128)
                         oracle = direct_conditional_shift(mom, grid, pg, g)
-                        shifted = _conditional_shift(mom, grid, pg, g)
+                        shifted = conditional_shift(mom, grid, pg, g)
                         err = np.max(np.abs(shifted - oracle))
                         assert err <= 1e-13 * np.max(np.abs(oracle)), (n, hbar, g, pg)
 
@@ -388,20 +400,21 @@ class TestPointerTable:
     def test_one_shift_per_channel_and_grid(self, std_grid, vn_default, monkeypatch):
         from edlab import channels, grids, metrics
 
-        shifted = []
-        shift = channels._conditional_shift
+        built = []
+        build = channels._pointer_table
 
-        def counted(mom, system_grid, probe_grid, g):
-            shifted.append(system_grid)
-            return shift(mom, system_grid, probe_grid, g)
+        def counted(grid, probe, g):
+            built.append(grid)
+            return build(grid, probe, g)
 
-        monkeypatch.setattr(channels, "_conditional_shift", counted)
+        monkeypatch.setattr(channels, "_pointer_table", counted)
         channel, psi = vn_default
         compute_report(VonNeumannChannel(channel.g, channel.probe), psi)
-        assert len(shifted) == 1  # the table; no figure couples directly
-        shifted.clear()
+        assert built == [std_grid]  # the table; no figure couples directly
+        built.clear()
 
-        # the only (n_s, n_p) transform of a search is the table's shift
+        # the only 2-D transforms of a search are the table's blocks of rows,
+        # which cover the grid once
         transformed = []
 
         def counted_transform(arr, *args, **kwargs):
@@ -415,8 +428,49 @@ class TestPointerTable:
         spec = SearchSpec((-1.0, 1.0), (0.0, 0.0), (2.0, 3.0), (3, 1, 2), 1e-2, 1)
         report = eq2_check(VonNeumannChannel(channel.g, channel.probe), grid, spec, spec)
         evaluations = len(report.error_search.trace) + len(report.disturbance_search.trace)
-        assert evaluations > 10 and shifted == [grid]
-        assert transformed == [(128, channel.probe.grid.n_points)]
+        assert evaluations > 10 and built == [grid]
+        assert {shape[1] for shape in transformed} == {channel.probe.grid.n_points}
+        assert sum(shape[0] for shape in transformed) == grid.n_points
+
+    @pytest.mark.parametrize("n_probe", (256, 1024, 2048))
+    @pytest.mark.parametrize("hbar", (1.0, 2.0))
+    def test_blocked_build_matches_whole_table(self, n_probe, hbar):
+        # the table's per-row figures, built a block of rows at a time,
+        # against the whole T, bit for bit: 8 blocks of 128 rows at
+        # n_p = 256, and 32 blocks of one 32-row anchor group at 1024 and
+        # at 2048, where a group holds more than BRANCH_ELEMS and the spread
+        # runs over 16 rows at a time; on auto-sized probe grids and on
+        # narrow ones whose far rows wrap around
+        grid = make_grid(1024, -16.0, 16.0, hbar)
+        psi = make_state(grid, GaussianState(1.0, 1.5, 1.2))
+        for g in (1.0, -2.0):
+            for pg in (probe_grid_for(grid, psi, g, 0.5, n_probe), make_grid(n_probe, -7.5, 7.5, hbar)):
+                channel = VonNeumannChannel(g, ProbeSpec(pg, 0.5))
+                table = channel.table(grid)
+                for name, oracle in whole_table_fields(channel, grid).items():
+                    assert np.array_equal(getattr(table, name), oracle), (name, g, pg)
+
+    def test_table_keeps_no_branch_array(self):
+        # of the table's arrays only the readout law |T|^2 has n_s * n_p
+        # elements; no field has the n_s * k of the branch array, and the
+        # branches come from their factors, a chunk of columns at a time
+        grid = make_grid(1024, -16.0, 16.0)
+        psi = make_state(grid, GaussianState(0.0, 0.0, 1.0))
+        channel = make_vn_channel(grid, psi, 1.0, 0.5, 256)
+        table = channel.table(grid)
+        n_s, n_p, k = 1024, 256, table.n_branches
+        assert k < n_p
+        sizes = {
+            f.name: getattr(table, f.name).size
+            for f in fields(PointerTable)
+            if isinstance(getattr(table, f.name), np.ndarray)
+        }
+        assert sizes["density"] == n_s * n_p
+        assert max(size for name, size in sizes.items() if name != "density") < n_s * k, sizes
+        assert table.weights is None
+        whole = table.column_weights()
+        assert whole.shape == (n_s, k)
+        assert np.array_equal(table.column_weights(slice(7, 40)), whole[:, 7:40])
 
     def test_state_confinement_matches_direct_coupling(self, std_grid):
         # the state's edge mass from the table's rows gates exactly where the

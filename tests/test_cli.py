@@ -2,6 +2,7 @@ import json
 import math
 import platform
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from edlab.channels import VonNeumannChannel
 from edlab.cli import (
+    _JOINT_BYTES_PER_POINT,
     _SCHEMA,
     ConfigError,
     build_scenario,
@@ -20,6 +22,7 @@ from edlab.cli import (
     run_sweep,
 )
 from edlab.grids import kernel_transform, make_grid
+from edlab.metrics import compute_report
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -268,11 +271,15 @@ class TestScenarios:
             assert main(["scenario", name, *(a for g in given for a in ("--set", g))]) == 1, given
             assert "config error" in capsys.readouterr().err, given
         # a momentum that is not finite, a gain that overflows the auto-sized
-        # probe or widens it past what probe.n_points resolves, and explicit
-        # probe bounds too far apart to resolve, are named before numpy warns
-        # of an invalid or overflowing value
+        # probe or widens it past what probe.n_points resolves, explicit
+        # probe bounds too far apart to resolve, a gain so small that the
+        # squared readout offsets (y/g - x)^2 overflow, probe coordinates
+        # whose squares overflow in the pointer's Gaussian, and a pointer
+        # width that is not finite are named before numpy warns of an
+        # invalid or overflowing value
         eq2 = ["eq2", "--out-dir", str(tmp_path / "eq2")]
-        for argv, key in (
+        huge_pointer = ["--set", "probe.s=1e152", "--set", "probe.x_min=-1e155", "--set", "probe.x_max=1e155"]
+        for argv, *keys in (
             (["scenario", "flip", "--set", "state.p0=inf"], "p0"),
             (["scenario", "flip", "--set", "state.p0=-inf"], "p0"),
             (["scenario", "flip", "--set", "state.p0=nan"], "p0"),
@@ -282,18 +289,21 @@ class TestScenarios:
             (["scenario", "vonneumann", "--set", "channel.g=1e308"], "channel.g"),
             ([*eq2, "--set", "channel.g=1e300"], "channel.g"),
             ([*eq2, "--set", "channel.g=1e308"], "channel.g"),
-            # explicit probe bounds too far apart to resolve the pointer
             (["scenario", "vonneumann", "--set", "probe.x_min=-1e300", "--set", "probe.x_max=1e300"],
-             "probe.x_min"),
+             "probe.x_min", "probe.x_max", "probe.n_points"),
+            (["scenario", "vonneumann", "--set", "channel.g=1e-300"], "channel.g"),
+            ([*eq2, "--set", "channel.g=1e-300"], "channel.g"),
+            (["scenario", "vonneumann", *huge_pointer], "probe.s", "probe.x_min", "probe.x_max"),
+            (["scenario", "vonneumann", "--set", "probe.s=1e154"], "probe.s"),
+            (["scenario", "vonneumann", "--set", "probe.s=inf"], "probe.s"),
+            ([*eq2, "--set", "probe.s=inf"], "probe.s"),
         ):
             capsys.readouterr()
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 assert main(argv) == 1, argv
             err = capsys.readouterr().err
-            assert "config error" in err and key in err, (argv, err)
-            if key == "probe.x_min":
-                assert "probe.x_max" in err and "probe.n_points" in err, err
+            assert "config error" in err and all(key in err for key in keys), (argv, err)
         assert not (tmp_path / "eq2").exists()
         # a finite but huge momentum is still judged by the aliasing gate
         assert main(["scenario", "flip", "--set", "state.p0=1e300"]) == 2
@@ -323,15 +333,34 @@ class TestScenarios:
         huge = ["--set", "grid.n_points=65536", "--set", "probe.n_points=65536"]
         assert main(["scenario", "vonneumann", *huge]) == 1
         assert "probe.max_joint_mib" in capsys.readouterr().err
-        for given in ("probe.max_joint_mib=1", "probe.max_joint_mib=0", "probe.max_joint_mib=nan"):
+        for given in ("probe.max_joint_mib=0.5", "probe.max_joint_mib=0", "probe.max_joint_mib=nan"):
             assert main(["scenario", "vonneumann", "--set", given]) == 1, given
             assert main(["eq2", "--out-dir", str(tmp_path / "eq2"), "--set", given]) == 1, given
             assert "probe.max_joint_mib" in capsys.readouterr().err
         assert not (tmp_path / "eq2").exists()
-        # the default admits n_s = n_p = 4096
-        sets = ["grid.n_points=4096", "probe.n_points=4096"]
-        built = build_scenario(load_config(None, sets, "vonneumann"))
-        assert built.channel.probe.grid.n_points == 4096
+        # the default admits n_s = n_p = 8192 and refuses 65536, above
+        for n, code in ((8192, 0), (65536, 1)):
+            sets = [f"grid.n_points={n}", f"probe.n_points={n}"]
+            cfg = load_config(None, sets, "vonneumann")
+            if code:
+                with pytest.raises(ConfigError, match="probe.max_joint_mib"):
+                    build_scenario(cfg)
+            else:
+                assert build_scenario(cfg).channel.probe.grid.n_points == n
+
+    def test_joint_memory_estimate_covers_the_traced_peak(self):
+        # a report's traced peak, the table built with it, stays under the
+        # estimate the cap judges
+        n = 2048
+        cfg = load_config(None, [f"grid.n_points={n}", f"probe.n_points={n}"], "vonneumann")
+        tracemalloc.start()
+        try:
+            built = build_scenario(cfg)
+            compute_report(built.channel, built.psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _JOINT_BYTES_PER_POINT * n * n, peak / (n * n)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc")
     def test_main_keeps_freed_memory_for_the_next_transform(self, capsys):

@@ -680,9 +680,9 @@ class TestLundWiseman:
 class TestPointerMemory:
     def test_rms_figures_build_no_branch_array(self):
         # with the table built, the traced peak of each RMS figure stays well
-        # below one (n_s, n_p) complex array: eta forms its branches in
-        # chunks and eps its products in blocks of rows.  One call first, so
-        # cached grids and FFT plans are not counted.
+        # below one (n_s, n_p) complex array: eta forms its branches and
+        # their weights in chunks, and eps reads the table's spread.  One
+        # call first, so cached grids and FFT plans are not counted.
         grid = make_grid(1024, -16.0, 16.0)
         psi = make_state(grid, GaussianState(0.5, 1.0, 1.0))
         channel = make_vn_channel(grid, psi, 1.0, 0.5, 256)
@@ -765,13 +765,14 @@ class TestTransformCounts:
         assert transforms == [-1, 1], transforms
         assert len(ffts) == expected, ffts
 
-    def test_pointer_report_transforms_four_times(self, std_grid, counts):
-        # psi, the ready state, the table's shifted rows and P psi; the
-        # branches and the P law after take plain FFTs only
+    def test_pointer_report_transforms_table_by_blocks(self, std_grid, counts):
+        # psi, the ready state, the table's shifted rows (two blocks of 128
+        # rows on the 256 x 256 grid) and P psi; the branches and the P law
+        # after take plain FFTs only
         transforms, _ = counts
         psi = make_state(std_grid, GaussianState(0.5, 1.0, 1.0))
         compute_report(make_vn_channel(std_grid, psi, 1.0, 0.5), psi)
-        assert transforms == [-1, -1, 1, 1], transforms
+        assert transforms == [-1, -1, 1, 1, 1], transforms
 
 
 # ---------------------------------------------------------------------------
