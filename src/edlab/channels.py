@@ -288,8 +288,8 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
 
     A block is whole anchor groups of ``_shift_factors``, about BRANCH_ELEMS
     elements and at least one group, transformed in place.  It gives its
-    rows' edge mass, their overlaps with row 0 (a matvec with the conjugate
-    of the first block's row 0), |T|^2 into ``density``, and ``spread``,
+    rows' overlaps with row 0 (a matvec with the conjugate of the first
+    block's row 0), |T|^2 into ``density``, their edge mass, and ``spread``,
     whose real products are formed about BRANCH_ELEMS at a time.  Each row's
     figures are bit-identical to those of the whole T.  The factors of the
     kept momenta are columns of the build's, since a column is the same for
@@ -311,15 +311,14 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
         block = _shift_phases(lead, anchors[start // b : start // b + groups])
         kernel_transform(block, 1, pg, +1, out=block)
         stop = start + block.shape[0]
-        edge = np.sum(np.abs(block[:, :N_BOUNDARY_POINTS]) ** 2, axis=1)
-        edge += np.sum(np.abs(block[:, -N_BOUNDARY_POINTS:]) ** 2, axis=1)
-        row_edge[start:stop] = edge
         if start == 0:
             first = block[0].conj()
         lags[start:stop] = block @ first
         square = np.abs(block, out=density[start:stop])
         np.square(square, out=square)
         del block
+        row_edge[start:stop] = np.sum(square[:, :N_BOUNDARY_POINTS], axis=1)
+        row_edge[start:stop] += np.sum(square[:, -N_BOUNDARY_POINTS:], axis=1)
         for i in range(start, stop, rows):
             offset = np.subtract(reading, grid.x[i : min(i + rows, stop), None])
             offset *= offset
