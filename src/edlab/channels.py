@@ -9,15 +9,17 @@ machine precision at any coupling strength.  Since U is a conditional
 shift, U (a (x) ready) = a[:, None] * T, where row i of the table T is the
 translated ready state.  Each channel builds T once per system grid, a
 block of rows at a time, and keeps only what the figures read of it: each
-row's edge mass, readout density and RMS-error spread, and the coherence
-kernel.  The shifts are unitary translations, so the overlap of rows i and
-i' depends only on the lag i - i': the system's post-coupling state is
-rho o Toeplitz(c), and its momentum law needs no (n_s, n_p) transform.  In
-the probe's momentum basis the Kraus operators are diagonal phases,
-K_q = m_q exp(-i g X p_q / hbar), so the branches the pointer keeps are the
-columns of those phases at the momenta where the ready state m has
-amplitude, formed a chunk of columns at a time from the two-level phase
-factors the table keeps, with no transform.
+row's edge mass and RMS-error spread, and the coherence kernel.  The shifts
+are unitary translations, so the overlap of rows i and i' depends only on
+the lag i - i': the system's post-coupling state is rho o Toeplitz(c), and
+its momentum law needs no (n_s, n_p) transform.  The readout law
+sum_i w_i |T_ij|^2 is a sum over momentum lags of the ready state's
+autocorrelation times the characteristic function of the weights, so it
+needs no (n_s, n_p) array either.  In the probe's momentum basis the Kraus
+operators are diagonal phases, K_q = m_q exp(-i g X p_q / hbar), so the
+branches the pointer keeps are the columns of those phases at the momenta
+where the ready state m has amplitude, formed a chunk of columns at a time
+from the two-level phase factors the table keeps, with no transform.
 
 ``kraus_of`` is the one implementation of a channel's action on a state: its
 Kraus family (equivalently, its Stinespring dilation) as blocks of branches.
@@ -168,11 +170,14 @@ class KrausBlock:
         ``weights``; None for one unweighted branch."""
         return None if self.weights is None else self.weights[:, columns]
 
-    def weighted(self, a: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    def weighted(
+        self, a: np.ndarray, weights: np.ndarray | None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The branches a[::step, None] * weights of ``column_weights``, as a
-        new array that the caller may overwrite."""
+        new array that the caller may overwrite, or into ``out``, which may
+        be ``weights`` itself."""
         branches = a[:: self.step, None]
-        return branches.copy() if weights is None else branches * weights
+        return branches.copy() if weights is None else np.multiply(branches, weights, out=out)
 
     def __call__(self, a: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
         """The (n_s, k) branch array, or the branches in ``columns`` only, as a
@@ -213,20 +218,31 @@ def branch_mass(branches: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, kw_only=True)
 class PointerTable(KrausBlock):
     """The pointer's Kraus block on one system grid, with what the figures
-    read of the table T of translated ready states; T itself is not kept.
+    read of the table T of translated ready states; no (n_s, n_p) array of
+    T or of |T|^2 is kept.
 
     Row i of T is the ready state translated by g*x_i, so that
     U(a (x) ready) = a[:, None] * T, with the probe cell dy as its measure.
     ``row_edge`` is the sum of |row|^2 over the two probe cells at each end
-    (times dy for probabilities), and ``density`` is |T|^2 for the readout
-    law.  ``spread`` is the RMS error's sum_j |T_ij|^2 (y_j/g - x_i)^2 per
-    row.  ``coherence[l]`` is the overlap sum_j T_ij conj(T_(i-l)j) of rows
-    l apart, for lags -(n_s - 1) <= l < n_s in numpy's index order (a
-    negative lag is a negative index); times dy it is the characteristic
-    function of the kick g*P_probe at g*l*dx.  The translations are unitary
-    on the periodic probe grid, so it depends on the lag alone, on every
-    grid.  A row beyond the reach of the states coupled may wrap around the
-    probe grid; ``check_confinement`` judges each state by its own weights.
+    (times dy for probabilities), and ``spread`` is the RMS error's
+    sum_j |T_ij|^2 (y_j/g - x_i)^2 per row.  ``coherence[l]`` is the
+    overlap sum_j T_ij conj(T_(i-l)j) of rows l apart, for lags
+    -(n_s - 1) <= l < n_s in numpy's index order (a negative lag is a
+    negative index); times dy it is the characteristic function of the kick
+    g*P_probe at g*l*dx.  The translations are unitary on the periodic probe
+    grid, so it depends on the lag alone, on every grid.  A row beyond the
+    reach of the states coupled may wrap around the probe grid;
+    ``check_confinement`` judges each state by its own weights.
+
+    The readout law sum_i w_i |T_ij|^2 (``readout``) is read in the probe's
+    Fourier domain: the DFT of |T_i.|^2 at k is n_p dp^2 / (2 pi hbar) times
+    the sum over the lags l = k (mod n_p) of A(l) exp(-i g x_i l dp / hbar),
+    where A(l) = sum_q m_q conj(m_(q-l)) is the autocorrelation of the ready
+    state's kept momenta, 0 beyond the L - 1 lags they span.
+    ``autocorrelation`` holds A(l) n_p dp^2 / (2 pi hbar) for 0 <= l < L,
+    and ``lag_offsets`` (b, L) and ``lag_anchors`` (n_s/b, L) the two levels
+    of exp(-i g x l dp / hbar), as ``offsets`` and ``anchors`` are of the
+    branch phases.
 
     The branches are those of the kept probe momenta: column q is
     m_q sqrt(dp/dy) exp(-i g x p_q / hbar), so that with ``measure`` dy a
@@ -239,21 +255,54 @@ class PointerTable(KrausBlock):
     """
 
     row_edge: np.ndarray
-    density: np.ndarray
     spread: np.ndarray
     amps: np.ndarray
     offsets: np.ndarray
     anchors: np.ndarray
+    autocorrelation: np.ndarray
+    lag_offsets: np.ndarray
+    lag_anchors: np.ndarray
 
     @property
     def n_branches(self) -> int:
         return self.amps.size
 
-    def column_weights(self, columns: slice = slice(None)) -> np.ndarray:
+    def column_weights(self, columns: slice = slice(None), signed: bool = False) -> np.ndarray:
         """The (n_s, c) weights of the branches in ``columns``, as a new
-        array, each element the product of ``_shift_phases``."""
+        array, each element the product of ``_shift_phases``.  ``signed``
+        multiplies row i by sigma_i = (-1)^i through the odd offset rows,
+        as b is even: bit for bit the sign flip of the weights."""
         lead = self.amps[columns] * self.offsets[:, columns]
+        if signed:
+            lead[1::2] *= -1.0
         return _shift_phases(lead, self.anchors[:, columns])
+
+    def characteristic(self, w: np.ndarray) -> np.ndarray:
+        """chi(l) = sum_i w_i exp(-i g x_i l dp / hbar) at the lags 0 <= l < L
+        of real system weights w: one real matrix product of w as its
+        (n_s/b, b) anchor groups with the float view of ``lag_offsets``, then
+        the product with ``lag_anchors`` and a sum over the anchors."""
+        anchors = self.lag_anchors
+        groups = w.reshape(anchors.shape[0], -1) @ self.lag_offsets.view(np.float64)
+        chi = groups.view(complex)
+        chi *= anchors
+        return chi.sum(axis=0)
+
+    def readout(self, w: np.ndarray, probe_grid: GridSpec) -> np.ndarray:
+        """sum_i w_i |T_ij|^2 on ``probe_grid`` for real system weights w: with
+        w = |psi|^2 dx, the probe's position law after the coupling.  The
+        product of ``autocorrelation`` and ``characteristic`` is folded mod
+        n_p, where lag n_p - l adds the conjugate of lag l, and taken back
+        by one inverse real FFT."""
+        n = probe_grid.n_points
+        spectrum = self.characteristic(w)
+        spectrum *= self.autocorrelation
+        lags = spectrum.size
+        if lags > n // 2:
+            folded = spectrum[: n // 2 + 1]
+            folded[n - lags + 1 :] += spectrum[n // 2 : lags][::-1].conj()
+            spectrum = folded
+        return np.fft.irfft(spectrum, n)
 
 
 @dataclass(frozen=True)
@@ -278,7 +327,7 @@ class VonNeumannChannel:
 
 def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
     """The PointerTable of gain g on a system grid, from the rows of T a
-    block at a time, so that no (n_s, n_p) complex array is built.
+    block at a time, so that no (n_s, n_p) array is built.
 
     Row i of T is the ready state's momentum amplitudes times the phases
     exp(-1j*g*x_i*p_j/hbar), transformed along the probe axis.  The phases
@@ -289,11 +338,17 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
     A block is whole anchor groups of ``_shift_factors``, about BRANCH_ELEMS
     elements and at least one group, transformed in place.  It gives its
     rows' overlaps with row 0 (a matvec with the conjugate of the first
-    block's row 0), |T|^2 into ``density``, their edge mass, and ``spread``,
-    whose real products are formed about BRANCH_ELEMS at a time.  Each row's
-    figures are bit-identical to those of the whole T.  The factors of the
-    kept momenta are columns of the build's, since a column is the same for
-    any subset of momenta it is built with.
+    block's row 0), and its |T|^2, squared into scratch of the block's
+    size, gives their edge mass and ``spread``, whose real products are
+    formed about BRANCH_ELEMS at a time.  Each row's figures are
+    bit-identical to those of the whole T.  The factors of the kept momenta
+    are columns of the build's, since a column is the same for any subset of
+    momenta it is built with.  The readout's lag factors exp(-1j*g*x*l*dp/hbar)
+    are the build's columns at p = l dp for the lags l < n_p/2, bit for bit
+    one ``exp`` each, and for the lags from n_p/2 up, which only a pointer
+    whose kept momenta span more than half the grid has, the columns at
+    p = (l - n_p/2) dp times the two levels of exp(-1j*g*x*(n_p/2)*dp/hbar).
+    Its autocorrelation is one zero-padded FFT of the kept momenta.
     """
     pg = probe.grid
     mom = probe.ready_state.momentum
@@ -306,7 +361,7 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
     reading = pg.x / g
     row_edge, spread = np.empty(n), np.empty(n)
     lags = np.empty(n, complex)
-    density = np.empty((n, n_p))
+    scratch = np.empty((min(n, groups * b), n_p))
     for start in range(0, n, groups * b):
         block = _shift_phases(lead, anchors[start // b : start // b + groups])
         kernel_transform(block, 1, pg, +1, out=block)
@@ -314,7 +369,7 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
         if start == 0:
             first = block[0].conj()
         lags[start:stop] = block @ first
-        square = np.abs(block, out=density[start:stop])
+        square = np.abs(block, out=scratch[: stop - start])
         np.square(square, out=square)
         del block
         row_edge[start:stop] = np.sum(square[:, :N_BOUNDARY_POINTS], axis=1)
@@ -322,19 +377,27 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
         for i in range(start, stop, rows):
             offset = np.subtract(reading, grid.x[i : min(i + rows, stop), None])
             offset *= offset
-            offset *= density[i : i + offset.shape[0]]
+            offset *= square[i - start : i - start + offset.shape[0]]
             np.sum(offset, axis=1, out=spread[i : i + offset.shape[0]])
+    del scratch, square
     mass = np.abs(mom) ** 2
     kept = mass > BRANCH_FLOOR * mass.max()
+    held = np.flatnonzero(kept)
+    span = held[-1] - held[0] + 1
+    lagged = np.fft.ifft(np.abs(np.fft.fft(np.where(kept, mom, 0.0), 2 * n_p)) ** 2)
+    half = n_p // 2  # column half + l is the momentum l dp
+    top_anchors, top_offsets = _shift_factors(grid, -pg.p[:1], g, pg.hbar)
     return PointerTable(
         measure=pg.dx,
         coherence=np.concatenate((lags, lags[:0:-1].conj())),
         row_edge=row_edge,
-        density=density,
         spread=spread,
         amps=mom[kept] * np.sqrt(pg.dp / pg.dx),
         offsets=offsets[:, kept],
         anchors=anchors[:, kept],
+        autocorrelation=lagged[:span] * (n_p * pg.dp**2 / (2.0 * np.pi * pg.hbar)),
+        lag_offsets=np.hstack((offsets[:, half : half + span], offsets[:, half:span] * top_offsets)),
+        lag_anchors=np.hstack((anchors[:, half : half + span], anchors[:, half:span] * top_anchors)),
     )
 
 

@@ -163,6 +163,12 @@ def _kraus_sum(
     K B psi takes sigma instead, which leaves |gap|^2 as it is.  sigma goes
     on after K, as the flip's reversal would change its sign.
 
+    The pointer's P chunk holds two (n_s, c) arrays: its weights carry sigma
+    (``PointerTable.column_weights`` signs their odd offset rows), so
+    neither product takes a sign pass, and K B psi is written into the
+    weights' own buffer.  The flip and the slit sign their chunks.  Each
+    figure is bit-identical to a sign pass on unsigned weights.
+
     With ``law``, zeros on grid.p, a P sum also adds the P law after the
     channel into it, block by block in order, as ``busch_state_disturbance``
     does.  A block without a coherence kernel adds ``branch_mass`` of each
@@ -187,23 +193,28 @@ def _kraus_sum(
             continue
         if law is not None and k.coherence is not None:
             law += k.momentum_mass(psi.amplitudes, g) * k.measure
+        signed = observable == "P" and k.coherence is not None
         for j in range(0, k.n_branches, size):
-            weights = k.column_weights(slice(j, j + size))
+            columns = slice(j, j + size)
+            weights = k.column_weights(columns, signed=True) if signed else k.column_weights(columns)
             b_k = k.weighted(psi.amplitudes, weights)
             if observable == "X":
                 np.multiply(g.x[:, None], b_k, out=b_k)
-            elif k.coherence is not None or b_k.any():
-                scale = signed_fft(b_k, g)
-                if law is not None and k.coherence is None:
-                    law += branch_mass(b_k) * scale * k.measure
+            elif signed or b_k.any():
+                if signed:  # sigma is in the weights
+                    np.fft.fft(b_k, axis=0, out=b_k)
+                else:
+                    scale = signed_fft(b_k, g)
+                    if law is not None:
+                        law += branch_mass(b_k) * scale * k.measure
                 b_k *= g.p[:, None]
                 np.fft.ifft(b_k, axis=0, out=b_k)
             if b_psi is None and observable == "X":
                 b_psi = g.x * psi.amplitudes
             elif b_psi is None:  # in place, from the state's cached momentum view
                 b_psi = kernel_transform(mom := psi.momentum * g.p, 0, g, +1, out=mom)
-            k_b = k.weighted(b_psi, weights)
-            if observable == "P":
+            k_b = k.weighted(b_psi, weights, out=weights if signed else None)
+            if observable == "P" and not signed:
                 k_b[1::2] *= -1.0  # sigma, as on b_k
             total += _squared_gap(b_k, k_b) * g.dx * k.measure
             del weights, b_k, k_b  # freed before the next chunk is built
@@ -305,17 +316,19 @@ def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
     """W2 distance between the calibrated readout and the ideal position law.
 
     The readout distribution is the probe position marginal after the
-    coupling, (|psi|^2 dx) @ |T|^2 for the channel's table T (its
-    ``density``), with the coordinate divided by the gain.
+    coupling, sum_i |psi_i|^2 dx |T_ij|^2 for the channel's table T, with
+    the coordinate divided by the gain, so its density is |g| times that
+    sum.  The table's ``readout`` forms it, linear in the weights, from the
+    characteristic function of |psi|^2 dx |g| at the ready state's
+    momentum lags, with no (n_s, n_p) array.
     """
     if not isinstance(channel, VonNeumannChannel):
         raise TypeError("the readout-distribution error requires a probe coupling")
     check_confinement(channel, psi)
-    density = channel.table(psi.grid).density
     pg = channel.probe.grid
-    weights = (np.abs(psi.amplitudes) ** 2 * psi.grid.dx) @ density
+    weights = np.abs(psi.amplitudes) ** 2 * (psi.grid.dx * abs(channel.g))
+    scaled = channel.table(psi.grid).readout(weights, pg)
     support = pg.x / channel.g
-    scaled = weights * abs(channel.g)
     if channel.g < 0:
         support, scaled = support[::-1].copy(), scaled[::-1].copy()
     readout = ProbabilityDistribution(support, scaled, pg.dx / abs(channel.g))

@@ -17,15 +17,17 @@ from edlab import (
     probe_grid_for,
 )
 from edlab.channels import (
+    BRANCH_ELEMS,
     N_BOUNDARY_POINTS,
     _shift_factors,
     _shift_phases,
     apply_von_neumann,
+    branch_mass,
     check_confinement,
     kraus_of,
 )
 from edlab.grids import kernel_transform, signed_fft
-from edlab.metrics import W2_FLOOR
+from edlab.metrics import W2_FLOOR, _squared_gap
 
 
 @pytest.fixture(scope="session")
@@ -353,3 +355,41 @@ def lund_wiseman_eta(channel, psi, observable: str) -> float:
     slightly negative near zero disturbance, so it is clamped at zero."""
     raw, _ = unchunked_lund_wiseman_square(channel, psi, observable)
     return math.sqrt(max(raw, 0.0))
+
+
+def unfused_kraus_sum(channel, psi, observable: str, law: np.ndarray | None = None) -> float:
+    """eta^2 from chunks of three (n_s, c) arrays, the unsigned weights, K psi
+    and K B psi, each chunk of K psi signed in ``signed_fft`` and each of
+    K B psi by a pass of its own: the package's earlier Kraus loop, kept as
+    the oracle, bit for bit, of ``metrics._kraus_sum``, whose pointer
+    chunks carry sigma in their weights.  ``law`` as there."""
+    g = psi.grid
+    check_confinement(channel, psi)
+    size = max(1, BRANCH_ELEMS // g.n_points)
+    b_psi = None
+    total = 0.0
+    for k in kraus_of(channel, g):
+        if observable == "X" and k.step == 1:
+            continue
+        if law is not None and k.coherence is not None:
+            law += k.momentum_mass(psi.amplitudes, g) * k.measure
+        for j in range(0, k.n_branches, size):
+            weights = k.column_weights(slice(j, j + size))
+            b_k = k.weighted(psi.amplitudes, weights)
+            if observable == "X":
+                np.multiply(g.x[:, None], b_k, out=b_k)
+            elif k.coherence is not None or b_k.any():
+                scale = signed_fft(b_k, g)
+                if law is not None and k.coherence is None:
+                    law += branch_mass(b_k) * scale * k.measure
+                b_k *= g.p[:, None]
+                np.fft.ifft(b_k, axis=0, out=b_k)
+            if b_psi is None and observable == "X":
+                b_psi = g.x * psi.amplitudes
+            elif b_psi is None:
+                b_psi = kernel_transform(mom := psi.momentum * g.p, 0, g, +1, out=mom)
+            k_b = k.weighted(b_psi, weights)
+            if observable == "P":
+                k_b[1::2] *= -1.0
+            total += _squared_gap(b_k, k_b) * g.dx * k.measure
+    return total

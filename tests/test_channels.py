@@ -97,19 +97,18 @@ class TestFlip:
 class TestVonNeumann:
     def test_conditional_shift_recenters_pointer(self):
         # near-position-eigenstate: the pointer marginal recenters at g * x0,
-        # from the direct coupling, the whole table T and the channel's
-        # readout law alike
+        # from the direct coupling, the whole table's |T|^2 and the
+        # channel's readout law alike
         grid = make_grid(2048, -8, 8)
         psi = make_state(grid, GaussianState(2.0, 0.0, 0.1))
         channel = make_vn_channel(grid, psi, 1.0, 0.5)
         pg = channel.probe.grid
         joint = apply_von_neumann(product_state(psi, channel.probe), grid, pg, 1.0)
-        table = conditional_shift(channel.probe.ready_state.momentum, grid, pg, 1.0)
         weights = np.abs(psi.amplitudes) ** 2 * grid.dx
         for probe_m in (
             np.sum(np.abs(joint) ** 2, axis=0) * grid.dx,
-            weights @ np.abs(table) ** 2,
-            weights @ channel.table(grid).density,
+            weights @ whole_table_fields(channel, grid)["density"],
+            channel.table(grid).readout(weights, pg),
         ):
             mean = np.sum(pg.x * probe_m) * pg.dx
             assert mean == pytest.approx(2.0, abs=1e-9)
@@ -447,13 +446,52 @@ class TestPointerTable:
             for pg in (probe_grid_for(grid, psi, g, 0.5, n_probe), make_grid(n_probe, -7.5, 7.5, hbar)):
                 channel = VonNeumannChannel(g, ProbeSpec(pg, 0.5))
                 table = channel.table(grid)
-                for name, oracle in whole_table_fields(channel, grid).items():
-                    assert np.array_equal(getattr(table, name), oracle), (name, g, pg)
+                whole = whole_table_fields(channel, grid)
+                for name in ("row_edge", "coherence", "spread"):
+                    assert np.array_equal(getattr(table, name), whole[name]), (name, g, pg)
+
+    @pytest.mark.parametrize("n", (256, 1024, 2048))
+    @pytest.mark.parametrize("n_probe", (256, 1024))
+    def test_readout_law_matches_whole_table(self, n, n_probe):
+        # the readout law from the characteristic function at the momentum
+        # lags against w @ |T|^2 of the whole table, within 1e-14 of its
+        # peak (1.5e-15 at worst here), for gains of both signs and a
+        # random state, on auto-sized probe grids and on narrow ones whose
+        # far rows wrap around; the lags of the narrowest pointer, and of
+        # g = -2 on its auto-sized grid, pass n_p/2, so they fold
+        grid = make_grid(n, -16.0, 16.0)
+        states = (GaussianState(1.0, 1.5, 1.2), RandomState(3, 6))
+        for spec in states:
+            psi = make_state(grid, spec)
+            w = np.abs(psi.amplitudes) ** 2 * grid.dx
+            for g, s in ((1.0, 0.5), (-2.0, 0.5), (0.5, 0.1)):
+                for pg in (probe_grid_for(grid, psi, g, s, n_probe), make_grid(n_probe, -7.5, 7.5)):
+                    channel = VonNeumannChannel(g, ProbeSpec(pg, s))
+                    oracle = w @ whole_table_fields(channel, grid)["density"]
+                    law = channel.table(grid).readout(w, pg)
+                    assert np.max(np.abs(law - oracle)) <= 1e-14 * oracle.max(), (spec, g, s, pg)
+
+    def test_characteristic_matches_direct_sum(self):
+        # chi(l) = sum_i w_i exp(-i g x_i l dp / hbar) from the two-level lag
+        # factors against one exp per element, at every lag the table keeps
+        rng = np.random.default_rng(5)
+        for hbar, g in ((1.0, 1.0), (2.0, -2.0), (1.0, 0.3)):
+            grid = make_grid(1024, -16.0, 16.0, hbar)
+            psi = make_state(grid, GaussianState(0.0, 0.0, 1.0))
+            channel = make_vn_channel(grid, psi, g, 0.5, 256)
+            table = channel.table(grid)
+            pg = channel.probe.grid
+            w = rng.random(grid.n_points)
+            lags = np.arange(table.autocorrelation.size)
+            direct = np.exp(-1j * g * np.outer(lags * pg.dp, grid.x) / hbar) @ w
+            chi = table.characteristic(w)
+            assert chi.shape == lags.shape and lags.size > 50
+            assert np.max(np.abs(chi - direct)) <= 1e-12 * w.sum(), (hbar, g)
 
     def test_table_keeps_no_branch_array(self):
-        # of the table's arrays only the readout law |T|^2 has n_s * n_p
-        # elements; no field has the n_s * k of the branch array, and the
-        # branches come from their factors, a chunk of columns at a time
+        # no field of the table has the n_s * n_p elements of T or |T|^2,
+        # nor the n_s * k of the branch array: the branches come from their
+        # factors, a chunk of columns at a time
         grid = make_grid(1024, -16.0, 16.0)
         psi = make_state(grid, GaussianState(0.0, 0.0, 1.0))
         channel = make_vn_channel(grid, psi, 1.0, 0.5, 256)
@@ -465,8 +503,7 @@ class TestPointerTable:
             for f in fields(PointerTable)
             if isinstance(getattr(table, f.name), np.ndarray)
         }
-        assert sizes["density"] == n_s * n_p
-        assert max(size for name, size in sizes.items() if name != "density") < n_s * k, sizes
+        assert max(sizes.values()) < n_s * k, sizes
         assert table.weights is None
         whole = table.column_weights()
         assert whole.shape == (n_s, k)
