@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import sys
@@ -123,16 +124,17 @@ _BASE_DEFAULTS = {
     "grid.x_max": 16.0,
     "grid.hbar": 1.0,
     "state.smoothness": 6,
-    # admits n_s = n_p = 8192, estimated at 768 MiB
+    # admits n_s = n_p = 16384, estimated at 768 MiB
     "probe.max_joint_mib": 1024.0,
 }
 
-# Bytes per system x probe point that a pointer run holds at its peak: the
-# table's readout law |T|^2 (8), beside one block of T's rows and the phase
-# factors it is built from.  A report's traced peak measures 9.4 at
-# n_s = n_p = 2048, and the peak RSS above the interpreter's 10.2, 9.3 and
-# 8.8 at 2048, 4096 and 8192 (numpy 2.4, 64-bit Linux).
-_JOINT_BYTES_PER_POINT = 12
+# Bytes per system x probe point that a pointer run holds at its peak: one
+# block of T's rows and its |T|^2, beside the phase factors T is built from
+# and the two-level factors the table keeps, which grow as sqrt(n_s) n_p.
+# A report's traced peak measures 1.5 at n_s = n_p = 2048, and the peak RSS
+# above the interpreter's 2.2, 1.3 and 0.8 at 2048, 4096 and 8192 (numpy
+# 2.4, 64-bit Linux).
+_JOINT_BYTES_PER_POINT = 3
 
 _SCENARIO_DEFAULTS = {
     "flip": {
@@ -605,6 +607,7 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 << 20
 
 
+@functools.cache
 def _keep_freed_memory() -> None:
     """Pin glibc's malloc thresholds for this process, so that freed
     temporaries below 32 MiB (the 4 MiB vectors of a 2^18 grid and numpy's
@@ -612,6 +615,8 @@ def _keep_freed_memory() -> None:
     trimmed and faulted back in as fresh zeroed pages.  Larger arrays are
     still mapped and returned on free.  Allocation sizes and arithmetic do
     not change.  Where the C library has no ``mallopt`` this does nothing.
+    The pin holds for the process, so ``mallopt`` is looked up and called
+    on the first call only.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -663,10 +668,10 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
-def main(argv: list[str] | None = None) -> int:
-    """The ``edlab`` program.  It alone pins the malloc thresholds
-    (``_keep_freed_memory``); importing edlab leaves the allocator as it is."""
-    _keep_freed_memory()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``edlab`` argument parser, built on the first call of ``main`` in
+    a process and reused by the next; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="edlab", description="error/disturbance scenario runner"
     )
@@ -690,8 +695,14 @@ def main(argv: list[str] | None = None) -> int:
     p_eq2.add_argument("--config")
     p_eq2.add_argument("--set", action="append", default=[], dest="sets", metavar="KEY=VALUE")
     p_eq2.add_argument("--out-dir", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """The ``edlab`` program.  It alone pins the malloc thresholds
+    (``_keep_freed_memory``); importing edlab leaves the allocator as it is."""
+    _keep_freed_memory()
+    args = _parser().parse_args(argv)
     try:
         if args.verb == "scenario":
             cfg = load_config(args.config, args.sets, args.name)
