@@ -434,11 +434,9 @@ class TestOzawaDisturbance:
         # against the loop of three arrays a chunk with its sign passes, bit
         # for bit, for the pointer, the flip and the slit (one window cuts
         # psi, one covers it and skips its zero fail branch)
-        import conftest
-
         if chunk_columns is not None:
             monkeypatch.setattr(metrics, "BRANCH_ELEMS", chunk_columns * n)
-            monkeypatch.setattr(conftest, "BRANCH_ELEMS", chunk_columns * n)
+            monkeypatch.setattr("conftest.BRANCH_ELEMS", chunk_columns * n)
         grid = make_grid(n, -16.0, 16.0, hbar)
         for spec in (GaussianState(1.0, 1.5, 1.2), RandomState(5, 6), BumpState(0.0, 1.0)):
             psi = make_state(grid, spec)
