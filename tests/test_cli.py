@@ -591,6 +591,10 @@ class TestDeterminism:
             )
         assert a.read_bytes() == b.read_bytes()
         assert_matches_golden(a.read_text(), "sweep_probe_s.csv")
+        # the pointer commutes with X, so eta_o_X is 0 on every row, bit for bit
+        header, *rows = a.read_text().splitlines()
+        col = header.split(",").index("eta_o_X")
+        assert [row.split(",")[col] for row in rows] == ["0", "0"]
 
     def test_eq2_outputs_byte_identical(self, tmp_path):
         names = ("summary.json", "error_landscape.csv", "disturbance_landscape.csv")
