@@ -14,10 +14,12 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,31 +71,53 @@ _SEARCH_DEFAULTS = {
     for key, value in {**_SEARCH_SHARED, **own}.items()
 }
 
-_SCHEMA: dict[str, type] = {
-    "scenario": str,
-    "grid.n_points": int,
-    "grid.x_min": float,
-    "grid.x_max": float,
-    "grid.hbar": float,
-    "state.variant": str,
-    "state.x0": float,
-    "state.p0": float,
-    "state.sigma": float,
-    "state.center": float,
-    "state.halfwidth": float,
-    "state.separation": float,
-    "state.seed": int,
-    "state.smoothness": int,
-    "channel.variant": str,
-    "channel.center": float,
-    "channel.width": float,
-    "channel.g": float,
-    "probe.s": float,
-    "probe.n_points": int,
-    "probe.x_min": float,
-    "probe.x_max": float,
-    "probe.max_joint_mib": float,
-    **{key: type(value) for key, value in _SEARCH_DEFAULTS.items()},
+
+class _Domain(NamedTuple):
+    """The values a config key admits: ``holds`` decides, and a refused
+    value's message reads ``<noun><key> must be <rule>, got <value>``."""
+
+    rule: str
+    holds: Callable[[float], bool]
+    noun: str = ""
+
+
+_ANY = _Domain("any value", lambda v: True)
+_FINITE = _Domain("finite", math.isfinite)
+_FINITE_SQUARE = _Domain("finite with a finite square", lambda v: v * v < math.inf)
+_POSITIVE = _Domain("finite and positive", lambda v: 0 < v < math.inf)
+_NONZERO = _Domain("finite and nonzero", lambda v: v != 0 and math.isfinite(v))
+# the width of a Gaussian, whose square the Gaussian forms
+_WIDTH = _Domain("positive with a finite nonzero square", lambda v: v > 0 and 0 < v * v < math.inf)
+
+# key -> (type, domain).  Values in the domain may still fail a check that
+# spans keys (the state against the grid, the probe's reach, the search
+# specs) or a library constructor's own (grid sizes, variant ranges).
+_SCHEMA: dict[str, tuple[type, _Domain]] = {
+    "scenario": (str, _ANY),
+    "grid.n_points": (int, _ANY),
+    "grid.x_min": (float, _FINITE_SQUARE),
+    "grid.x_max": (float, _FINITE_SQUARE),
+    "grid.hbar": (float, _POSITIVE),
+    "state.variant": (str, _ANY),
+    "state.x0": (float, _FINITE),
+    "state.p0": (float, _FINITE),
+    "state.sigma": (float, _WIDTH),
+    "state.center": (float, _FINITE),
+    "state.halfwidth": (float, _POSITIVE),
+    "state.separation": (float, _FINITE),
+    "state.seed": (int, _ANY),
+    "state.smoothness": (int, _ANY),
+    "channel.variant": (str, _ANY),
+    "channel.center": (float, _FINITE),
+    "channel.width": (float, _POSITIVE),
+    "channel.g": (float, _NONZERO),
+    "probe.s": (float, _WIDTH._replace(noun="pointer width ")),
+    "probe.n_points": (int, _ANY),
+    "probe.x_min": (float, _FINITE),
+    "probe.x_max": (float, _FINITE),
+    "probe.max_joint_mib": (float, _POSITIVE),
+    # SearchSpec.validate judges the searches, naming the search
+    **{key: (type(value), _ANY) for key, value in _SEARCH_DEFAULTS.items()},
 }
 
 # state.variant -> spec class; the variant reads state.<field> for each field
@@ -136,14 +160,10 @@ _BASE_DEFAULTS = {
 # 2.4, 64-bit Linux).
 _JOINT_BYTES_PER_POINT = 3
 
+# the packet of the flip and the pointer
+_GAUSSIAN = {"state.variant": "gaussian", "state.x0": 0.0, "state.p0": 0.0, "state.sigma": 1.0}
 _SCENARIO_DEFAULTS = {
-    "flip": {
-        "channel.variant": "flip",
-        "state.variant": "gaussian",
-        "state.x0": 0.0,
-        "state.p0": 0.0,
-        "state.sigma": 1.0,
-    },
+    "flip": {"channel.variant": "flip", **_GAUSSIAN},
     "slit": {
         "channel.variant": "slit",
         "channel.center": 0.0,
@@ -157,10 +177,7 @@ _SCENARIO_DEFAULTS = {
         "channel.g": 1.0,
         "probe.s": 0.5,
         "probe.n_points": 256,
-        "state.variant": "gaussian",
-        "state.x0": 0.0,
-        "state.p0": 0.0,
-        "state.sigma": 1.0,
+        **_GAUSSIAN,
     },
 }
 
@@ -170,15 +187,17 @@ SCENARIO_NAMES = tuple(_SCENARIO_DEFAULTS)
 def _coerce(key: str, raw: str):
     if key not in _SCHEMA:
         raise ConfigError(f"unknown config key {key!r}")
-    typ = _SCHEMA[key]
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return str(raw)
+        return _SCHEMA[key][0](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+
+
+def _check_domain(key: str, value) -> None:
+    """ConfigError naming ``key`` unless ``value`` lies in its domain."""
+    domain = _SCHEMA[key][1]
+    if not domain.holds(value):
+        raise ConfigError(f"{domain.noun}{key} must be {domain.rule}, got {_fmt(value)}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -233,7 +252,8 @@ def load_config(path: str | None, sets: list[str], scenario: str | None, verb: s
     """Defaults, then the scenario's preset, then ``--config``, then ``--set``.
 
     A key from the file or from ``--set`` that ``verb`` does not read is a
-    ConfigError.  eq2 always takes the vonneumann preset.
+    ConfigError, and so is, after that, a read key outside its domain.  eq2
+    always takes the vonneumann preset.
     """
     given: dict = {}
     if path is not None:
@@ -256,6 +276,9 @@ def load_config(path: str | None, sets: list[str], scenario: str | None, verb: s
     unread = [k for k in given if k not in reads]
     if unread:
         raise _not_read(f"key {unread[0]}", cfg, verb)
+    for key, value in cfg.items():
+        if key in reads:
+            _check_domain(key, value)
     return cfg
 
 
@@ -284,67 +307,58 @@ def _guard(fn, *args):
 
 
 def _grid_from(cfg: dict) -> GridSpec:
-    return _guard(make_grid, cfg["grid.n_points"], cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.hbar"])
+    """The system grid.  A ConfigError names grid.hbar when the momentum
+    edge pi*hbar/dx squares outside the normal float range, where p**2 and
+    the momentum densities lose their digits or overflow."""
+    grid = _guard(make_grid, cfg["grid.n_points"], cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.hbar"])
+    edge = math.pi * grid.hbar / grid.dx
+    if not np.finfo(float).tiny <= edge * edge < math.inf:
+        raise ConfigError(
+            f"grid.hbar={_fmt(grid.hbar)} puts the momentum edge pi*hbar/dx of a grid of "
+            f"spacing {_fmt(grid.dx)} at {_fmt(edge)}, whose square is outside the normal float range"
+        )
+    return grid
 
 
-def _channel_from(cfg: dict, grid: GridSpec, psi: WaveFunction | None) -> Channel:
-    """The selected channel; psi sizes the probe when no probe bounds are set.
-    The pointer's inputs are judged before its amplitudes are formed, and
-    its gain before any table is built."""
+def _channel_from(cfg: dict, grid: GridSpec, reach: Callable[[], float]) -> Channel:
+    """The selected channel.  When no probe bounds are set, the probe is
+    sized for states within ``reach()`` of 0.  The pointer's inputs are
+    judged before its amplitudes are formed, and its gain before any table
+    is built: a ConfigError names channel.g when the gain gives the probe
+    domain no finite half-width or widens it past what probe.n_points
+    resolves."""
     variant = cfg["channel.variant"]
     if variant == "flip":
         return FlipChannel()
     if variant == "slit":
-        return _guard(SlitChannel, cfg["channel.center"], cfg["channel.width"])
-    s = cfg["probe.s"]
-    n_probe = cfg["probe.n_points"]
-    g = cfg["channel.g"]
+        return SlitChannel(cfg["channel.center"], cfg["channel.width"])
+    s, n_probe, g = cfg["probe.s"], cfg["probe.n_points"], cfg["channel.g"]
     _check_joint_memory(grid.n_points, n_probe, cfg["probe.max_joint_mib"])
     bounds = [k for k in _PROBE_BOUNDS if k in cfg]
     if len(bounds) == 2:
-        _check_pointer_width(s)
         x_min, x_max = cfg["probe.x_min"], cfg["probe.x_max"]
         probe_grid = _guard(make_grid, n_probe, x_min, x_max, grid.hbar)
         cause = f"probe.x_min={_fmt(x_min)} and probe.x_max={_fmt(x_max)} set the probe domain"
-        _check_pointer_reach(s, probe_grid, cause)
     elif bounds:
         missing = "probe.x_max" if bounds == ["probe.x_min"] else "probe.x_min"
         raise ConfigError(f"{bounds[0]} is set without {missing}; set both probe bounds or neither")
     else:
-        probe_grid = _auto_probe_grid(g, s, n_probe, grid.hbar, state_reach(grid, psi))
+        states = reach()
+        half = probe_half_width(g, states, s)
+        if not np.isfinite(half):
+            raise ConfigError(
+                f"channel.g={_fmt(g)} gives the probe domain no finite half-width "
+                f"(|g| * {_fmt(states)} + 12 * probe.s = {_fmt(half)})"
+            )
+        probe_grid = _guard(make_grid, n_probe, -half, half, grid.hbar)
+        cause = (
+            f"channel.g={_fmt(g)} and probe.s={_fmt(s)} size the probe domain "
+            f"to ±{_fmt(probe_grid.x_max)}"
+        )
+    _check_pointer_reach(s, probe_grid, cause)
     channel = _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
     _check_readout_offsets(g, grid, probe_grid)
     return channel
-
-
-def _check_pointer_width(s: float) -> None:
-    """ConfigError naming probe.s unless 0 < s**2 < inf, as ``ProbeSpec``
-    requires: before s sizes a probe domain that is not finite."""
-    if not (s > 0 and 0 < s * s < np.inf):
-        raise ConfigError(
-            f"pointer width probe.s must be positive with 0 < s**2 < inf, got {_fmt(s)}"
-        )
-
-
-def _auto_probe_grid(g: float, s: float, n_probe: int, hbar: float, reach: float) -> GridSpec:
-    """The probe grid ``probe_half_width`` sizes for states within ``reach`` of
-    0.  A ConfigError names probe.s when it is no pointer width, and
-    channel.g when the gain gives the domain no finite half-width or widens
-    it past what probe.n_points resolves."""
-    _check_pointer_width(s)
-    half = probe_half_width(g, reach, s)
-    if not np.isfinite(half):
-        raise ConfigError(
-            f"channel.g={_fmt(g)} gives the probe domain no finite half-width "
-            f"(|g| * {_fmt(reach)} + 12 * probe.s = {_fmt(half)})"
-        )
-    probe_grid = _guard(make_grid, n_probe, -half, half, hbar)
-    cause = (
-        f"channel.g={_fmt(g)} and probe.s={_fmt(s)} size the probe domain "
-        f"to ±{_fmt(probe_grid.x_max)}"
-    )
-    _check_pointer_reach(s, probe_grid, cause)
-    return probe_grid
 
 
 def _check_pointer_reach(s: float, probe_grid: GridSpec, cause: str) -> None:
@@ -382,8 +396,6 @@ def _check_readout_offsets(g: float, grid: GridSpec, probe_grid: GridSpec) -> No
 def _check_joint_memory(n_system: int, n_probe: int, cap_mib: float) -> None:
     """ConfigError when the n_s x n_p arrays of a pointer run would exceed
     ``probe.max_joint_mib``; called before any of them is built."""
-    if not cap_mib > 0:
-        raise ConfigError(f"probe.max_joint_mib must be positive, got {cap_mib}")
     need_mib = _JOINT_BYTES_PER_POINT * n_system * n_probe / 2**20
     if need_mib > cap_mib:
         raise ConfigError(
@@ -395,7 +407,9 @@ def _check_joint_memory(n_system: int, n_probe: int, cap_mib: float) -> None:
 def build_scenario(cfg: dict) -> BuiltScenario:
     grid = _grid_from(cfg)
     psi = _guard(make_state, grid, _state_spec_from(cfg))
-    return BuiltScenario(cfg["scenario"], grid, psi, _channel_from(cfg, grid, psi))
+    return BuiltScenario(
+        cfg["scenario"], grid, psi, _channel_from(cfg, grid, lambda: state_reach(grid, psi))
+    )
 
 
 def _fmt(value) -> str:
@@ -437,25 +451,12 @@ def render_table(built: BuiltScenario, report: EDRReport, extra: list[tuple[str,
         rows.append((col, _fmt(getattr(report, col))))
     rows.append(("epsilon convention", report.epsilon_convention))
     rows.append(("hbar/2", _fmt(report.hbar_over_2)))
-    rows.append(
-        (
-            "robertson DX*DP",
-            f"{_fmt(report.robertson_product)}  {_flag(report.robertson_satisfied)}",
-        )
-    )
-    rows.append(
-        (
-            "eq2-form eps*eta",
-            f"{_fmt(report.product_eq2_form)}  "
-            f"{_flag(report.eq2_form_satisfied, report.eq5_applicable)}",
-        )
-    )
-    rows.append(
-        (
-            "eq5 lhs",
-            f"{_fmt(report.lhs_eq5)}  {_flag(report.eq5_satisfied, report.eq5_applicable)}",
-        )
-    )
+    for name, value, satisfied, applicable in (
+        ("robertson DX*DP", report.robertson_product, report.robertson_satisfied, True),
+        ("eq2-form eps*eta", report.product_eq2_form, report.eq2_form_satisfied, report.eq5_applicable),
+        ("eq5 lhs", report.lhs_eq5, report.eq5_satisfied, report.eq5_applicable),
+    ):
+        rows.append((name, f"{_fmt(value)}  {_flag(satisfied, applicable)}"))
     width = max(len(r[0]) for r in rows)
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
@@ -494,20 +495,24 @@ def run_scenario(name: str, cfg: dict) -> tuple[BuiltScenario, EDRReport, str]:
 
 
 def run_sweep(axis: str, values: list[float], base_cfg: dict) -> str:
-    """One report row per swept value, sorted by the value; all rows are
-    computed before anything is written, so a failing row leaves no file."""
-    if axis not in _SCHEMA or _SCHEMA[axis] not in (int, float):
+    """One report row per swept value, sorted by the value; every value is
+    checked against the axis's domain, and all rows are computed, before
+    anything is written, so a failing row leaves no file."""
+    typ = _SCHEMA[axis][0] if axis in _SCHEMA else str
+    if typ not in (int, float):
         raise ConfigError(f"sweep axis {axis!r} is not a numeric config key")
     if axis not in _read_keys(base_cfg, "sweep"):
         raise _not_read(f"sweep axis {axis}", base_cfg, "sweep")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if _SCHEMA[axis] is int and not all(float(v).is_integer() for v in values):
+    if typ is int and not all(float(v).is_integer() for v in values):
         raise ConfigError(f"sweep axis {axis!r} takes integer values, got {values!r}")
+    for v in values:
+        _check_domain(axis, typ(v))
     rows = []
     for v in sorted(values):
         cfg = dict(base_cfg)
-        cfg[axis] = int(v) if _SCHEMA[axis] is int else float(v)
+        cfg[axis] = typ(v)
         built = build_scenario(cfg)
         report = compute_report(built.channel, built.psi)
         row = {axis: cfg[axis]}
@@ -519,8 +524,7 @@ def run_sweep(axis: str, values: list[float], base_cfg: dict) -> str:
 def run_eq2(cfg: dict) -> Eq2Report:
     """The worst-case search on the grid and pointer coupling of a config
     from ``load_config(..., "eq2")``.  Both search specs are validated
-    before their bounds size the probe."""
-    cfg = dict(cfg)
+    before their bounds size the probe for the whole search family."""
     grid = _grid_from(cfg)
     specs = []
     for prefix in ("search_err", "search_dist"):
@@ -537,20 +541,10 @@ def run_eq2(cfg: dict) -> Eq2Report:
         except ValueError as exc:
             raise ConfigError(f"{prefix}: {exc}") from exc
         specs.append(spec)
-    if "probe.x_min" not in cfg and "probe.x_max" not in cfg:
-        # size the probe for the whole search family
-        reach = max(
-            abs(cfg["search_err.x0_min"]),
-            abs(cfg["search_err.x0_max"]),
-            abs(cfg["search_dist.x0_min"]),
-            abs(cfg["search_dist.x0_max"]),
-        ) + 8.0 * max(cfg["search_err.sigma_max"], cfg["search_dist.sigma_max"])
-        probe_grid = _auto_probe_grid(
-            cfg["channel.g"], cfg["probe.s"], cfg["probe.n_points"], grid.hbar, reach
-        )
-        cfg["probe.x_min"] = probe_grid.x_min
-        cfg["probe.x_max"] = probe_grid.x_max
-    channel = _channel_from(cfg, grid, None)
+    reach = max(abs(x) for spec in specs for x in spec.x0_bounds) + 8.0 * max(
+        spec.sigma_bounds[1] for spec in specs
+    )
+    channel = _channel_from(cfg, grid, lambda: reach)
     return eq2_check(channel, grid, *specs)
 
 

@@ -300,9 +300,13 @@ class ProbabilityDistribution:
         if not (s[1:] > s[:-1]).all():
             raise InvariantViolation("distribution support must be strictly ascending")
         w_min = w.min()
-        if w_min < -1e-10:
-            raise InvariantViolation(f"negative weight {w_min:.3e} below tolerance")
-        if w_min < 0.0:  # rounding negatives; clamp into a new array, never the caller's
+        if w_min < 0.0:
+            # rounding negatives are judged against the peak, since a
+            # density's unit is 1/spacing; clamp into a new array, never the caller's
+            if w_min < -1e-10 * w.max():
+                raise InvariantViolation(
+                    f"negative weight {w_min:.3e} below -1e-10 of the peak {w.max():.3e}"
+                )
             w = np.maximum(w, 0.0)
         total = float(w.sum() * self.spacing)
         if abs(total - 1.0) > NORM_TOL:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from edlab.channels import VonNeumannChannel
+from edlab import cli
 from edlab.cli import (
     _JOINT_BYTES_PER_POINT,
     _SCHEMA,
@@ -117,6 +118,130 @@ class TestConfig:
         assert "channel.center" in capsys.readouterr().err
         assert main(["scenario", "flip", "--set", "state.variant=random"]) == 1
         assert "state.seed" in capsys.readouterr().err
+
+
+# values just inside and just outside each declared domain
+DOMAIN_EDGES = {
+    cli._FINITE.rule: (("-1e308", "1e308"), ("inf", "-inf", "nan")),
+    cli._FINITE_SQUARE.rule: (("-1.3e154", "1.3e154"), ("-1.4e154", "1.4e154", "inf", "nan")),
+    cli._POSITIVE.rule: (("5e-324", "1e308"), ("0", "-0.0", "-1", "inf", "nan")),
+    cli._NONZERO.rule: (("5e-324", "-1e308"), ("0", "-0.0", "inf", "nan")),
+    cli._WIDTH.rule: (("1.6e-162", "1.3e154"), ("1.5e-162", "1.4e154", "0", "-1", "inf", "nan")),
+}
+# command lines that read each key with a domain: the three scenarios and
+# the symmetric pair, whose later --set of the key wins
+READERS = (
+    ["scenario", "flip"],
+    ["scenario", "slit"],
+    ["scenario", "vonneumann"],
+    ["scenario", "flip", "--set", "state.variant=symmetric_pair", "--set", "state.separation=2"],
+)
+
+
+def reader_of(key: str) -> list[str]:
+    for argv in READERS:
+        cfg = load_config(None, argv[3::2], argv[1])
+        if key in cli._read_keys(cfg, "scenario"):
+            return argv
+    raise AssertionError(f"no command line reads {key}")
+
+
+class TestDomains:
+    def test_every_key_has_a_declared_domain(self):
+        assert len(_SCHEMA) == 45
+        bounded = {k for k, (_, domain) in _SCHEMA.items() if domain.rule != "any value"}
+        assert all(_SCHEMA[k][0] is float for k in bounded)
+        assert {_SCHEMA[k][1].rule for k in bounded} == set(DOMAIN_EDGES)
+        assert not any(k.startswith("search_") for k in bounded)  # SearchSpec names them
+
+    @pytest.mark.parametrize(
+        "key", [k for k, (_, domain) in _SCHEMA.items() if domain.rule != "any value"]
+    )
+    def test_value_outside_the_domain_is_named(self, key, tmp_path, capsys, monkeypatch):
+        domain = _SCHEMA[key][1]
+        inside, outside = DOMAIN_EDGES[domain.rule]
+        argv = reader_of(key)
+        for value in inside:
+            load_config(None, [*argv[3::2], f"{key}={value}"], argv[1])
+        eq2 = key in cli._read_keys(load_config(None, [], None, "eq2"), "eq2")
+
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the value was judged")
+
+        monkeypatch.setattr(cli, "compute_report", computed)
+        monkeypatch.setattr(cli, "eq2_check", computed)
+        out = tmp_path / "sweep.csv"
+        sweep = ["sweep", "--axis", key, "--out", str(out), "--set", f"scenario={argv[1]}", *argv[2:]]
+        for value in outside:
+            runs = [[*argv, "--set", f"{key}={value}"], [*sweep, "--values", f"1,{value}"]]
+            if eq2:
+                runs.append(["eq2", "--out-dir", str(tmp_path / "eq2"), "--set", f"{key}={value}"])
+            for run in runs:
+                capsys.readouterr()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert main(run) == 1, run
+                got = float(value)
+                message = f"config error: {domain.noun}{key} must be {domain.rule}, got {cli._fmt(got)}"
+                assert message in capsys.readouterr().err, run
+        assert not out.exists() and not (tmp_path / "eq2").exists()
+
+    @pytest.mark.parametrize(
+        "sets, key",
+        [
+            (["grid.hbar=1e-160"], "grid.hbar"),
+            (["grid.hbar=1e-300"], "grid.hbar"),
+            (["grid.hbar=1e153"], "grid.hbar"),
+            (["grid.hbar=1e154"], "grid.hbar"),
+            # the edge pi*hbar/dx, not hbar alone, leaves the normal range
+            (["grid.hbar=1e-150", "grid.x_min=-1e150", "grid.x_max=1e150"], "grid.hbar"),
+            (["grid.x_min=-1e155", "grid.x_max=1e155", "state.sigma=6.25e153"], "grid.x_min"),
+            (["state.sigma=1e159", "grid.x_min=-1e160", "grid.x_max=1e160"], "grid.x_min"),
+            (["state.sigma=1e159"], "state.sigma"),
+        ],
+    )
+    def test_grid_scale_outside_float_range_is_config_error(self, sets, key, tmp_path, capsys):
+        for name in ("flip", "vonneumann"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["scenario", name, *(a for s in sets for a in ("--set", s))]) == 1
+            assert f"config error: {key}" in capsys.readouterr().err
+        if key == "grid.hbar":
+            argv = ["eq2", "--out-dir", str(tmp_path / "eq2"), *(a for s in sets for a in ("--set", s))]
+            assert main(argv) == 1
+            assert "config error: grid.hbar" in capsys.readouterr().err
+            assert not (tmp_path / "eq2").exists()
+
+    @pytest.mark.parametrize("hbar", (1e-155, 1e-10, 1e152))
+    def test_scaled_hbar_keeps_its_closed_forms(self, hbar, tmp_path):
+        # sigma = 1, s = 0.5, g = 1: Delta P = hbar/2, the flip's eta_P =
+        # hbar/sigma, the pointer's eps = s/|g| and eta_P = |g| hbar/(2s)
+        out = tmp_path / "r.json"
+        for name, eps in (("flip", None), ("vonneumann", 0.5)):
+            argv = ["scenario", name, "--set", f"grid.hbar={hbar!r}", "--format", "json", "--out", str(out)]
+            assert main(argv) == 0
+            r = json.loads(out.read_text())
+            assert (r["epsilon_o"], r["eta_o_P"], r["delta_P"]) == (eps, hbar, 0.5 * hbar), name
+            assert r["robertson_product"] == r["hbar_over_2"] == 0.5 * hbar, name
+            assert r["robertson_satisfied"], name
+
+    def test_pointer_at_small_hbar_scales_with_hbar(self, capsys):
+        # the momentum law's density is in 1/dp, so its rounding negatives
+        # are judged against its peak; at hbar = 1e-10 the pointer's figures
+        # are hbar times those at hbar = 1
+        reports = [
+            run_scenario("vonneumann", load_config(None, [f"grid.hbar={h!r}"], "vonneumann"))[1]
+            for h in (1.0, 1e-10)
+        ]
+        one, small = (r.as_dict() for r in reports)
+        assert small["epsilon_o"] == 0.5 and small["eta_o_P"] == pytest.approx(1e-10, rel=1e-12)
+        assert small["product_eq2_form"] == pytest.approx(0.5e-10, rel=1e-12)
+        assert small["eq2_form_satisfied"] and small["eq5_satisfied"]
+        for key in ("delta_P", "w2_disturbance_P", "lhs_eq5"):
+            assert small[key] == pytest.approx(1e-10 * one[key], rel=1e-9), key
+        for key in ("delta_X", "w2_error_X", "eta_o_X", "w2_disturbance_X"):
+            assert small[key] == pytest.approx(one[key], rel=1e-9, abs=0.0), key
+        assert main(["scenario", "vonneumann", "--set", "grid.hbar=1e-10"]) == 0
 
 
 class TestScenarios:

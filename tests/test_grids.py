@@ -323,6 +323,20 @@ class TestDistribution:
         with pytest.raises(InvariantViolation, match="negative weight"):
             ProbabilityDistribution(np.arange(3.0), np.array([-1e-9, 0.5, 0.5 + 1e-9]), 1.0)
 
+    @pytest.mark.parametrize("scale", (1e-150, 1e-10, 1.0, 1e10, 1e150))
+    def test_negative_weight_gate_is_scale_free(self, scale):
+        # a density's unit is 1/spacing, so the gate reads negatives against
+        # the peak: the same law on a rescaled support passes or fails alike
+        support = np.arange(3.0) / scale
+        for rel, ok in ((-1e-11, True), (-1e-9, False)):
+            w = np.array([rel, 0.5, 0.5 - rel]) * scale
+            if ok:
+                d = ProbabilityDistribution(support, w, 1.0 / scale)
+                assert d.weights[0] == 0.0
+            else:
+                with pytest.raises(InvariantViolation, match="negative weight"):
+                    ProbabilityDistribution(support, w, 1.0 / scale)
+
     @pytest.mark.parametrize("first", (-1e-17, -0.0, 0.0, 0.25))
     def test_callers_weights_are_never_written(self, first):
         w = np.array([first, 0.5, 0.5 - max(first, 0.0)])
