@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edlab.channels import VonNeumannChannel
 from edlab import cli
+from edlab.channels import VonNeumannChannel
 from edlab.cli import (
     _JOINT_BYTES_PER_POINT,
     _SCHEMA,
@@ -181,8 +181,7 @@ class TestDomains:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     assert main(run) == 1, run
-                got = float(value)
-                message = f"config error: {domain.noun}{key} must be {domain.rule}, got {cli._fmt(got)}"
+                message = f"config error: {domain.noun}{key} must be {domain.rule}, got {cli._fmt(float(value))}"
                 assert message in capsys.readouterr().err, run
         assert not out.exists() and not (tmp_path / "eq2").exists()
 
