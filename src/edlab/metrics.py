@@ -143,82 +143,64 @@ def _check_observable(observable: ObservableName) -> None:
         raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
 
 
-def _kraus_sum(
-    channel: Channel,
-    psi: WaveFunction,
-    observable: ObservableName,
-    law: np.ndarray | None = None,
-) -> float:
-    """eta^2 = sum_m || B K_m psi - K_m B psi ||^2 over the Kraus blocks.
+def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
+    """eta_P^2 = sum_m || P K_m psi - K_m P psi ||^2 over the Kraus blocks,
+    and the P law after the channel, sum_m |K_m psi|^2 on grid.p.
 
-    The one place where B acts on branches: a chunk of a block's columns at
+    The one place where P acts on branches: a chunk of a block's columns at
     a time, about BRANCH_ELEMS elements, so the pointer's (n_s, k) branches
-    of the kept probe momenta are never built at once, and B acts on each
-    chunk in place while it is in cache.  A chunk's weights are formed once
-    (``KrausBlock.column_weights``) and weight both K psi and K B psi.  X
-    multiplies by x, and a block of step 1, which commutes with X, is not
-    built for it.  P is a plain spectral multiplier,
-    P b = sigma * IFFT(p * FFT(sigma * b)) with sigma_i = (-1)^i (see
-    ``grids.signed_fft``), and the closing sigma is left off: the chunk of
-    K B psi takes sigma instead, which leaves |gap|^2 as it is.  sigma goes
-    on after K, as the flip's reversal would change its sign.
+    are never built at once, and P acts on each chunk in place while it is
+    in cache.  A chunk's weights (``KrausBlock.column_weights``) weight both
+    K psi and K P psi.  P is the spectral multiplier
+    P b = sigma * IFFT(p * FFT(sigma * b)), sigma_i = (-1)^i (see
+    ``grids.signed_fft``); the closing sigma goes on the chunk of K P psi
+    instead, after K (the flip's reversal would change its sign), which
+    leaves |gap|^2 as it is.  The pointer's weights carry sigma
+    (``PointerTable.column_weights``), so neither of its two (n_s, c) arrays
+    takes a sign pass and K P psi is written into the weights' buffer; the
+    flip and the slit sign their chunks.  Each figure is bit-identical to a
+    sign pass on unsigned weights.
 
-    The pointer's P chunk holds two (n_s, c) arrays: its weights carry sigma
-    (``PointerTable.column_weights`` signs their odd offset rows), so
-    neither product takes a sign pass, and K B psi is written into the
-    weights' own buffer.  The flip and the slit sign their chunks.  Each
-    figure is bit-identical to a sign pass on unsigned weights.
-
-    With ``law``, zeros on grid.p, a P sum also adds the P law after the
-    channel into it, block by block in order, as ``busch_state_disturbance``
-    does.  A block without a coherence kernel adds ``branch_mass`` of each
-    chunk's spectrum, times the scale of ``signed_fft``, before the x p step,
-    so that FFT is not run twice; a block with a kernel adds its
-    ``momentum_mass``.  B psi is formed after the first chunk's B K psi, so
-    it is not alive while the first share is squared.
-
-    A chunk of a block without a kernel that is exactly 0 (the slit's fail
-    branch when the window covers psi) is not transformed and adds nothing
-    to the law: its FFTs are exactly 0, so every figure is bit-identical.
-    The pointer's chunks are never 0, and are not checked.
+    The law adds up block by block, as in ``busch_state_disturbance``: a
+    block with a coherence kernel adds its ``momentum_mass``, any other each
+    chunk's ``branch_mass`` times the scale of ``signed_fft``, read before
+    the x p step so that no FFT runs twice.  P psi is formed after the first
+    chunk's P K psi, so it is not alive while the first share is squared.
+    A chunk without a kernel that is exactly 0 (the slit's fail branch when
+    the window covers psi) is not transformed and adds nothing: its FFTs are
+    exactly 0, so every figure is bit-identical.  The pointer's chunks are
+    never 0, and are not checked.
     """
-    _check_observable(observable)
     g = psi.grid
     check_confinement(channel, psi)
     size = max(1, BRANCH_ELEMS // g.n_points)
-    b_psi = None
+    law = np.zeros(g.n_points)
+    p_psi = None
     total = 0.0
     for k in kraus_of(channel, g):
-        if observable == "X" and k.step == 1:
-            continue
-        if law is not None and k.coherence is not None:
+        signed = k.coherence is not None
+        if signed:
             law += k.momentum_mass(psi.amplitudes, g) * k.measure
-        signed = observable == "P" and k.coherence is not None
         for j in range(0, k.n_branches, size):
             columns = slice(j, j + size)
             weights = k.column_weights(columns, signed=True) if signed else k.column_weights(columns)
             b_k = k.weighted(psi.amplitudes, weights)
-            if observable == "X":
-                np.multiply(g.x[:, None], b_k, out=b_k)
-            elif signed or b_k.any():
+            if signed or b_k.any():
                 if signed:  # sigma is in the weights
                     np.fft.fft(b_k, axis=0, out=b_k)
                 else:
                     scale = signed_fft(b_k, g)
-                    if law is not None:
-                        law += branch_mass(b_k) * scale * k.measure
+                    law += branch_mass(b_k) * scale * k.measure
                 b_k *= g.p[:, None]
                 np.fft.ifft(b_k, axis=0, out=b_k)
-            if b_psi is None and observable == "X":
-                b_psi = g.x * psi.amplitudes
-            elif b_psi is None:  # in place, from the state's cached momentum view
-                b_psi = kernel_transform(mom := psi.momentum * g.p, 0, g, +1, out=mom)
-            k_b = k.weighted(b_psi, weights, out=weights if signed else None)
-            if observable == "P" and not signed:
+            if p_psi is None:  # in place, from the state's cached momentum view
+                p_psi = kernel_transform(mom := psi.momentum * g.p, 0, g, +1, out=mom)
+            k_b = k.weighted(p_psi, weights, out=weights if signed else None)
+            if not signed:
                 k_b[1::2] *= -1.0  # sigma, as on b_k
             total += _squared_gap(b_k, k_b) * g.dx * k.measure
             del weights, b_k, k_b  # freed before the next chunk is built
-    return total
+    return total, law
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +231,22 @@ def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: Observabl
 
     Evaluated through the dilation identity
     eta^2 = sum_m || B K_m psi - K_m B psi ||^2, which is exact for any
-    Stinespring dilation of the Kraus family.
+    Stinespring dilation of the Kraus family.  eta_P is ``_kraus_sum``'s.
+    For X each block keeps or reverses the points (its ``step``), then
+    weights them by w_m with sum_m |w_m|^2 = 1, so eta_X is the norm of
+    x psi[::step] - x[::step] psi[::step], 0 for step 1: two products, as
+    (x - x[::step]) psi[::step] can move the last bit where x[::-1] != -x.
     """
-    return math.sqrt(_kraus_sum(channel, psi, observable))
+    _check_observable(observable)
+    if observable == "P":
+        return math.sqrt(_kraus_sum(channel, psi)[0])
+    g = psi.grid
+    check_confinement(channel, psi)
+    step = kraus_of(channel, g)[0].step
+    if step == 1:
+        return 0.0
+    moved = psi.amplitudes[::step]
+    return math.sqrt(_squared_gap(g.x * moved, g.x[::step] * moved) * g.dx)
 
 
 def _squared_gap(b_k: np.ndarray, k_b: np.ndarray) -> float:
@@ -307,9 +302,8 @@ def _momentum_figures(channel: Channel, psi: WaveFunction) -> tuple[float, float
     """eta_P and the W2 disturbance of P from one pass over the Kraus blocks:
     the P law after is read from eta_P's own forward transforms, and it is
     freed on return, before the report's other figures run."""
-    law = np.zeros(psi.grid.n_points)
-    eta = math.sqrt(_kraus_sum(channel, psi, "P", law=law))
-    return eta, _momentum_w2(psi, law)
+    total, law = _kraus_sum(channel, psi)
+    return math.sqrt(total), _momentum_w2(psi, law)
 
 
 def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:

@@ -354,12 +354,18 @@ class TestOzawaDisturbance:
             assert rel_err(eta, oracle) < 1e-6, spec
 
     def test_flip_bound_by_spread(self, std_grid):
-        psi = make_state(std_grid, GaussianState(0, 0, 1))
-        m = moments(psi)
-        eta = ozawa_disturbance(FlipChannel(), psi, "X")
-        assert eta == pytest.approx(2.0 * m.delta_x, rel=1e-9)
-        off = make_state(std_grid, GaussianState(2, 0, 1))
-        assert ozawa_disturbance(FlipChannel(), off, "X") > 2.0 * moments(off).delta_x
+        # on +-7.1 the points are not exactly antisymmetric, x[::-1] != -x, and
+        # the off state's gap (x - x[::-1]) psi[::-1] as one product moves a bit
+        for grid, x0, p0, sigma in ((std_grid, 2, 0, 1), (make_grid(512, -7.1, 7.1), 0.7, 1.3, 0.5)):
+            psi = make_state(grid, GaussianState(0, 0, 1))
+            m = moments(psi)
+            eta = ozawa_disturbance(FlipChannel(), psi, "X")
+            assert eta == pytest.approx(2.0 * m.delta_x, rel=1e-9)
+            off = make_state(grid, GaussianState(x0, p0, sigma))
+            eta_off = ozawa_disturbance(FlipChannel(), off, "X")
+            assert eta_off > 2.0 * moments(off).delta_x
+            for state, value in ((psi, eta), (off, eta_off)):
+                assert value == math.sqrt(unfused_kraus_sum(FlipChannel(), state, "X")), grid
 
     def test_wide_slit_leaves_bump_undisturbed_to_grid_precision(self, std_grid):
         psi = make_state(std_grid, BumpState(0, 1))
@@ -429,8 +435,8 @@ class TestOzawaDisturbance:
         ],
     )
     def test_fused_chunks_match_unfused_loop(self, monkeypatch, n, n_probe, g, hbar, chunk_columns):
-        # eta and the P law after from the Kraus loop, whose pointer chunks
-        # carry sigma in their weights and take K B psi in their buffer,
+        # eta_P and the P law after from the Kraus loop, whose pointer chunks
+        # carry sigma in their weights and take K P psi in their buffer,
         # against the loop of three arrays a chunk with its sign passes, bit
         # for bit, for the pointer, the flip and the slit (one window cuts
         # psi, one covers it and skips its zero fail branch)
@@ -447,12 +453,13 @@ class TestOzawaDisturbance:
                 SlitChannel(0.0, 4.0),
             )
             for channel in channels:
-                for obs in ("P", "X"):
-                    laws = [np.zeros(n), np.zeros(n)] if obs == "P" else [None, None]
-                    fused = metrics._kraus_sum(channel, psi, obs, law=laws[0])
-                    assert fused == unfused_kraus_sum(channel, psi, obs, law=laws[1]), (channel, obs)
-                    if obs == "P":
-                        assert np.array_equal(laws[0], laws[1]), channel
+                law = np.zeros(n)
+                fused, fused_law = metrics._kraus_sum(channel, psi)
+                assert fused == unfused_kraus_sum(channel, psi, "P", law=law), channel
+                assert np.array_equal(fused_law, law), channel
+                # eta_X from the position map against the loop's X path
+                eta_x = math.sqrt(unfused_kraus_sum(channel, psi, "X"))
+                assert ozawa_disturbance(channel, psi, "X") == eta_x, channel
 
     @pytest.mark.parametrize("hbar, x_min, x_max", [(1.0, -8.0, 8.0), (2.0, -5.0, 11.0)])
     def test_p_multiplier_matches_dense_dft(self, monkeypatch, hbar, x_min, x_max):
@@ -477,8 +484,7 @@ class TestOzawaDisturbance:
         monkeypatch.setattr(metrics, "_squared_gap", keep)
         for channel in channels:
             operands.clear()
-            law = np.zeros(64)
-            metrics._kraus_sum(channel, psi, "P", law=law)
+            _, law = metrics._kraus_sum(channel, psi)
             blocks = kraus_of(channel, grid)
             assert len(operands) == len(blocks)  # one chunk per block at n = 64
             dense_law = np.zeros(64)
