@@ -307,10 +307,15 @@ def _guard(fn, *args):
 
 
 def _grid_from(cfg: dict) -> GridSpec:
-    """The system grid.  A ConfigError names grid.hbar when the momentum
-    edge pi*hbar/dx squares outside the normal float range, where p**2 and
-    the momentum densities lose their digits or overflow."""
+    """The system grid.  A ConfigError names the bounds when dx squares below
+    the normal float range, and grid.hbar when the momentum edge pi*hbar/dx
+    squares outside it, where the squares lose their digits or overflow."""
     grid = _guard(make_grid, cfg["grid.n_points"], cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.hbar"])
+    if grid.dx * grid.dx < np.finfo(float).tiny:
+        raise ConfigError(
+            f"grid.x_min={_fmt(grid.x_min)} and grid.x_max={_fmt(grid.x_max)} give a grid spacing "
+            f"{_fmt(grid.dx)} whose square is below the normal float range"
+        )
     edge = math.pi * grid.hbar / grid.dx
     if not np.finfo(float).tiny <= edge * edge < math.inf:
         raise ConfigError(
