@@ -66,7 +66,10 @@ class ProbeSpec:
 
     The pointer may be narrower than the grid spacing suggests; its gate is
     the aliasing invariant (band-limited content), not the cells-per-sigma
-    rule used for system states.
+    rule used for system states.  A spacing over 80 widths is refused
+    before any amplitude is formed: on a symmetric domain the points nearest
+    0 would lie 40 widths out, where the pointer is 0.  A refusal's message
+    starts with the field at fault, ``s`` or the grid's ``n_points``.
     """
 
     grid: GridSpec
@@ -76,13 +79,18 @@ class ProbeSpec:
     def __post_init__(self):
         # s**2 must neither underflow to 0 nor overflow
         if not (self.s > 0 and 0 < self.s * self.s < np.inf):
-            raise ValueError(f"pointer width must be positive with 0 < s**2 < inf, got {self.s}")
+            raise ValueError(f"s must be positive with 0 < s**2 < inf, got {self.s}")
+        if self.grid.dx > 80.0 * self.s:
+            raise ValueError(
+                f"n_points={self.grid.n_points} cannot resolve the pointer width {self.s:.12g}: "
+                f"the spacing {self.grid.dx:.12g} exceeds 80 widths"
+            )
         amp = gaussian_amplitudes(self.grid, 0.0, 0.0, self.s)
         mass = np.sum(np.abs(amp) ** 2) * self.grid.dx
         if not mass > 0:
             raise ValueError(
-                f"pointer width {self.s} forms no Gaussian on the probe grid (dx={self.grid.dx}): "
-                "its amplitude underflows to 0 at every point"
+                f"s={self.s:.12g} forms no Gaussian on the probe grid [{self.grid.x_min:.12g}, "
+                f"{self.grid.x_max:.12g}]: its amplitude underflows to 0 at every point"
             )
         amp = amp / np.sqrt(mass)
         ready = WaveFunction(self.grid, amp).validate()
@@ -102,8 +110,8 @@ def probe_grid_for(
     """Auto-size a probe grid so the conditional shifts stay confined.
 
     The half-domain is ``probe_half_width`` at the ``state_reach`` of psi.
-    The ready state's own validation then rejects widths the resulting
-    spacing cannot represent.
+    ``GridSpec`` refuses a half-width whose squares leave the float range,
+    and ``ProbeSpec`` a spacing too wide for the pointer.
     """
     half = probe_half_width(g, state_reach(system_grid, psi), s)
     return GridSpec(n_points, -half, half, system_grid.hbar)

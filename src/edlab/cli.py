@@ -83,7 +83,6 @@ class _Domain(NamedTuple):
 
 _ANY = _Domain("any value", lambda v: True)
 _FINITE = _Domain("finite", math.isfinite)
-_FINITE_SQUARE = _Domain("finite with a finite square", lambda v: v * v < math.inf)
 _POSITIVE = _Domain("finite and positive", lambda v: 0 < v < math.inf)
 _NONZERO = _Domain("finite and nonzero", lambda v: v != 0 and math.isfinite(v))
 # the width of a Gaussian, whose square the Gaussian forms
@@ -95,8 +94,8 @@ _WIDTH = _Domain("positive with a finite nonzero square", lambda v: v > 0 and 0 
 _SCHEMA: dict[str, tuple[type, _Domain]] = {
     "scenario": (str, _ANY),
     "grid.n_points": (int, _ANY),
-    "grid.x_min": (float, _FINITE_SQUARE),
-    "grid.x_max": (float, _FINITE_SQUARE),
+    "grid.x_min": (float, _FINITE),
+    "grid.x_max": (float, _FINITE),
     "grid.hbar": (float, _POSITIVE),
     "state.variant": (str, _ANY),
     "state.x0": (float, _FINITE),
@@ -295,43 +294,21 @@ class BuiltScenario:
     channel: Channel
 
 
-def _guard(fn, *args):
-    # bad parameter values are config errors; InvariantViolation stays a
-    # physics failure (different exit code)
-    try:
-        return fn(*args)
-    except InvariantViolation:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _grid_from(cfg: dict) -> GridSpec:
-    """The system grid.  A ConfigError names the bounds when dx squares below
-    the normal float range, and grid.hbar when the momentum edge pi*hbar/dx
-    squares outside it, where the squares lose their digits or overflow."""
-    grid = _guard(make_grid, cfg["grid.n_points"], cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.hbar"])
-    if grid.dx * grid.dx < np.finfo(float).tiny:
-        raise ConfigError(
-            f"grid.x_min={_fmt(grid.x_min)} and grid.x_max={_fmt(grid.x_max)} give a grid spacing "
-            f"{_fmt(grid.dx)} whose square is below the normal float range"
-        )
-    edge = math.pi * grid.hbar / grid.dx
-    if not np.finfo(float).tiny <= edge * edge < math.inf:
-        raise ConfigError(
-            f"grid.hbar={_fmt(grid.hbar)} puts the momentum edge pi*hbar/dx of a grid of "
-            f"spacing {_fmt(grid.dx)} at {_fmt(edge)}, whose square is outside the normal float range"
-        )
-    return grid
+    """The system grid; ``GridSpec`` judges its scale, and a refusal names
+    the ``grid.`` key its message starts with."""
+    try:
+        return make_grid(cfg["grid.n_points"], cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.hbar"])
+    except ValueError as exc:
+        raise ConfigError(f"grid.{exc}") from exc
 
 
 def _channel_from(cfg: dict, grid: GridSpec, reach: Callable[[], float]) -> Channel:
     """The selected channel.  When no probe bounds are set, the probe is
-    sized for states within ``reach()`` of 0.  The pointer's inputs are
-    judged before its amplitudes are formed, and its gain before any table
-    is built: a ConfigError names channel.g when the gain gives the probe
-    domain no finite half-width or widens it past what probe.n_points
-    resolves."""
+    sized for states within ``reach()`` of 0.  The probe grid and pointer
+    are judged by ``GridSpec`` and ``ProbeSpec`` before any amplitude is
+    formed, and the gain before any table is built; a refusal is a
+    ConfigError that starts with the keys that set the probe domain."""
     variant = cfg["channel.variant"]
     if variant == "flip":
         return FlipChannel()
@@ -342,54 +319,37 @@ def _channel_from(cfg: dict, grid: GridSpec, reach: Callable[[], float]) -> Chan
     bounds = [k for k in _PROBE_BOUNDS if k in cfg]
     if len(bounds) == 2:
         x_min, x_max = cfg["probe.x_min"], cfg["probe.x_max"]
-        probe_grid = _guard(make_grid, n_probe, x_min, x_max, grid.hbar)
         cause = f"probe.x_min={_fmt(x_min)} and probe.x_max={_fmt(x_max)} set the probe domain"
     elif bounds:
         missing = "probe.x_max" if bounds == ["probe.x_min"] else "probe.x_min"
         raise ConfigError(f"{bounds[0]} is set without {missing}; set both probe bounds or neither")
     else:
-        states = reach()
-        half = probe_half_width(g, states, s)
-        if not np.isfinite(half):
-            raise ConfigError(
-                f"channel.g={_fmt(g)} gives the probe domain no finite half-width "
-                f"(|g| * {_fmt(states)} + 12 * probe.s = {_fmt(half)})"
-            )
-        probe_grid = _guard(make_grid, n_probe, -half, half, grid.hbar)
-        cause = (
-            f"channel.g={_fmt(g)} and probe.s={_fmt(s)} size the probe domain "
-            f"to ±{_fmt(probe_grid.x_max)}"
-        )
-    _check_pointer_reach(s, probe_grid, cause)
-    channel = _guard(lambda: VonNeumannChannel(g, ProbeSpec(probe_grid, s)))
+        x_max = probe_half_width(g, reach(), s)
+        x_min = -x_max
+        cause = f"channel.g={_fmt(g)} and probe.s={_fmt(s)} size the probe domain to ±{_fmt(x_max)}"
+    try:
+        probe_grid = make_grid(n_probe, x_min, x_max, grid.hbar)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{cause} of probe.n_points={n_probe} points for the pointer width probe.s={_fmt(s)}: {exc}"
+        ) from exc
+    try:
+        probe = ProbeSpec(probe_grid, s)
+    except InvariantViolation:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{cause}, where probe.{exc}") from exc
     _check_readout_offsets(g, grid, probe_grid)
-    return channel
-
-
-def _check_pointer_reach(s: float, probe_grid: GridSpec, cause: str) -> None:
-    """ConfigError, after ``cause``, when the probe spacing exceeds 80 pointer
-    widths: the points nearest 0, at +-dx/2 on a symmetric domain, lie 40
-    widths out, where the pointer is 0, so it is judged before any of its
-    amplitudes is formed.  So are probe coordinates whose squares, which
-    the pointer's Gaussian forms, overflow."""
-    if probe_grid.dx > 80.0 * s:
-        raise ConfigError(
-            f"{cause}, where probe.n_points={probe_grid.n_points} cannot resolve "
-            f"the pointer width {_fmt(s)}"
-        )
-    edge = max(-probe_grid.x_min, probe_grid.x_max)
-    if not edge * edge < np.inf:
-        raise ConfigError(
-            f"{cause}, whose coordinates up to {_fmt(edge)} overflow when squared "
-            f"in the Gaussian of the pointer width probe.s={_fmt(s)}"
-        )
+    return VonNeumannChannel(g, probe)
 
 
 def _check_readout_offsets(g: float, grid: GridSpec, probe_grid: GridSpec) -> None:
     """ConfigError naming channel.g when the pointer reading y/g lies so far
     from the system's x that the RMS error's squared offsets (y/g - x)^2 could
     overflow.  Weighted by |T|^2 dy and |psi|^2 dx, which each sum to 1, no
-    sum of them exceeds the largest over dx dy, so that bound is checked."""
+    sum of them exceeds the largest over dx dy, so that bound is checked.
+    Both grids keep dx**2 normal, so dx dy is at least the smallest normal
+    float and the bound never divides by 0."""
     offset = max(-probe_grid.x_min, probe_grid.x_max) / abs(g) + max(-grid.x_min, grid.x_max)
     if not offset * offset / (grid.dx * probe_grid.dx) < np.inf:
         raise ConfigError(
@@ -411,7 +371,12 @@ def _check_joint_memory(n_system: int, n_probe: int, cap_mib: float) -> None:
 
 def build_scenario(cfg: dict) -> BuiltScenario:
     grid = _grid_from(cfg)
-    psi = _guard(make_state, grid, _state_spec_from(cfg))
+    try:
+        psi = make_state(grid, _state_spec_from(cfg))
+    except InvariantViolation:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     return BuiltScenario(
         cfg["scenario"], grid, psi, _channel_from(cfg, grid, lambda: state_reach(grid, psi))
     )

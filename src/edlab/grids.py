@@ -53,6 +53,13 @@ class GridSpec:
     x_min, x_max : domain edges (grid points sit strictly inside)
     hbar : value of the reduced Planck constant (default 1)
 
+    Every figure is a root of a sum of squared coordinates, spacings and
+    momenta, so three squares must lie in the normal float range: the
+    largest |x| squares below inf, dx at or above the smallest normal float,
+    and the momentum edge pi*hbar/dx within both, which keeps dp**2 finite
+    too, as dp < pi*hbar/dx.  A refusal's message starts with the field at
+    fault.
+
     ``x``, ``p`` and ``aliasing_band`` are built once per grid object and are
     read-only.
     """
@@ -63,18 +70,33 @@ class GridSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        n = self.n_points
+        n, lo, hi, hbar = self.n_points, self.x_min, self.x_max, self.hbar
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 16, got {n}")
-        if not np.all(np.isfinite((self.x_min, self.x_max, self.hbar))):
+        if not np.all(np.isfinite((lo, hi, hbar))):
             raise ValueError(
-                f"grid bounds and hbar must be finite, got [{self.x_min}, {self.x_max}] "
-                f"and hbar {self.hbar}"
+                f"x_min, x_max and hbar must be finite, got {lo:.12g}, {hi:.12g} and {hbar:.12g}"
             )
-        if not self.x_max > self.x_min:
-            raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not hi > lo:
+            raise ValueError(f"x_max must exceed x_min, got [{lo:.12g}, {hi:.12g}]")
+        if not hbar > 0:
+            raise ValueError(f"hbar must be positive, got {hbar:.12g}")
+        tiny, reach, dx = np.finfo(float).tiny, float(max(-lo, hi)), float(self.dx)
+        if not reach * reach < np.inf:
+            raise ValueError(
+                f"x_min={lo:.12g} and x_max={hi:.12g} reach {reach:.12g}, whose square overflows"
+            )
+        if dx * dx < tiny:
+            raise ValueError(
+                f"x_min={lo:.12g} and x_max={hi:.12g} give {n} points the spacing {dx:.12g}, "
+                "whose square is below the normal float range"
+            )
+        edge = np.pi * hbar / dx
+        if not tiny <= edge * edge < np.inf:
+            raise ValueError(
+                f"hbar={hbar:.12g} puts the momentum edge pi*hbar/dx of the spacing {dx:.12g} "
+                f"at {edge:.12g}, whose square is outside the normal float range"
+            )
 
     @property
     def dx(self) -> float:

@@ -77,7 +77,7 @@ class TraceEntry:
     x0: float
     p0: float
     sigma: float
-    value: float  # NaN when the member was excluded by confinement filtering
+    value: float  # NaN when the member was excluded: it raised an InvariantViolation
     admissible: bool
 
 
@@ -131,9 +131,8 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
     def evaluate(x0: float, p0: float, sigma: float) -> float:
         entry = scored.get((x0, p0, sigma))
         if entry is None:
-            # confinement filtering: members violating any grid invariant
-            # (state construction or in-channel probe confinement) are
-            # excluded from the search but logged
+            # a member that raises any InvariantViolation (state validation,
+            # probe confinement, ...) is excluded from the search but logged
             try:
                 psi = make_state(grid, GaussianState(x0, p0, sigma))
                 entry = TraceEntry(x0, p0, sigma, float(metric(psi)), True)
@@ -153,7 +152,7 @@ def maximize(metric: Metric, grid: GridSpec, spec: SearchSpec) -> SupResult:
                 if _better(v, best_v):
                     best_v, best = v, (float(x0), float(p0), float(sigma))
     if best is None:
-        raise InvariantViolation("search family empty after confinement filtering")
+        raise InvariantViolation("search family empty: invariant violations excluded every member")
 
     def golden(lo: float, hi: float, fun: Callable[[float], float], tol: float) -> tuple[float, float]:
         # the best (t, value) probed so far; a later probe must beat it

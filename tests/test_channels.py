@@ -124,10 +124,15 @@ class TestVonNeumann:
         back = apply_von_neumann(forward, std_grid, pg, -channel.g)
         assert np.max(np.abs(back - joint)) < 1e-12
 
-    def test_zero_gain_rejected(self, vn_default):
+    def test_zero_gain_rejected(self, vn_default, monkeypatch):
         channel, _ = vn_default
         with pytest.raises(ValueError, match="nonzero"):
             VonNeumannChannel(0.0, channel.probe)
+        # so is a pointer whose probe spacing exceeds 80 widths, before any amplitude
+        pg = channel.probe.grid
+        monkeypatch.setattr("edlab.channels.gaussian_amplitudes", None)
+        with pytest.raises(ValueError, match="^n_points=256 cannot resolve"):
+            ProbeSpec(pg, pg.dx / 80.5)
 
     def test_tiny_gain_is_continuous(self, std_grid, vn_default):
         # first-order response: ||U_g Psi - Psi|| = g * sqrt(<x^2><p_probe^2>) = g here

@@ -123,7 +123,6 @@ class TestConfig:
 # values just inside and just outside each declared domain
 DOMAIN_EDGES = {
     cli._FINITE.rule: (("-1e308", "1e308"), ("inf", "-inf", "nan")),
-    cli._FINITE_SQUARE.rule: (("-1.3e154", "1.3e154"), ("-1.4e154", "1.4e154", "inf", "nan")),
     cli._POSITIVE.rule: (("5e-324", "1e308"), ("0", "-0.0", "-1", "inf", "nan")),
     cli._NONZERO.rule: (("5e-324", "-1e308"), ("0", "-0.0", "inf", "nan")),
     cli._WIDTH.rule: (("1.6e-162", "1.3e154"), ("1.5e-162", "1.4e154", "0", "-1", "inf", "nan")),
@@ -195,7 +194,8 @@ class TestDomains:
             # the edge pi*hbar/dx, not hbar alone, leaves the normal range
             (["grid.hbar=1e-150", "grid.x_min=-1e150", "grid.x_max=1e150"], "grid.hbar"),
             (["grid.x_min=-1e155", "grid.x_max=1e155", "state.sigma=6.25e153"], "grid.x_min"),
-            (["state.sigma=1e159", "grid.x_min=-1e160", "grid.x_max=1e160"], "grid.x_min"),
+            # two keys out of range: the width's domain is judged before the grid is built
+            (["state.sigma=1e159", "grid.x_min=-1e160", "grid.x_max=1e160"], "state.sigma"),
             (["state.sigma=1e159"], "state.sigma"),
             # dx**2 underflows, while the edge pi*hbar/dx is normal; the flip reads no probe key
             (["grid.x_min=-1e-160", "grid.x_max=1e-160", "state.sigma=1e-161", "grid.hbar=1e-300"], "grid.x_min"),
@@ -203,6 +203,8 @@ class TestDomains:
                 ["grid.x_min=-1e-160", "grid.x_max=1e-160", "state.sigma=1e-161", "grid.hbar=1e-300", "probe.s=5e-162"],
                 "grid.x_min",
             ),
+            # the probe grid's dx**2 underflows, which pg.dp**2 once overflowed on
+            (["probe.x_min=-1e-160", "probe.x_max=1e-160", "probe.s=1e-161"], "probe.x_min"),
         ],
     )
     def test_grid_scale_outside_float_range_is_config_error(self, sets, key, tmp_path, capsys):

@@ -71,11 +71,24 @@ class TestMakeGrid:
             (256, -1, float("inf"), 1),
             (256, float("-inf"), 1, 1),
             (256, float("nan"), 1, 1),
+            # squares outside the normal float range: a coordinate's, dx's
+            # and the momentum edge pi*hbar/dx's, low and high
+            (256, -1.4e154, 1.4e154, 1),
+            (256, -1e-160, 1e-160, 1),
+            (256, -16, 16, 1e-160),
+            (256, -16, 16, 1e154),
         ],
     )
     def test_rejects_bad_specs(self, args):
         with pytest.raises(ValueError):
             make_grid(*args)
+
+    def test_builds_just_inside_the_float_range(self):
+        tiny = np.finfo(float).tiny
+        for args in ((256, -1.3e154, 1.3e154), (256, -1e-150, 1e-150), (256, -16, 16, 1e-155), (256, -16, 16, 1e152)):
+            g = make_grid(*args)
+            assert np.isfinite(g.x**2).all() and g.dx**2 >= tiny, args
+            assert tiny <= g.p[0] ** 2 < np.inf, args
 
 
 class TestToMomentum:

@@ -57,7 +57,7 @@ class TestMaximize:
         )
         admissible = [t.sigma for t in result.trace if t.admissible]
         assert result.argmax.sigma == pytest.approx(max(admissible), rel=1e-6)
-        assert result.n_excluded > 0  # confinement filtering kicked in and was logged
+        assert result.n_excluded > 0  # excluded members were logged
 
     def test_error_argmax_at_smallest_sigma(self, std_grid):
         channel = family_probe(std_grid, None, 1.0, 0.5)
