@@ -37,10 +37,12 @@ from .grids import (
     GridSpec,
     InvariantViolation,
     WaveFunction,
+    check_aliasing,
     kernel_transform,
+    moments,
     signed_fft,
 )
-from .states import gaussian_amplitudes
+from .states import _normalized, gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
 # Complex elements that the pointer's table build and metrics._kraus_sum form
@@ -86,15 +88,13 @@ class ProbeSpec:
                 f"the spacing {self.grid.dx:.12g} exceeds 80 widths"
             )
         amp = gaussian_amplitudes(self.grid, 0.0, 0.0, self.s)
-        mass = np.sum(np.abs(amp) ** 2) * self.grid.dx
-        if not mass > 0:
+        if not np.sum(np.abs(amp) ** 2) * self.grid.dx > 0:
             raise ValueError(
                 f"s={self.s:.12g} forms no Gaussian on the probe grid [{self.grid.x_min:.12g}, "
                 f"{self.grid.x_max:.12g}]: its amplitude underflows to 0 at every point"
             )
-        amp = amp / np.sqrt(mass)
-        ready = WaveFunction(self.grid, amp).validate()
-        mean = float(np.sum(self.grid.x * np.abs(ready.amplitudes) ** 2) * self.grid.dx)
+        ready = _normalized(self.grid, amp).validate()
+        mean = moments(ready).mean_x
         if abs(mean) > 1e-10:
             raise InvariantViolation(f"pointer bias <X_probe> = {mean:.3e}")
         object.__setattr__(self, "ready_state", ready)
@@ -187,10 +187,9 @@ class KrausBlock:
         branches = a[:: self.step, None]
         return branches.copy() if weights is None else np.multiply(branches, weights, out=out)
 
-    def __call__(self, a: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
-        """The (n_s, k) branch array, or the branches in ``columns`` only, as a
-        new array that the caller may overwrite."""
-        return self.weighted(a, self.column_weights(columns))
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """The (n_s, k) branch array, a new array that the caller may overwrite."""
+        return self.weighted(a, self.column_weights())
 
     def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
         """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
@@ -249,8 +248,8 @@ class PointerTable(KrausBlock):
     state's kept momenta, 0 beyond the L - 1 lags they span.
     ``autocorrelation`` holds A(l) n_p dp^2 / (2 pi hbar) for 0 <= l < L,
     and ``lag_offsets`` (b, L) and ``lag_anchors`` (n_s/b, L) the two levels
-    of exp(-i g x l dp / hbar), as ``offsets`` and ``anchors`` are of the
-    branch phases.
+    of exp(-i g x l dp / hbar), ``_shift_factors`` at p = l dp, as
+    ``offsets`` and ``anchors`` are of the branch phases.
 
     The branches are those of the kept probe momenta: column q is
     m_q sqrt(dp/dy) exp(-i g x p_q / hbar), so that with ``measure`` dy a
@@ -300,17 +299,14 @@ class PointerTable(KrausBlock):
         """sum_i w_i |T_ij|^2 on ``probe_grid`` for real system weights w: with
         w = |psi|^2 dx, the probe's position law after the coupling.  The
         product of ``autocorrelation`` and ``characteristic`` is folded mod
-        n_p, where lag n_p - l adds the conjugate of lag l, and taken back
-        by one inverse real FFT."""
+        n_p, where lag n_p - l adds the conjugate of lag l (no lag folds
+        when L <= n_p/2), and taken back by one inverse real FFT."""
         n = probe_grid.n_points
         spectrum = self.characteristic(w)
         spectrum *= self.autocorrelation
-        lags = spectrum.size
-        if lags > n // 2:
-            folded = spectrum[: n // 2 + 1]
-            folded[n - lags + 1 :] += spectrum[n // 2 : lags][::-1].conj()
-            spectrum = folded
-        return np.fft.irfft(spectrum, n)
+        folded = spectrum[: n // 2 + 1]
+        folded[n - spectrum.size + 1 :] += spectrum[n // 2 :][::-1].conj()
+        return np.fft.irfft(folded, n)
 
 
 @dataclass(frozen=True)
@@ -351,12 +347,10 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
     formed about BRANCH_ELEMS at a time.  Each row's figures are
     bit-identical to those of the whole T.  The factors of the kept momenta
     are columns of the build's, since a column is the same for any subset of
-    momenta it is built with.  The readout's lag factors exp(-1j*g*x*l*dp/hbar)
-    are the build's columns at p = l dp for the lags l < n_p/2, bit for bit
-    one ``exp`` each, and for the lags from n_p/2 up, which only a pointer
-    whose kept momenta span more than half the grid has, the columns at
-    p = (l - n_p/2) dp times the two levels of exp(-1j*g*x*(n_p/2)*dp/hbar).
-    Its autocorrelation is one zero-padded FFT of the kept momenta.
+    momenta it is built with.  The readout's lag factors
+    exp(-1j*g*x*l*dp/hbar) for the L lags the kept momenta span are one more
+    ``_shift_factors`` at p = l dp, 0 <= l < L.  Its autocorrelation is one
+    zero-padded FFT of the kept momenta.
     """
     pg = probe.grid
     mom = probe.ready_state.momentum
@@ -393,8 +387,7 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
     held = np.flatnonzero(kept)
     span = held[-1] - held[0] + 1
     lagged = np.fft.ifft(np.abs(np.fft.fft(np.where(kept, mom, 0.0), 2 * n_p)) ** 2)
-    half = n_p // 2  # column half + l is the momentum l dp
-    top_anchors, top_offsets = _shift_factors(grid, -pg.p[:1], g, pg.hbar)
+    lag_anchors, lag_offsets = _shift_factors(grid, np.arange(span) * pg.dp, g, pg.hbar)
     return PointerTable(
         measure=pg.dx,
         coherence=np.concatenate((lags, lags[:0:-1].conj())),
@@ -404,8 +397,8 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
         offsets=offsets[:, kept],
         anchors=anchors[:, kept],
         autocorrelation=lagged[:span] * (n_p * pg.dp**2 / (2.0 * np.pi * pg.hbar)),
-        lag_offsets=np.hstack((offsets[:, half : half + span], offsets[:, half:span] * top_offsets)),
-        lag_anchors=np.hstack((anchors[:, half : half + span], anchors[:, half:span] * top_anchors)),
+        lag_offsets=lag_offsets,
+        lag_anchors=lag_anchors,
     )
 
 
@@ -488,6 +481,15 @@ def check_confinement(channel: Channel, psi: WaveFunction) -> None:
                 f"probe confinement violated after shift: edge mass {edge_mass:.3e} "
                 f"(probe domain [{pg.x_min}, {pg.x_max}], gain {channel.g})"
             )
+
+
+def check_kicks(channel: Channel, law: np.ndarray, grid: GridSpec) -> None:
+    """Judge ``law``, the P law after a pointer on ``grid.p``, by the aliasing rule of a state:
+    kicks that reach the near-Nyquist band wrap around, and eta_P and W2 of P read low.
+    Other channels always pass."""
+    if isinstance(channel, VonNeumannChannel):
+        need = f"a finer system grid (grid.n_points > {grid.n_points}) is needed"
+        check_aliasing(grid, law[grid.aliasing_band], f" after the pointer's kicks: {need}")
 
 
 def kraus_of(channel: Channel, grid: GridSpec) -> list[KrausBlock]:

@@ -19,7 +19,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .states import (
     SymmetricPairState,
     make_state,
 )
-from .supsearch import Eq2Report, SearchSpec, eq2_check, trace_to_csv
+from .supsearch import Eq2Report, SearchSpec, SupResult, eq2_check
 
 
 class ConfigError(ValueError):
@@ -307,8 +307,8 @@ def _channel_from(cfg: dict, grid: GridSpec, reach: Callable[[], float]) -> Chan
     """The selected channel.  When no probe bounds are set, the probe is
     sized for states within ``reach()`` of 0.  The probe grid and pointer
     are judged by ``GridSpec`` and ``ProbeSpec`` before any amplitude is
-    formed, and the gain before any table is built; a refusal is a
-    ConfigError that starts with the keys that set the probe domain."""
+    formed, and the gain before any table is built.  A refusal, and an
+    InvariantViolation of the pointer, starts with the probe domain's keys."""
     variant = cfg["channel.variant"]
     if variant == "flip":
         return FlipChannel()
@@ -335,8 +335,10 @@ def _channel_from(cfg: dict, grid: GridSpec, reach: Callable[[], float]) -> Chan
         ) from exc
     try:
         probe = ProbeSpec(probe_grid, s)
-    except InvariantViolation:
-        raise
+    except InvariantViolation as exc:
+        raise InvariantViolation(
+            f"{cause}, where the pointer on probe.n_points={n_probe} points fails: {exc}"
+        ) from exc
     except ValueError as exc:
         raise ConfigError(f"{cause}, where probe.{exc}") from exc
     _check_readout_offsets(g, grid, probe_grid)
@@ -431,12 +433,9 @@ def render_table(built: BuiltScenario, report: EDRReport, extra: list[tuple[str,
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def _report_csv_lines(rows: list[dict], lead: list[str]) -> str:
-    header = lead + CSV_COLUMNS
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in header))
-    return "\n".join(lines) + "\n"
+def _csv_lines(header: Sequence, rows: Iterable[Sequence], end: str = "\n") -> str:
+    """The header and one line of ``_fmt`` values per row, each line ended by ``end``."""
+    return "".join(",".join(map(_fmt, row)) + end for row in (header, *rows))
 
 
 def _json_value(v):
@@ -485,10 +484,8 @@ def run_sweep(axis: str, values: list[float], base_cfg: dict) -> str:
         cfg[axis] = typ(v)
         built = build_scenario(cfg)
         report = compute_report(built.channel, built.psi)
-        row = {axis: cfg[axis]}
-        row.update(report.as_dict())
-        rows.append(row)
-    return _report_csv_lines(rows, [axis])
+        rows.append([cfg[axis], *report.as_dict().values()])
+    return _csv_lines([axis, *CSV_COLUMNS], rows)
 
 
 def run_eq2(cfg: dict) -> Eq2Report:
@@ -542,6 +539,12 @@ def eq2_summary_json(result: Eq2Report) -> str:
         "lower_bound_disclaimer": True,
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _landscape_csv(result: SupResult) -> str:
+    """One row per evaluated family member, each line ended by CRLF as the csv module ends them."""
+    rows = ((t.x0, t.p0, t.sigma, t.value) for t in result.trace)
+    return _csv_lines(("x0", "p0", "sigma", "value"), rows, "\r\n")
 
 
 def _fmt_gauss(s: GaussianState) -> str:
@@ -676,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
             print(table)
             if args.out:
                 if args.format == "csv":
-                    text = _report_csv_lines([report.as_dict()], [])
+                    text = _csv_lines(CSV_COLUMNS, [report.as_dict().values()])
                 else:
                     text = report_to_json(report)
                 with _writing(args.out), open(args.out, "w", newline="") as fh:
@@ -698,13 +701,13 @@ def main(argv: list[str] | None = None) -> int:
             result = run_eq2(cfg)
             with _writing(args.out_dir):
                 os.makedirs(args.out_dir, exist_ok=True)
-                trace_to_csv(result.error_search, os.path.join(args.out_dir, "error_landscape.csv"))
-                trace_to_csv(
-                    result.disturbance_search,
-                    os.path.join(args.out_dir, "disturbance_landscape.csv"),
-                )
-                with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-                    fh.write(eq2_summary_json(result))
+                for name, text in (
+                    ("error_landscape.csv", _landscape_csv(result.error_search)),
+                    ("disturbance_landscape.csv", _landscape_csv(result.disturbance_search)),
+                    ("summary.json", eq2_summary_json(result)),
+                ):
+                    with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
+                        fh.write(text)
             print(eq2_summary_text(result))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

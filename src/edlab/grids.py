@@ -118,7 +118,7 @@ class GridSpec:
     @cached_property
     def aliasing_band(self) -> np.ndarray:
         """Mask of the near-Nyquist momenta, the top 10% of |p|, whose mass
-        ``WaveFunction.validate`` bounds by ALIASING_TOL."""
+        ``check_aliasing`` bounds in a state and in the P law after a pointer."""
         magnitude = np.abs(self.p)
         return _read_only(magnitude >= 0.9 * magnitude.max())
 
@@ -200,14 +200,19 @@ class WaveFunction:
                 f"boundary confinement violated: edge probability {edge_mass.max():.3e} "
                 f"exceeds {BOUNDARY_TOL}"
             )
-        band = self.grid.aliasing_band
-        band_mass = float((np.abs(self.momentum[band]) ** 2).sum() * self.grid.dp)
-        if band_mass > ALIASING_TOL:
-            raise InvariantViolation(
-                f"aliasing control violated: near-Nyquist momentum mass {band_mass:.3e} "
-                f"exceeds {ALIASING_TOL}"
-            )
+        check_aliasing(self.grid, np.abs(self.momentum[self.grid.aliasing_band]) ** 2)
         return self
+
+
+def check_aliasing(grid: GridSpec, band: np.ndarray, cause: str = "") -> None:
+    """InvariantViolation when ``band``, a momentum density on the ``aliasing_band``
+    of ``grid.p``, holds more than ALIASING_TOL; ``cause`` ends the message."""
+    band_mass = float(band.sum() * grid.dp)
+    if band_mass > ALIASING_TOL:
+        raise InvariantViolation(
+            f"aliasing control violated: near-Nyquist momentum mass {band_mass:.3e} "
+            f"exceeds {ALIASING_TOL}{cause}"
+        )
 
 
 def kernel_transform(

@@ -30,6 +30,7 @@ from .channels import (
     apply_von_neumann,  # noqa: F401
     branch_mass,
     check_confinement,
+    check_kicks,
     kraus_of,
 )
 from .grids import (
@@ -289,12 +290,13 @@ def busch_state_disturbance(
     law = np.zeros(g.n_points)
     for k in blocks:
         law += k.momentum_mass(psi.amplitudes, g) * k.measure
-    return _momentum_w2(psi, law)
+    return _momentum_w2(channel, psi, law)
 
 
-def _momentum_w2(psi: WaveFunction, law: np.ndarray) -> float:
-    """W2 between psi's momentum law and the law after, weights ``law`` on grid.p."""
+def _momentum_w2(channel: Channel, psi: WaveFunction, law: np.ndarray) -> float:
+    """W2 between psi's P law and ``law``, the law after on grid.p, once ``check_kicks`` passes it."""
     g = psi.grid
+    check_kicks(channel, law, g)
     return wasserstein2(distribution(psi, "momentum"), ProbabilityDistribution(g.p, law, g.dp))
 
 
@@ -303,7 +305,7 @@ def _momentum_figures(channel: Channel, psi: WaveFunction) -> tuple[float, float
     the P law after is read from eta_P's own forward transforms, and it is
     freed on return, before the report's other figures run."""
     total, law = _kraus_sum(channel, psi)
-    return math.sqrt(total), _momentum_w2(psi, law)
+    return math.sqrt(total), _momentum_w2(channel, psi, law)
 
 
 def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:

@@ -139,11 +139,8 @@ def make_state(grid: GridSpec, spec: StateSpec) -> WaveFunction:
         half = 0.5 * spec.separation
         m = GAUSSIAN_MARGIN_SIGMAS * spec.sigma
         _check_margin(grid, c - half - m, c + half + m, "symmetric pair")
-        x = grid.x
-        amp = (
-            np.exp(-((x - c - half) ** 2) / (4.0 * spec.sigma**2))
-            + np.exp(-((x - c + half) ** 2) / (4.0 * spec.sigma**2))
-        ).astype(complex)
+        amp = gaussian_amplitudes(grid, c + half, 0.0, spec.sigma)
+        amp += gaussian_amplitudes(grid, c - half, 0.0, spec.sigma)
     elif isinstance(spec, RandomState):
         k_max = spec.smoothness
         # before k + 1 coefficients are drawn; int() would truncate 6.5 to 6

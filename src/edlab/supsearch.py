@@ -10,7 +10,6 @@ reported value is a lower bound on the true supremum by construction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -274,12 +273,3 @@ def eq2_check(
         error_search=err,
         disturbance_search=dist,
     )
-
-
-def trace_to_csv(result: SupResult, path: str) -> None:
-    """Landscape export: one row per evaluated family member."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x0", "p0", "sigma", "value"])
-        for t in result.trace:
-            w.writerow([f"{t.x0:.12g}", f"{t.p0:.12g}", f"{t.sigma:.12g}", f"{t.value:.12g}"])

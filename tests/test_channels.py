@@ -92,6 +92,9 @@ class TestFlip:
         psi = make_state(g, GaussianState(16, 0, 1))
         with pytest.raises(InvariantViolation, match="symmetric"):
             flip(psi)
+        # kraus_of knows the three channels and no other
+        with pytest.raises(TypeError, match="^unknown channel"):
+            kraus_of("flip", g)
 
 
 class TestVonNeumann:
@@ -133,6 +136,10 @@ class TestVonNeumann:
         monkeypatch.setattr("edlab.channels.gaussian_amplitudes", None)
         with pytest.raises(ValueError, match="^n_points=256 cannot resolve"):
             ProbeSpec(pg, pg.dx / 80.5)
+        # and a pointer width that is not positive with a finite square
+        for s in (0.0, -0.5, float("nan"), 1e200):
+            with pytest.raises(ValueError, match="^s must be positive"):
+                ProbeSpec(pg, s)
 
     def test_tiny_gain_is_continuous(self, std_grid, vn_default):
         # first-order response: ||U_g Psi - Psi|| = g * sqrt(<x^2><p_probe^2>) = g here
@@ -218,6 +225,10 @@ class TestSlit:
         psi = make_state(std_grid, GaussianState(0, 0, 1))
         with pytest.raises(InvariantViolation, match="domain"):
             slit(psi, 15.0, 4.0)
+        # a slit whose geometry is not finite is a bad input, not off the grid
+        for center, width, match in ((0.0, 0.0, "width"), (0.0, np.inf, "width"), (np.nan, 1.0, "center")):
+            with pytest.raises(ValueError, match=f"^slit {match} must be"):
+                SlitChannel(center, width)
 
     def test_narrow_slit_collapses_passing_state(self, std_grid):
         # the passing branch is confined to the slit: spread ~ width/sqrt(12)

@@ -328,8 +328,23 @@ class TestScenarios:
         assert blocker.read_text() == ""
 
     def test_invariant_violation_exit_code(self, capsys):
-        assert main(["scenario", "flip", "--set", "state.x0=20"]) == 2
-        assert "invariant" in capsys.readouterr().err
+        # a pointer that fails its own gates on the probe grid names the keys
+        # that set that grid, and kicks past the system's momentum band name
+        # the system grid; g = 5 still fits on it
+        for name, sets, *keys in (
+            ("flip", ["state.x0=20"], "invariant"),
+            ("vonneumann", ["probe.x_min=0", "probe.x_max=30"], "probe.x_min=0 and probe.x_max=30",
+             "confinement"),
+            ("vonneumann", ["channel.g=100"], "channel.g=100 and probe.s=0.5", "probe.n_points=256",
+             "aliasing"),
+            ("vonneumann", ["channel.g=10"], "aliasing", "pointer's kicks", "grid.n_points > 256"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["scenario", name, *(a for s in sets for a in ("--set", s))]) == 2, sets
+            err = capsys.readouterr().err
+            assert err.startswith("physics invariant violation: ") and all(k in err for k in keys), err
+        assert main(["scenario", "vonneumann", "--set", "channel.g=5"]) == 0
 
     def test_unallocatable_arrays_are_config_errors(self, tmp_path, capsys, monkeypatch):
         # numpy raises MemoryError for an array the host cannot allocate.  No

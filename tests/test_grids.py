@@ -304,6 +304,14 @@ class TestDistribution:
             for basis in ("position", "momentum"):
                 d = distribution(psi, basis)
                 assert abs(np.sum(d.weights) * d.spacing - 1.0) < 1e-10
+        with pytest.raises(ValueError, match="unknown basis 'spin'"):
+            distribution(psi, "spin")
+        # a law of mass 2, or unequal or 2D arrays, is no law
+        with pytest.raises(InvariantViolation, match="mass 2.0 deviates from 1"):
+            ProbabilityDistribution(np.arange(3.0), np.array([0.0, 2.0, 0.0]), 1.0)
+        for support, weights in ((np.arange(3.0), np.ones(4) / 4), (np.ones((2, 2)), np.ones((2, 2)) / 4)):
+            with pytest.raises(ValueError, match="1D arrays of equal length"):
+                ProbabilityDistribution(support, weights, 1.0)
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_rejects_non_finite_laws(self, bad):
@@ -370,6 +378,10 @@ class TestWaveFunctionInvariants:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             WaveFunction(std_grid, bad[::-1])
+        # nor a block, nor a vector of another grid's size
+        for shape in (block, a[:-1]):
+            with pytest.raises(ValueError, match="does not match grid"):
+                WaveFunction(std_grid, shape)
 
     def test_state_cannot_change_after_it_is_built(self, std_grid):
         # the cached momentum view is safe because the amplitudes are a

@@ -12,6 +12,7 @@ from edlab import (
     BumpState,
     FlipChannel,
     GaussianState,
+    InvariantViolation,
     ProbabilityDistribution,
     ProbeSpec,
     RandomState,
@@ -297,6 +298,8 @@ class TestOzawaError:
         psi = make_state(std_grid, GaussianState(0, 0, 1))
         with pytest.raises(TypeError):
             ozawa_error(SlitChannel(0, 2), psi)
+        with pytest.raises(TypeError, match="readout-distribution error requires a probe"):
+            busch_state_error(FlipChannel(), psi)
 
     @pytest.mark.parametrize("hbar", (1.0, 2.0))
     @pytest.mark.parametrize(
@@ -532,6 +535,27 @@ class TestBuschStateDisturbance:
         oracle = math.sqrt(delta_p**2 + kick**2) - delta_p
         value = busch_state_disturbance(channel, psi, "P")
         assert value == pytest.approx(oracle, abs=0.02)
+
+    def test_kicks_past_the_momentum_band_are_refused(self, std_grid, vn_default):
+        # at g = 10 the kicks put 1.8e-2 of the P law after in the band that
+        # validate bounds by 1e-5 for the state, and eta_P reads 1.9% low;
+        # g = 5 reads 6.3e-6.  eta_P alone is not gated: its lattice value
+        # is what the dense oracles check, on grids that alias on purpose
+        psi = vn_default[1]
+        message = r"^aliasing control .* the pointer's kicks.*\(grid.n_points > 256\) is needed$"
+        for g, refused in ((10.0, True), (-10.0, True), (5.0, False)):
+            channel = make_vn_channel(std_grid, psi, g, 0.5)
+            if refused:
+                for figure in (lambda: compute_report(channel, psi),
+                               lambda: busch_state_disturbance(channel, psi, "P")):
+                    with pytest.raises(InvariantViolation, match=message):
+                        figure()
+            else:
+                compute_report(channel, psi)
+            assert ozawa_disturbance(channel, psi, "P") == pytest.approx(abs(g), rel=0.02)
+        # a slit that cuts its state spreads its momenta too, and is not gated
+        bump = make_state(std_grid, BumpState(0, 1))
+        assert busch_state_disturbance(SlitChannel(0, 1), bump, "P") > 0
 
     def test_contrast_with_rms_figure(self, std_grid):
         # the package's central contrast: flipped even state has zero

@@ -96,6 +96,24 @@ class TestMakeState:
                 oracle += c * f
             assert np.array_equal(_hermite_series(x, coeffs), oracle), (n, k)
 
+    @pytest.mark.parametrize(
+        "spec, error, match",
+        (
+            (GaussianState(0.0, 0.0, 0.0), ValueError, "^sigma must be positive"),
+            (SymmetricPairState(2.0, -1.0), ValueError, "^sigma must be positive"),
+            (GaussianState(float("inf"), 0.0, 1.0), ValueError, "parameters must be finite$"),
+            (BumpState(float("nan"), 1.0), ValueError, "parameters must be finite$"),
+            (GaussianState(0.0, float("nan"), 1.0), ValueError, "^gaussian p0 must be finite"),
+            (BumpState(0.0, 0.0), ValueError, "^halfwidth must be positive"),
+            (SymmetricPairState(-1.0, 1.0), ValueError, "^separation must be nonnegative$"),
+            ((0.0, 0.0, 1.0), TypeError, "^unknown state spec"),
+        ),
+    )
+    def test_rejects_bad_library_specs(self, std_grid, spec, error, match):
+        # inputs that the CLI's key domains refuse before any state is built
+        with pytest.raises(error, match=match):
+            make_state(std_grid, spec)
+
     def test_random_smoothness_must_be_below_grid_size(self, std_grid):
         for k in (-1, std_grid.n_points, std_grid.n_points + 1, 10**8):
             with pytest.raises(ValueError, match="smoothness must be in"):

@@ -10,7 +10,7 @@ from edlab import (
     make_state,
     maximize,
 )
-from edlab.supsearch import trace_to_csv
+from edlab.cli import _landscape_csv
 
 
 def sigma_spec(lo=1.0, hi=4.0, n=6, iters=1):
@@ -126,16 +126,19 @@ class TestMaximize:
                 spec.validate(std_grid)
         SearchSpec((-16.0, 16.0), (0.0, 0.0), (1.0, 4.0)).validate(std_grid)
 
-    def test_trace_csv(self, std_grid, tmp_path):
+    def test_trace_csv(self, std_grid):
         channel = family_probe(std_grid, None, 1.0, 0.5)
         result = maximize(
             lambda psi: busch_state_disturbance(channel, psi, "P"), std_grid, sigma_spec(iters=1)
         )
-        path = tmp_path / "landscape.csv"
-        trace_to_csv(result, str(path))
-        lines = path.read_text().splitlines()
+        text = _landscape_csv(result)
+        # every line ends in CRLF, as the csv module ended them
+        assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n")
+        lines = text.split("\r\n")[:-1]
         assert lines[0] == "x0,p0,sigma,value"
         assert len(lines) == len(result.trace) + 1
+        for line, t in zip(lines[1:], result.trace):
+            assert line == f"{t.x0:.12g},{t.p0:.12g},{t.sigma:.12g},{t.value:.12g}"
 
 
 @pytest.fixture(scope="module")
