@@ -7,11 +7,13 @@ an exact conditional shift: for each system column at x_i the probe is
 translated by g*x_i through momentum-space phases, which is unitary to
 machine precision at any coupling strength.  Since U is a conditional
 shift, U (a (x) ready) = a[:, None] * T, where row i of the table T is the
-translated ready state.  Each channel builds T once per system grid, a
-block of rows at a time, and keeps only what the figures read of it: each
-row's edge mass and RMS-error spread, and the coherence kernel.  The shifts
-are unitary translations, so the overlap of rows i and i' depends only on
-the lag i - i': the system's post-coupling state is rho o Toeplitz(c), and
+translated ready state.  The ready state is real, so each row is a real
+translate of it, formed from half the probe spectrum by one inverse real
+FFT.  Each channel builds T once per system grid, a block of rows at a time,
+and keeps only what the figures read of it: each row's edge mass and
+RMS-error spread, and the coherence kernel.  The shifts are unitary
+translations, so the overlap of rows i and i' depends only on the lag
+i - i': the system's post-coupling state is rho o Toeplitz(c), and
 its momentum law needs no (n_s, n_p) transform.  The readout law
 sum_i w_i |T_ij|^2 is a sum over momentum lags of the ready state's
 autocorrelation times the characteristic function of the weights, so it
@@ -45,9 +47,11 @@ from .grids import (
 from .states import _normalized, gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
-# Complex elements that the pointer's table build and metrics._kraus_sum form
-# at once: 512 KiB, small enough to stay in L2.  The table's blocks are whole
-# anchor groups of ``_shift_factors``, so one block may hold more.
+# Elements that the pointer's table build and metrics._kraus_sum form at once:
+# 512 KiB of complex branches, small enough to stay in L2.  A block of the
+# table holds about this many real elements of T, from half as many complex
+# ones of the half spectrum; it is whole anchor groups of ``_shift_factors``,
+# so one block may hold more.
 BRANCH_ELEMS = 1 << 15
 # Probe momenta whose |m_q|^2 is at or below this fraction of the ready
 # state's largest carry no pointer branch: eps^2 = 2^-104 is the rounding of
@@ -237,9 +241,11 @@ class PointerTable(KrausBlock):
     -(n_s - 1) <= l < n_s in numpy's index order (a negative lag is a
     negative index); times dy it is the characteristic function of the kick
     g*P_probe at g*l*dx.  The translations are unitary on the periodic probe
-    grid, so it depends on the lag alone, on every grid.  A row beyond the
-    reach of the states coupled may wrap around the probe grid;
-    ``check_confinement`` judges each state by its own weights.
+    grid, so it depends on the lag alone, on every grid.  It is read from
+    the real rows of ``_pointer_table`` plus their Nyquist term in closed
+    form, as are ``row_edge`` and ``spread``.  A row beyond the reach of
+    the states coupled may wrap around the probe grid; ``check_confinement``
+    judges each state by its own weights.
 
     The readout law sum_i w_i |T_ij|^2 (``readout``) is read in the probe's
     Fourier domain: the DFT of |T_i.|^2 at k is n_p dp^2 / (2 pi hbar) times
@@ -337,43 +343,65 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
     exp(-1j*g*x_i*p_j/hbar), transformed along the probe axis.  The phases
     are diagonal in p, so they commute with the fixed phase per momentum of
     the basis ``kernel_transform`` keeps, and the shift is the same as in
-    the plane-wave basis.
+    the plane-wave basis.  The ready state is real (a ``ValueError`` refuses
+    any other), so each row is a real translate of it, read from half its
+    spectrum by one inverse real FFT.  With sigma_j = (-1)^j,
+    sigma * IFFT(X) = IFFT(roll(X, n_p/2)), so in ``irfft`` order the
+    spectrum is the momenta p = l dp, 0 <= l < n_p/2, then the Nyquist
+    momentum -n_p/2 dp, each times its phase and
+    ``kernel_transform``'s scale.  ``irfft`` reads only the real part of row
+    i's Nyquist input Y_ih, so the exact row is the real row R_i plus
+    i nu_i (-1)^j, nu_i = Im(Y_ih)/n_p.  That term enters each figure in
+    closed form: |T|^2 gains nu_i^2, and the overlap with row 0 gains
+    n_p nu_i nu_0 + i (nu_i rho_0 - nu_0 rho_i), rho_i = Re(Y_ih).
 
     A block is whole anchor groups of ``_shift_factors``, about BRANCH_ELEMS
-    elements and at least one group, transformed in place.  It gives its
-    rows' overlaps with row 0 (a matvec with the conjugate of the first
-    block's row 0), and its |T|^2, squared into scratch of the block's
-    size, gives their edge mass and ``spread``, whose real products are
-    formed about BRANCH_ELEMS at a time.  Each row's figures are
-    bit-identical to those of the whole T.  The factors of the kept momenta
-    are columns of the build's, since a column is the same for any subset of
-    momenta it is built with.  The readout's lag factors
-    exp(-1j*g*x*l*dp/hbar) for the L lags the kept momenta span are one more
-    ``_shift_factors`` at p = l dp, 0 <= l < L.  Its autocorrelation is one
+    real elements and at least one group.  It gives its rows' real overlaps
+    with row 0 (a real matvec with the first block's row 0), and its R^2,
+    squared in place, gives their edge mass and ``spread``, whose real
+    products are formed about BRANCH_ELEMS at a time.  Each row's figures
+    are bit-identical to those of a whole-array build.
+
+    One ``_shift_factors`` call at p = l dp, 0 <= l < max(L, n_p/2 + 1),
+    serves every phase: its first n_p/2 + 1 columns are the half spectrum
+    (column n_p/2, conjugated, the Nyquist momentum), its first L columns
+    the readout's lag factors exp(-1j*g*x*l*dp/hbar) for the L lags the
+    kept momenta span, and a kept momentum at p < 0 takes the conjugate of
+    its mirror column (``_mirrored``).  The autocorrelation is one
     zero-padded FFT of the kept momenta.
     """
     pg = probe.grid
+    if probe.ready_state.amplitudes.imag.any():
+        raise ValueError("the pointer table needs a real ready state, whose translates are real")
     mom = probe.ready_state.momentum
-    n, n_p = grid.n_points, pg.n_points
-    anchors, offsets = _shift_factors(grid, pg.p, g, pg.hbar)
+    n, n_p, h = grid.n_points, pg.n_points, pg.n_points // 2
+    mass = np.abs(mom) ** 2
+    kept = mass > BRANCH_FLOOR * mass.max()
+    held = np.flatnonzero(kept)
+    span = held[-1] - held[0] + 1
+    anchors, offsets = _shift_factors(grid, np.arange(max(span, h + 1)) * pg.dp, g, pg.hbar)
     b = offsets.shape[0]
-    lead = mom * offsets
+    # p = l dp for 0 <= l < n_p/2, then the Nyquist momentum: irfft's order
+    half = np.append(np.arange(h), -h)
+    scale = n_p * pg.dp / np.sqrt(2.0 * np.pi * pg.hbar)
+    lead = mom[half + h] * scale * _mirrored(offsets, half)
+    half_anchors = _mirrored(anchors, half)
     groups = max(1, BRANCH_ELEMS // (b * n_p))
     rows = max(1, BRANCH_ELEMS // n_p)
     reading = pg.x / g
-    row_edge, spread = np.empty(n), np.empty(n)
-    lags = np.empty(n, complex)
+    row_edge, spread, overlap = np.empty(n), np.empty(n), np.empty(n)
+    nyquist = np.empty(n, complex)
     scratch = np.empty((min(n, groups * b), n_p))
     for start in range(0, n, groups * b):
-        block = _shift_phases(lead, anchors[start // b : start // b + groups])
-        kernel_transform(block, 1, pg, +1, out=block)
+        block = _shift_phases(lead, half_anchors[start // b : start // b + groups])
         stop = start + block.shape[0]
-        if start == 0:
-            first = block[0].conj()
-        lags[start:stop] = block @ first
-        square = np.abs(block, out=scratch[: stop - start])
-        np.square(square, out=square)
+        nyquist[start:stop] = block[:, h]
+        square = np.fft.irfft(block, n_p, axis=1, out=scratch[: stop - start])
         del block
+        if start == 0:
+            first = square[0].copy()
+        overlap[start:stop] = square @ first
+        np.square(square, out=square)
         row_edge[start:stop] = np.sum(square[:, :N_BOUNDARY_POINTS], axis=1)
         row_edge[start:stop] += np.sum(square[:, -N_BOUNDARY_POINTS:], axis=1)
         for i in range(start, stop, rows):
@@ -382,23 +410,28 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
             offset *= square[i - start : i - start + offset.shape[0]]
             np.sum(offset, axis=1, out=spread[i : i + offset.shape[0]])
     del scratch, square
-    mass = np.abs(mom) ** 2
-    kept = mass > BRANCH_FLOOR * mass.max()
-    held = np.flatnonzero(kept)
-    span = held[-1] - held[0] + 1
+    nu, rho = nyquist.imag / n_p, nyquist.real
+    nu_squared = nu * nu
+    row_edge += 2 * N_BOUNDARY_POINTS * nu_squared
+    # sum_j (y_j/g - x_i)^2 about the mean of y/g: squares, no cancellation
+    centre = reading.mean()
+    spread += nu_squared * (np.sum((reading - centre) ** 2) + n_p * (centre - grid.x) ** 2)
+    lags = np.empty(n, complex)
+    lags.real = overlap + n_p * nu * nu[0]
+    lags.imag = nu * rho[0] - nu[0] * rho
     lagged = np.fft.ifft(np.abs(np.fft.fft(np.where(kept, mom, 0.0), 2 * n_p)) ** 2)
-    lag_anchors, lag_offsets = _shift_factors(grid, np.arange(span) * pg.dp, g, pg.hbar)
+    signed = held - h
     return PointerTable(
         measure=pg.dx,
         coherence=np.concatenate((lags, lags[:0:-1].conj())),
         row_edge=row_edge,
         spread=spread,
         amps=mom[kept] * np.sqrt(pg.dp / pg.dx),
-        offsets=offsets[:, kept],
-        anchors=anchors[:, kept],
+        offsets=_mirrored(offsets, signed),
+        anchors=_mirrored(anchors, signed),
         autocorrelation=lagged[:span] * (n_p * pg.dp**2 / (2.0 * np.pi * pg.hbar)),
-        lag_offsets=lag_offsets,
-        lag_anchors=lag_anchors,
+        lag_offsets=np.ascontiguousarray(offsets[:, :span]),
+        lag_anchors=np.ascontiguousarray(anchors[:, :span]),
     )
 
 
@@ -424,7 +457,9 @@ def _shift_factors(
     (``_shift_phases``): n_s/b + b rows of ``exp`` and one complex product
     per element.  An anchor row (offset exactly 1) is bit-identical to one
     ``exp`` per element, and a column is the same for any subset of momenta
-    ``p`` it is built with."""
+    ``p`` it is built with.  The pointer's table calls it once, at p >= 0
+    only: a column at -p is the conjugate of the column at p
+    (``_mirrored``)."""
     n = system_grid.n_points
     b = 1 << (n.bit_length() - 1) // 2
     anchors = np.exp(-1j * g * np.outer(system_grid.x[::b], p) / hbar)
@@ -440,6 +475,16 @@ def _shift_phases(lead: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     (m, k), b = anchors.shape, lead.shape[0]
     shifted = np.multiply(lead, anchors[:, None], out=np.empty((m, b, k), complex))
     return shifted.reshape(m * b, k)
+
+
+def _mirrored(factors: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """The columns of ``_shift_factors`` at p = l dp for signed integer
+    ``lags`` l, as a new array: column |l|, conjugated where l < 0, bit for
+    bit the ``exp`` at -|l| dp, as the phase arguments only change sign."""
+    columns = factors[:, np.abs(lags)]
+    negative = lags < 0
+    columns[:, negative] = columns[:, negative].conj()
+    return columns
 
 
 def apply_von_neumann(

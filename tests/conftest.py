@@ -146,6 +146,56 @@ def whole_table_fields(channel: VonNeumannChannel, grid: GridSpec) -> dict[str, 
     }
 
 
+@pytest.fixture
+def irfft_rows(monkeypatch) -> list[tuple[int, int]]:
+    """The shapes of the 2-D results of ``np.fft.irfft`` from here on: the
+    pointer table's blocks of real rows, each (rows, n_p)."""
+    rows = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        real = irfft(*args, **kwargs)
+        if real.ndim == 2:
+            rows.append(real.shape)
+        return real
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return rows
+
+
+def half_spectrum_fields(channel: VonNeumannChannel, grid: GridSpec) -> dict[str, np.ndarray]:
+    """``row_edge``, ``coherence`` and ``spread`` of the channel's table on a
+    grid from one whole-array build of its real rows: the half spectrum of
+    every row at once (the momenta p = l dp, 0 <= l < n_p/2, then the
+    Nyquist momentum), one inverse real FFT, and the Nyquist term that it
+    drops in closed form, each figure one whole-array expression.  The
+    oracle, bit for bit, of ``channels._pointer_table``'s blocks of rows."""
+    pg = channel.probe.grid
+    mom = channel.probe.ready_state.momentum
+    n_p, h = pg.n_points, pg.n_points // 2
+    anchors, offsets = _shift_factors(grid, np.arange(h + 1) * pg.dp, channel.g, pg.hbar)
+    for factors in (anchors, offsets):
+        factors[:, h] = factors[:, h].conj()
+    scale = n_p * pg.dp / np.sqrt(2.0 * np.pi * pg.hbar)
+    spectrum = _shift_phases(np.append(mom[h:], mom[0]) * scale * offsets, anchors)
+    real = np.fft.irfft(spectrum, n_p, axis=1)
+    nu, rho = spectrum[:, h].imag / n_p, spectrum[:, h].real
+    square = real**2
+    edges = np.sum(square[:, :N_BOUNDARY_POINTS], axis=1)
+    edges += np.sum(square[:, -N_BOUNDARY_POINTS:], axis=1)
+    reading = pg.x / channel.g
+    centre = reading.mean()
+    offset = np.subtract(reading[None, :], grid.x[:, None]) ** 2
+    spread = np.sum(offset * square, axis=1)
+    spread += nu * nu * (np.sum((reading - centre) ** 2) + n_p * (centre - grid.x) ** 2)
+    lags = (real @ real[0] + n_p * nu * nu[0]) + 1j * (nu * rho[0] - nu[0] * rho)
+    return {
+        "row_edge": edges + 2 * N_BOUNDARY_POINTS * (nu * nu),
+        "coherence": np.concatenate((lags, lags[:0:-1].conj())),
+        "spread": spread,
+    }
+
+
 def product_state(psi, probe: ProbeSpec) -> np.ndarray:
     """psi (x) ready as an (n_s, n_p) array of amplitudes."""
     return np.outer(psi.amplitudes, probe.ready_state.amplitudes)

@@ -34,6 +34,7 @@ from edlab import (
 from edlab.channels import (
     BRANCH_FLOOR,
     CONFINEMENT_TOL,
+    KrausBlock,
     PointerTable,
     apply_von_neumann,
     check_confinement,
@@ -44,6 +45,7 @@ from conftest import (
     conditional_shift,
     direct_conditional_shift,
     direct_phases,
+    half_spectrum_fields,
     joint_norm,
     make_vn_channel,
     pointer_kraus_matrices,
@@ -318,6 +320,15 @@ class TestKraus:
                 assert w2_x == pytest.approx(w2, rel=1e-12, abs=1e-15), (channel, seed)
 
 
+# per probe size: an asymmetric probe domain, the narrowest pointer its
+# aliasing gate admits (within 1e-4) and a gain that keeps it confined
+NARROWEST_POINTERS = {
+    256: (-9.0, 11.0, 0.0847, 0.3),
+    1024: (-29.0, 31.0, 0.0619, 1.0),
+    2048: (-59.0, 61.0, 0.0619, 2.0),
+}
+
+
 class TestPointerTable:
     def test_block_matches_dense_kraus_operators(self):
         # column q of the block times sqrt(dy) is K_q a for the probe-momentum
@@ -379,8 +390,10 @@ class TestPointerTable:
         # the block's P law from the coherence kernel against the transform
         # of its branch array a[:, None] * T along the system axis.  A
         # pointer at rest has an even kick law and so a real kernel; the
-        # boosted pointer tells the kernel from its conjugate (gain -g).  On
-        # the narrow probe domain the rows beyond psi's reach wrap around.
+        # boosted pointer tells the kernel from its conjugate (gain -g).  Its
+        # ready state is complex, which the table refuses, so its kernel and
+        # branches are read from the whole complex T of ``conditional_shift``.
+        # On the narrow probe domain the rows beyond psi's reach wrap around.
         for hbar in (1.0, 2.0):
             grid = make_grid(128, -12.0, 12.0, hbar)
             psi = make_state(grid, GaussianState(1.0, 1.5, 1.5))
@@ -392,10 +405,17 @@ class TestPointerTable:
                         ready = ready / np.sqrt(np.sum(np.abs(ready) ** 2) * probe_grid.dx)
                         object.__setattr__(probe, "ready_state", WaveFunction(probe_grid, ready))
                         channel = VonNeumannChannel(g, probe)
-                        (block,) = kraus_of(channel, grid)
-                        dy = block.measure
+                        dy = probe_grid.dx
+                        if boost:
+                            with pytest.raises(ValueError, match="real ready state"):
+                                kraus_of(channel, grid)
+                            table = conditional_shift(probe.ready_state.momentum, grid, probe_grid, g)
+                            block = KrausBlock(coherence=whole_table_fields(channel, grid)["coherence"])
+                        else:
+                            (block,) = kraus_of(channel, grid)
                         for a in (psi.amplitudes, random_amplitudes(grid, 0)):
-                            mom = kernel_transform(block(a), 0, grid, -1)
+                            branches = a[:, None] * table if boost else block(a)
+                            mom = kernel_transform(branches, 0, grid, -1)
                             oracle = np.sum(np.abs(mom) ** 2, axis=1) * dy
                             law = block.momentum_mass(a, grid) * dy
                             assert np.max(np.abs(law - oracle)) < 1e-14, (hbar, g, probe_grid, boost)
@@ -412,7 +432,7 @@ class TestPointerTable:
             law = np.fft.fft(folded).real * (std_grid.dx**2 / (2.0 * np.pi * std_grid.hbar))
             assert np.array_equal(block.momentum_mass(a, std_grid), np.fft.fftshift(law)), seed
 
-    def test_one_shift_per_channel_and_grid(self, std_grid, vn_default, monkeypatch):
+    def test_one_shift_per_channel_and_grid(self, std_grid, vn_default, monkeypatch, irfft_rows):
         from edlab import channels, grids, metrics
 
         built = []
@@ -428,9 +448,11 @@ class TestPointerTable:
         assert built == [std_grid]  # the table; no figure couples directly
         built.clear()
 
-        # the only 2-D transforms of a search are the table's blocks of rows,
-        # which cover the grid once
+        # a search runs no 2-D kernel_transform; its only 2-D inverse real
+        # FFTs are the table's blocks of real rows, n_p wide, which cover
+        # the grid once
         transformed = []
+        irfft_rows.clear()
 
         def counted_transform(arr, *args, **kwargs):
             if arr.ndim == 2:
@@ -444,27 +466,40 @@ class TestPointerTable:
         report = eq2_check(VonNeumannChannel(channel.g, channel.probe), grid, spec, spec)
         evaluations = len(report.error_search.trace) + len(report.disturbance_search.trace)
         assert evaluations > 10 and built == [grid]
-        assert {shape[1] for shape in transformed} == {channel.probe.grid.n_points}
-        assert sum(shape[0] for shape in transformed) == grid.n_points
+        assert transformed == []
+        assert {shape[1] for shape in irfft_rows} == {channel.probe.grid.n_points}
+        assert sum(shape[0] for shape in irfft_rows) == grid.n_points
 
     @pytest.mark.parametrize("n_probe", (256, 1024, 2048))
     @pytest.mark.parametrize("hbar", (1.0, 2.0))
     def test_blocked_build_matches_whole_table(self, n_probe, hbar):
-        # the table's per-row figures, built a block of rows at a time,
-        # against the whole T, bit for bit: 8 blocks of 128 rows at
-        # n_p = 256, and 32 blocks of one 32-row anchor group at 1024 and
-        # at 2048, where a group holds more than BRANCH_ELEMS and the spread
-        # runs over 16 rows at a time; on auto-sized probe grids and on
-        # narrow ones whose far rows wrap around
+        # the table's per-row figures, built a block of rows at a time, bit
+        # for bit against one whole-array build of the real rows, and within
+        # rounding of the whole complex T: 8 blocks of 128 rows at n_p = 256,
+        # and 32 blocks of one 32-row anchor group at 1024 and at 2048, where
+        # a group holds more than BRANCH_ELEMS and the spread runs over 16
+        # rows at a time; on auto-sized probe grids, on narrow ones whose
+        # far rows wrap around, and on an asymmetric one with the narrowest
+        # pointer its aliasing gate admits, whose Nyquist term moves the
+        # spread by up to 3.6e-8 of its peak
         grid = make_grid(1024, -16.0, 16.0, hbar)
         psi = make_state(grid, GaussianState(1.0, 1.5, 1.2))
+        lo, hi, narrowest, gain = NARROWEST_POINTERS[n_probe]
+        pointers = [(make_grid(n_probe, lo, hi, hbar), narrowest, gain)]
         for g in (1.0, -2.0):
             for pg in (probe_grid_for(grid, psi, g, 0.5, n_probe), make_grid(n_probe, -7.5, 7.5, hbar)):
-                channel = VonNeumannChannel(g, ProbeSpec(pg, 0.5))
-                table = channel.table(grid)
-                whole = whole_table_fields(channel, grid)
-                for name in ("row_edge", "coherence", "spread"):
-                    assert np.array_equal(getattr(table, name), whole[name]), (name, g, pg)
+                pointers.append((pg, 0.5, g))
+        for pg, s, g in pointers:
+            channel = VonNeumannChannel(g, ProbeSpec(pg, s))
+            table = channel.table(grid)
+            blocks = half_spectrum_fields(channel, grid)
+            for name in ("row_edge", "coherence", "spread"):
+                assert np.array_equal(getattr(table, name), blocks[name]), (name, g, pg)
+            whole = whole_table_fields(channel, grid)
+            assert np.max(np.abs(table.row_edge - whole["row_edge"])) * pg.dx <= 1e-15, (g, pg)
+            for name, bound in (("spread", 2e-15), ("coherence", 1e-14)):
+                error = np.max(np.abs(getattr(table, name) - whole[name]))
+                assert error <= bound * np.max(np.abs(whole[name])), (name, g, pg)
 
     @pytest.mark.parametrize("n", (256, 1024, 2048))
     @pytest.mark.parametrize("n_probe", (256, 1024))

@@ -37,6 +37,7 @@ from edlab import metrics
 from conftest import (
     dense_pointer_eta_p,
     direct_ozawa_error,
+    half_spectrum_fields,
     lund_wiseman_eta,
     make_vn_channel,
     pointer_kraus_matrices,
@@ -330,16 +331,22 @@ class TestOzawaError:
     @pytest.mark.parametrize("n_probe", (256, 1024))
     def test_row_blocks_match_whole_array(self, n_probe):
         # eps from products formed a block of rows at a time against one
-        # whole (n_s, n_p) array of them, bit for bit: each row sums alike
+        # whole (n_s, n_p) array of the real rows, bit for bit, as each row
+        # sums alike, and within 1e-15 of eps from the whole complex T
         grid = make_grid(1024, -16.0, 16.0)
         psi = make_state(grid, GaussianState(1.0, 1.5, 1.2))
         for s, g in POINTERS:
             channel = make_vn_channel(grid, psi, g, s, n_probe)
             pg = channel.probe.grid
+
+            def eps_of(spread):
+                return math.sqrt(float(np.abs(psi.amplitudes) ** 2 @ spread) * (grid.dx * pg.dx))
+
             offset = np.subtract(pg.x[None, :] / g, grid.x[:, None]) ** 2
-            spread = np.sum(offset * whole_table_fields(channel, grid)["density"], axis=1)
-            whole = math.sqrt(float(np.abs(psi.amplitudes) ** 2 @ spread) * (grid.dx * pg.dx))
-            assert ozawa_error(channel, psi) == whole, (s, g)
+            complex_spread = np.sum(offset * whole_table_fields(channel, grid)["density"], axis=1)
+            eps = ozawa_error(channel, psi)
+            assert eps == eps_of(half_spectrum_fields(channel, grid)["spread"]), (s, g)
+            assert rel_err(eps, eps_of(complex_spread)) <= 1e-15, (s, g)
 
 
 # ---------------------------------------------------------------------------
@@ -835,14 +842,16 @@ class TestTransformCounts:
         assert transforms == [-1, 1], transforms
         assert len(ffts) == expected, ffts
 
-    def test_pointer_report_transforms_table_by_blocks(self, std_grid, counts):
-        # psi, the ready state, the table's shifted rows (two blocks of 128
-        # rows on the 256 x 256 grid) and P psi; the branches and the P law
-        # after take plain FFTs only
+    def test_pointer_report_transforms_table_by_blocks(self, std_grid, counts, irfft_rows):
+        # psi, the ready state and P psi; the table's real rows take one
+        # inverse real FFT per block (two blocks of 128 rows, 256 wide, on
+        # the 256 x 256 grid), and the branches and the P law after take
+        # plain FFTs only
         transforms, _ = counts
         psi = make_state(std_grid, GaussianState(0.5, 1.0, 1.0))
         compute_report(make_vn_channel(std_grid, psi, 1.0, 0.5), psi)
-        assert transforms == [-1, -1, 1, 1, 1], transforms
+        assert transforms == [-1, -1, 1], transforms
+        assert irfft_rows == [(128, 256), (128, 256)], irfft_rows
 
 
 # ---------------------------------------------------------------------------
