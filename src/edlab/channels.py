@@ -195,18 +195,44 @@ class KrausBlock:
         """The (n_s, k) branch array, a new array that the caller may overwrite."""
         return self.weighted(a, self.column_weights())
 
-    def momentum_mass(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
-        """sum over the columns of |momentum amplitudes|^2 of the branches, on ``grid.p``.
+    def keeps(self, a: np.ndarray) -> bool:
+        """Whether the block's one branch is a[::step] itself, so that its
+        momentum law is a's own, mirrored for step -1, and needs no
+        transform: the flip (no weights), and a slit's window whose weights
+        are 1 wherever a is not 0.  A block with a kernel or more than one
+        column never keeps a, nor does a weighted reversal."""
+        if self.coherence is not None or self.n_branches != 1:
+            return False
+        return self.weights is None or (
+            self.step == 1 and not a[self.weights[:, 0] != 1].any()
+        )
 
-        Without a kernel the branch array goes through ``signed_fft`` along
-        the system axis in place and is reduced by ``branch_mass`` times its
-        scale, as ``metrics._kraus_sum`` reduces the spectra its P runs.
-        With a kernel, the law is dx^2/(2 pi hbar) times the DFT of
-        sum_l A(l) c(l) over l = q (mod n), where A is the linear
-        autocorrelation of a (one zero-padded FFT of length 2n) and c the
-        kernel; grid.p starts at -n/2 dp, so the DFT is read from index n/2
-        to the end, then from 0 (two slices, the permutation of fftshift).
+    def momentum_mass(self, psi: WaveFunction) -> np.ndarray:
+        """sum over the columns of |momentum amplitudes|^2 of the branches
+        of psi, on ``grid.p``, as a new array.
+
+        A block that ``keeps`` psi reads |psi.momentum|^2, the state's own
+        transform, bit for bit its law before: for step -1 mirrored, index j
+        from (-j) mod n, as the reversal maps p to -p and the Nyquist cell
+        -n/2 dp to itself.  Any
+        other block without a kernel puts its branch array through
+        ``signed_fft`` along the system axis in place and reduces it by
+        ``branch_mass`` times its scale, as ``metrics._kraus_sum`` reduces
+        the spectra its P runs.  With a kernel, the law is dx^2/(2 pi hbar)
+        times the DFT of sum_l A(l) c(l) over l = q (mod n), where A is the
+        linear autocorrelation of a = psi.amplitudes (one zero-padded FFT of
+        length 2n) and c the kernel; grid.p starts at -n/2 dp, so the DFT is
+        read from index n/2 to the end, then from 0 (two slices, the
+        permutation of fftshift).
         """
+        a, grid = psi.amplitudes, psi.grid
+        if self.keeps(a):
+            # |.| on the contiguous view: a strided one can round otherwise
+            law = np.abs(psi.momentum)
+            np.square(law, out=law)
+            if self.step == -1:
+                law[1:] = law[:0:-1].copy()
+            return law
         if self.coherence is None:
             branches = self(a)
             scale = signed_fft(branches, grid)

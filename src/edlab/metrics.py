@@ -148,29 +148,36 @@ def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
     """eta_P^2 = sum_m || P K_m psi - K_m P psi ||^2 over the Kraus blocks,
     and the P law after the channel, sum_m |K_m psi|^2 on grid.p.
 
-    The one place where P acts on branches: a chunk of a block's columns at
-    a time, about BRANCH_ELEMS elements, so the pointer's (n_s, k) branches
-    are never built at once, and P acts on each chunk in place while it is
-    in cache.  A chunk's weights (``KrausBlock.column_weights``) weight both
-    K psi and K P psi.  P is the spectral multiplier
+    A block that ``keeps`` psi (its one branch is psi, or psi reversed) takes
+    no transform: its law is ``momentum_mass``, read from psi's own
+    transform, as in ``busch_state_disturbance``.  For the flip, R P R = -P
+    but on the Nyquist cell, which R maps to itself, so the gap's momentum
+    amplitudes are 2 p_j times the mirrored ones there and 0 on the Nyquist
+    cell: eta_P^2 = 4 dp sum_(j >= 1) p_j^2 of the law after, as p_(-j)^2 =
+    p_j^2.  For a slit whose window covers psi, P K psi = P psi, so the gap
+    is P psi - w P psi = (1 - w) P psi, exactly 0 inside the window.
+
+    Every other block is where P acts on branches: a chunk of a block's
+    columns at a time, about BRANCH_ELEMS elements, so the pointer's (n_s, k)
+    branches are never built at once, and P acts on each chunk in place
+    while it is in cache.  A chunk's weights (``KrausBlock.column_weights``)
+    weight both K psi and K P psi.  P is the spectral multiplier
     P b = sigma * IFFT(p * FFT(sigma * b)), sigma_i = (-1)^i (see
     ``grids.signed_fft``); the closing sigma goes on the chunk of K P psi
-    instead, after K (the flip's reversal would change its sign), which
-    leaves |gap|^2 as it is.  The pointer's weights carry sigma
-    (``PointerTable.column_weights``), so neither of its two (n_s, c) arrays
-    takes a sign pass and K P psi is written into the weights' buffer; the
-    flip and the slit sign their chunks.  Each figure is bit-identical to a
-    sign pass on unsigned weights.
+    instead, which leaves |gap|^2 as it is.  The pointer's weights carry
+    sigma (``PointerTable.column_weights``), so neither of its two (n_s, c)
+    arrays takes a sign pass and K P psi is written into the weights'
+    buffer; a slit that cuts psi signs its chunks.  Each figure is
+    bit-identical to a sign pass on unsigned weights.
 
-    The law adds up block by block, as in ``busch_state_disturbance``: a
-    block with a coherence kernel adds its ``momentum_mass``, any other each
-    chunk's ``branch_mass`` times the scale of ``signed_fft``, read before
-    the x p step so that no FFT runs twice.  P psi is formed after the first
-    chunk's P K psi, so it is not alive while the first share is squared.
-    A chunk without a kernel that is exactly 0 (the slit's fail branch when
-    the window covers psi) is not transformed and adds nothing: its FFTs are
-    exactly 0, so every figure is bit-identical.  The pointer's chunks are
-    never 0, and are not checked.
+    The law adds up block by block: a block with a coherence kernel adds
+    its ``momentum_mass``, any other each chunk's ``branch_mass`` times the
+    scale of ``signed_fft``, read before the x p step so that no FFT runs
+    twice.  P psi is formed once, when a gap first needs it, so it is not
+    alive while the first share is squared.  A chunk without a kernel that
+    is exactly 0 (the slit's fail branch when the window covers psi) is not
+    transformed and adds nothing: its FFTs are exactly 0.  The pointer's
+    chunks are never 0, and are not checked.
     """
     g = psi.grid
     check_confinement(channel, psi)
@@ -179,9 +186,25 @@ def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
     p_psi = None
     total = 0.0
     for k in kraus_of(channel, g):
+        if k.keeps(psi.amplitudes):
+            mass = k.momentum_mass(psi)
+            mass *= k.measure
+            law += mass
+            if k.step == -1:
+                mass *= g.p
+                mass *= g.p
+                total += 4.0 * g.dp * float(mass[1:].sum())
+                continue
+            del mass
+            if p_psi is None:
+                p_psi = _momentum_image(psi)
+            k_b = k.weighted(p_psi, k.column_weights())
+            total += _squared_gap(k_b, p_psi[:, None]) * g.dx * k.measure
+            del k_b
+            continue
         signed = k.coherence is not None
         if signed:
-            law += k.momentum_mass(psi.amplitudes, g) * k.measure
+            law += k.momentum_mass(psi) * k.measure
         for j in range(0, k.n_branches, size):
             columns = slice(j, j + size)
             weights = k.column_weights(columns, signed=True) if signed else k.column_weights(columns)
@@ -194,14 +217,20 @@ def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
                     law += branch_mass(b_k) * scale * k.measure
                 b_k *= g.p[:, None]
                 np.fft.ifft(b_k, axis=0, out=b_k)
-            if p_psi is None:  # in place, from the state's cached momentum view
-                p_psi = kernel_transform(mom := psi.momentum * g.p, 0, g, +1, out=mom)
+            if p_psi is None:
+                p_psi = _momentum_image(psi)
             k_b = k.weighted(p_psi, weights, out=weights if signed else None)
             if not signed:
                 k_b[1::2] *= -1.0  # sigma, as on b_k
             total += _squared_gap(b_k, k_b) * g.dx * k.measure
             del weights, b_k, k_b  # freed before the next chunk is built
     return total, law
+
+
+def _momentum_image(psi: WaveFunction) -> np.ndarray:
+    """P psi on grid.x, transformed in place from a product with the state's cached momentum view."""
+    g = psi.grid
+    return kernel_transform(mom := psi.momentum * g.p, 0, g, +1, out=mom)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +318,7 @@ def busch_state_disturbance(
         return wasserstein2(before, after)
     law = np.zeros(g.n_points)
     for k in blocks:
-        law += k.momentum_mass(psi.amplitudes, g) * k.measure
+        law += k.momentum_mass(psi) * k.measure
     return _momentum_w2(channel, psi, law)
 
 
@@ -418,12 +447,16 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
 
     eta_P and the P law after share one forward FFT per Kraus branch
     (``_momentum_figures``): ``_kraus_sum`` adds each branch's law from the
-    spectrum its P multiplier forms.  So ``kernel_transform`` runs twice for
-    the flip or the slit (psi once, P psi once) and 3 times plus once per
-    block of table rows for the pointer (psi, the ready state, each block
-    of the table and P psi); the branches take an FFT and an inverse FFT
-    each, and a slit whose window covers the state skips its fail branch,
-    which is exactly 0.  Each figure is bit-identical to its separate call.
+    spectrum its P multiplier forms.  A branch that is psi or psi mirrored
+    takes none: the flip's, and the pass branch of a slit whose window
+    covers the state, read psi's own transform, and that slit's fail branch
+    is exactly 0 and is skipped.  So the flip runs 1 FFT (psi), a covering
+    slit 2 (psi and P psi), a slit that cuts the state 6 (psi, P psi, and
+    an FFT and an inverse FFT per branch), and the pointer runs
+    ``kernel_transform`` 3 times plus one inverse real FFT per block of
+    table rows (psi, the ready state, the table and P psi) and an FFT and
+    an inverse FFT per chunk of branches.  Each figure is bit-identical to
+    its separate call.
     """
     mom = moments(psi)
     eta_p, w2_p = _momentum_figures(channel, psi)

@@ -75,7 +75,12 @@ def _normalized(grid: GridSpec, amplitudes: np.ndarray) -> WaveFunction:
 
 def gaussian_amplitudes(grid: GridSpec, x0: float, p0: float, sigma: float) -> np.ndarray:
     """Unnormalized minimum-uncertainty packet: DeltaX = sigma, <P> = p0, formed
-    in place in the order of c * exp(-(x - x0)^2 / (4 sigma^2)) * exp(1j p0 x / hbar)."""
+    in place in the order of c * exp(-(x - x0)^2 / (4 sigma^2)) * exp(1j p0 x / hbar).
+
+    The plane wave is cos(theta) + 1j sin(theta) with theta = (p0 x) (1/hbar),
+    written into the real and imaginary parts: bit for bit the complex
+    ``exp``, whose division by the real hbar multiplies by its reciprocal.
+    """
     x = grid.x
     envelope = np.subtract(x, x0)
     np.square(envelope, out=envelope)
@@ -83,9 +88,11 @@ def gaussian_amplitudes(grid: GridSpec, x0: float, p0: float, sigma: float) -> n
     envelope /= 4.0 * sigma**2
     np.exp(envelope, out=envelope)
     np.multiply((2.0 * np.pi * sigma**2) ** (-0.25), envelope, out=envelope)
-    wave = np.multiply(1j * p0, x)
-    wave /= grid.hbar
-    np.exp(wave, out=wave)
+    wave = np.empty(x.size, complex)
+    theta = np.multiply(p0, x, out=wave.imag)
+    theta *= 1.0 / grid.hbar
+    np.cos(theta, out=wave.real)
+    np.sin(theta, out=theta)
     return np.multiply(envelope, wave, out=wave)
 
 
@@ -125,12 +132,10 @@ def make_state(grid: GridSpec, spec: StateSpec) -> WaveFunction:
         )
         x = grid.x
         inside = np.abs(x - spec.center) <= spec.halfwidth
-        # exact zeros outside the support, not merely small values
-        amp = np.where(
-            inside,
-            np.cos(np.pi * (x - spec.center) / (2.0 * spec.halfwidth)) ** 2,
-            0.0,
-        ).astype(complex)
+        # exact zeros outside the support, not merely small values; cos^2
+        # is formed at the support points only
+        amp = np.zeros(grid.n_points, complex)
+        amp.real[inside] = np.cos(np.pi * (x[inside] - spec.center) / (2.0 * spec.halfwidth)) ** 2
     elif isinstance(spec, SymmetricPairState):
         _check_sigma(grid, spec.sigma)
         if spec.separation < 0:

@@ -422,7 +422,7 @@ def unfused_kraus_sum(channel, psi, observable: str, law: np.ndarray | None = No
         if observable == "X" and k.step == 1:
             continue
         if law is not None and k.coherence is not None:
-            law += k.momentum_mass(psi.amplitudes, g) * k.measure
+            law += k.momentum_mass(psi) * k.measure
         for j in range(0, k.n_branches, size):
             weights = k.column_weights(slice(j, j + size))
             b_k = k.weighted(psi.amplitudes, weights)

@@ -20,7 +20,9 @@ from conftest import rel_err
 
 
 class TestMakeState:
-    @pytest.mark.parametrize("hbar", (1.0, 2.0))
+    # hbar = 0.37: the plane wave's phase is (p0 x) (1/hbar), as numpy's complex
+    # division by a real divides; p0 x / hbar differs by up to 5e-13
+    @pytest.mark.parametrize("hbar", (1.0, 2.0, 0.37))
     @pytest.mark.parametrize("x0, p0, sigma", ((0.0, 0.0, 1.0), (-2.5, 1.3, 0.7), (3.0, -0.6, 2.5)))
     def test_gaussian_in_place_equals_plain_expression(self, x0, p0, sigma, hbar):
         g = make_grid(256, -16.0, 16.0, hbar)
@@ -37,6 +39,18 @@ class TestMakeState:
         psi = make_state(std_grid, BumpState(0, 1))
         outside = np.abs(std_grid.x) > 1.0
         assert np.all(psi.amplitudes[outside] == 0.0)
+
+    @pytest.mark.parametrize("n, center, halfwidth", ((256, 0.0, 1.0), (1024, 0.3, 2.5), (4096, -5.0, 0.7)))
+    def test_bump_equals_whole_grid_expression(self, n, center, halfwidth):
+        # cos^2 formed at the support points only, bit for bit (sign bits
+        # too) the whole-grid np.where of the same expression, normalized
+        g = make_grid(n, -16.0, 16.0)
+        x = g.x
+        inside = np.abs(x - center) <= halfwidth
+        plain = np.where(inside, np.cos(np.pi * (x - center) / (2.0 * halfwidth)) ** 2, 0.0).astype(complex)
+        plain /= np.sqrt((np.abs(plain) ** 2).sum() * g.dx)
+        amp = make_state(g, BumpState(center, halfwidth)).amplitudes
+        assert amp.view(np.uint64).tobytes() == plain.view(np.uint64).tobytes()
 
     def test_bump_profile(self, std_grid):
         psi = make_state(std_grid, BumpState(0, 1))
