@@ -211,19 +211,17 @@ class KrausBlock:
         """sum over the columns of |momentum amplitudes|^2 of the branches
         of psi, on ``grid.p``, as a new array.
 
-        A block that ``keeps`` psi reads |psi.momentum|^2, the state's own
-        transform, bit for bit its law before: for step -1 mirrored, index j
-        from (-j) mod n, as the reversal maps p to -p and the Nyquist cell
-        -n/2 dp to itself.  Any
+        A block that ``keeps`` psi reads |psi.momentum|^2, bit for bit the
+        law before, mirrored for step -1: index j takes (-j) mod n, as the
+        reversal maps p to -p and the Nyquist cell -n/2 dp to itself.  Any
         other block without a kernel puts its branch array through
-        ``signed_fft`` along the system axis in place and reduces it by
-        ``branch_mass`` times its scale, as ``metrics._kraus_sum`` reduces
-        the spectra its P runs.  With a kernel, the law is dx^2/(2 pi hbar)
-        times the DFT of sum_l A(l) c(l) over l = q (mod n), where A is the
-        linear autocorrelation of a = psi.amplitudes (one zero-padded FFT of
-        length 2n) and c the kernel; grid.p starts at -n/2 dp, so the DFT is
-        read from index n/2 to the end, then from 0 (two slices, the
-        permutation of fftshift).
+        ``signed_fft`` in place and reduces it by ``branch_mass`` times its
+        scale, as ``metrics._kraus_sum`` reduces the spectra its P runs.
+        With a kernel, the law is dx^2/(2 pi hbar) times the DFT of
+        sum_l A(l) c(l) over l = q (mod n), where A is the linear
+        autocorrelation of a = psi.amplitudes (one zero-padded FFT of length
+        2n) and c the kernel; grid.p starts at -n/2 dp, so the DFT is read
+        from index n/2 to the end, then from 0 (the permutation of fftshift).
         """
         a, grid = psi.amplitudes, psi.grid
         if self.keeps(a):

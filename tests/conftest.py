@@ -352,8 +352,9 @@ def unskipped_eta_p(channel, psi) -> float:
     """eta_P from each block's whole branch array through the spectral P of
     ``metrics._kraus_sum``: sigma, FFT, x p and inverse FFT on B K psi, sigma
     on K B psi, and |gap|^2 as the sum of its squared real and imaginary
-    parts, with every block transformed, also one that is exactly 0.  The
-    oracle, bit for bit, of the Kraus loop's zero-branch skip."""
+    parts, with every block transformed, also one that is exactly 0 or that
+    keeps psi.  The oracle of the Kraus loop's zero-branch skip and of its
+    kept branches, which read psi's own transform."""
     g = psi.grid
     mom = psi.momentum * g.p
     b_psi = kernel_transform(mom, 0, g, +1, out=mom)
@@ -412,7 +413,9 @@ def unfused_kraus_sum(channel, psi, observable: str, law: np.ndarray | None = No
     and K B psi, each chunk of K psi signed in ``signed_fft`` and each of
     K B psi by a pass of its own: the package's earlier Kraus loop, kept as
     the oracle, bit for bit, of ``metrics._kraus_sum``, whose pointer
-    chunks carry sigma in their weights.  ``law`` as there."""
+    chunks carry sigma in their weights, for every block that does not
+    keep psi; a kept block's law and gap come from psi's own transform
+    there, from this FFT route here.  ``law`` as there."""
     g = psi.grid
     check_confinement(channel, psi)
     size = max(1, BRANCH_ELEMS // g.n_points)
