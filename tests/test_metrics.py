@@ -18,6 +18,7 @@ from edlab import (
     RandomState,
     SlitChannel,
     VonNeumannChannel,
+    WaveFunction,
     busch_state_disturbance,
     busch_state_error,
     compute_report,
@@ -41,6 +42,7 @@ from conftest import (
     lund_wiseman_eta,
     make_vn_channel,
     pointer_kraus_matrices,
+    random_amplitudes,
     rel_err,
     unblocked_wasserstein2,
     unchunked_ozawa_disturbance,
@@ -451,7 +453,7 @@ class TestOzawaDisturbance:
         # for bit, for the pointer and a slit that cuts psi.  The flip and a
         # window that covers psi (both slits on the bump) read psi's own
         # transform, where the oracle runs the FFT route on their branches:
-        # measured, eta_P within 7.4e-15 relative and the law within 7.9e-16
+        # measured, eta_P within 7.3e-15 relative and the law within 7.9e-16
         # of its peak, so the bounds are 2e-14 and 2e-15
         if chunk_columns is not None:
             monkeypatch.setattr(metrics, "BRANCH_ELEMS", chunk_columns * n)
@@ -533,6 +535,21 @@ class TestOzawaDisturbance:
                 for got, want in ((b_k, dense_p @ branches), (k_b, k(dense_p @ psi.amplitudes))):
                     want = sigma * want
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), channel
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_flip_gap_is_zero_on_the_nyquist_cell(self, seed):
+        # a flat spectrum puts about 1/n of psi's P law on the Nyquist cell,
+        # which the flip maps to itself, so that the dense
+        # ||P R psi - R P psi||^2 has no share there; judged as in
+        # test_p_multiplier_matches_dense_dft (measured 3.5e-15 of ||P psi||^2)
+        grid = make_grid(64, -8.0, 8.0)
+        psi = WaveFunction(grid, random_amplitudes(grid, seed))
+        dft = unitary_dft(grid)
+        dense_p = dft.conj().T @ (grid.p[:, None] * dft)
+        a = psi.amplitudes
+        dense = float(np.sum(np.abs(dense_p @ a[::-1] - (dense_p @ a)[::-1]) ** 2)) * grid.dx
+        p_norm = float(np.sum(np.abs(grid.p * psi.momentum) ** 2) * grid.dp)
+        assert abs(metrics._kraus_sum(FlipChannel(), psi)[0] - dense) <= 2e-14 * p_norm
 
     def test_kraus_joint_equivalence(self):
         grid = make_grid(64, -8, 8)
