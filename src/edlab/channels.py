@@ -47,8 +47,8 @@ from .grids import (
 from .states import _normalized, gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
-# Elements that the pointer's table build and metrics._kraus_sum form at once:
-# 512 KiB of complex branches, small enough to stay in L2.  A block of the
+# Elements that the pointer's table build and eta_P's chunks of branches
+# (metrics._kraus_sum) form at once: 512 KiB of complex branches, small enough to stay in L2.  A block of the
 # table holds about this many real elements of T, from half as many complex
 # ones of the half spectrum; it is whole anchor groups of ``_shift_factors``,
 # so one block may hold more.
@@ -144,12 +144,25 @@ class FlipChannel:
 class SlitChannel:
     center: float
     width: float
+    # (pass, fail) windows per system grid, built on first use
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.width > 0 and np.isfinite(self.width)):
             raise ValueError(f"slit width must be positive and finite, got {self.width}")
         if not np.isfinite(self.center):
             raise ValueError(f"slit center must be finite, got {self.center}")
+
+    def windows(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The pass and fail windows on a system grid as read-only (n_s, 1)
+        boolean weights, built once per grid from ``slit_mask``."""
+        windows = self._windows.get(grid)
+        if windows is None:
+            mask = slit_mask(grid, self.center, self.width)
+            windows = self._windows[grid] = (mask[:, None], ~mask[:, None])
+            for w in windows:
+                w.flags.writeable = False
+        return windows
 
 
 @dataclass(frozen=True)
@@ -211,13 +224,16 @@ class KrausBlock:
         """sum over the columns of |momentum amplitudes|^2 of the branches
         of psi, on ``grid.p``, as a new array.
 
-        A block that ``keeps`` psi reads |psi.momentum|^2, bit for bit the
-        law before, mirrored for step -1: index j takes (-j) mod n, as the
-        reversal maps p to -p and the Nyquist cell -n/2 dp to itself.  Any
-        other block without a kernel puts its branch array through
-        ``signed_fft`` in place and reduces it by ``branch_mass`` times its
-        scale, as ``metrics._kraus_sum`` reduces the spectra its P runs.
-        With a kernel, the law is dx^2/(2 pi hbar) times the DFT of
+        It is the one producer of the P law after a channel.  A block that
+        ``keeps`` psi reads |psi.momentum|^2, bit for bit the law before,
+        mirrored for step -1: index j takes (-j) mod n, as the reversal maps
+        p to -p and the Nyquist cell -n/2 dp to itself.  A one-column block
+        whose weights are 0 wherever psi is not (a slit's fail window over
+        a state it covers) returns zeros, bit for bit the law of its
+        transformed zero branch.  Any other block without a kernel puts its
+        branch array through ``signed_fft`` in place and sums |.|^2 over the
+        columns, squared in place, times the transform's scale.  With a
+        kernel, the law is dx^2/(2 pi hbar) times the DFT of
         sum_l A(l) c(l) over l = q (mod n), where A is the linear
         autocorrelation of a = psi.amplitudes (one zero-padded FFT of length
         2n) and c the kernel; grid.p starts at -n/2 dp, so the DFT is read
@@ -232,9 +248,12 @@ class KrausBlock:
                 law[1:] = law[:0:-1].copy()
             return law
         if self.coherence is None:
+            if self.n_branches == 1 and not a[:: self.step][self.weights[:, 0] != 0].any():
+                return np.zeros(grid.n_points)
             branches = self(a)
             scale = signed_fft(branches, grid)
-            return branch_mass(branches) * scale
+            mass = np.abs(branches)
+            return np.sum(np.square(mass, out=mass), axis=1) * scale
         n = grid.n_points
         # lag l at index l mod 2n: sum_i a_i conj(a_(i-l)), zero at lag n
         lagged = np.fft.ifft(np.abs(np.fft.fft(a, 2 * n)) ** 2)
@@ -242,12 +261,6 @@ class KrausBlock:
         folded[1:] += lagged[n + 1 :] * self.coherence[n:]
         law = np.fft.fft(folded).real * (grid.dx**2 / (2.0 * np.pi * grid.hbar))
         return np.concatenate((law[n // 2 :], law[: n // 2]))
-
-
-def branch_mass(branches: np.ndarray) -> np.ndarray:
-    """sum over the columns of |branches|^2, squared in one new real array."""
-    mass = np.abs(branches)
-    return np.sum(np.square(mass, out=mass), axis=1)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -589,8 +602,7 @@ def kraus_of(channel: Channel, grid: GridSpec) -> list[KrausBlock]:
             )
         return [KrausBlock(step=-1)]
     if isinstance(channel, SlitChannel):
-        mask = slit_mask(grid, channel.center, channel.width)
-        return [KrausBlock(weights=m[:, None]) for m in (mask, ~mask)]
+        return [KrausBlock(weights=w) for w in channel.windows(grid)]
     if isinstance(channel, VonNeumannChannel):
         return [channel.table(grid)]
     raise TypeError(f"unknown channel {channel!r}")

@@ -29,7 +29,6 @@ from .channels import (
     ProbeSpec,
     SlitChannel,
     VonNeumannChannel,
-    kraus_of,
     probe_half_width,
     state_reach,
 )
@@ -456,8 +455,10 @@ def run_scenario(name: str, cfg: dict) -> tuple[BuiltScenario, EDRReport, str]:
     report = compute_report(built.channel, built.psi)
     extra: list[tuple[str, str]] = []
     if isinstance(built.channel, SlitChannel):
-        for outcome, k in zip(("pass", "fail"), kraus_of(built.channel, built.grid)):
-            prob = float(np.sum(np.abs(k(built.psi.amplitudes)) ** 2) * built.grid.dx) * k.measure
+        # |psi|^2 times each window, bit for bit |K psi|^2, as a*1 = a and a*0 = 0
+        density = np.abs(built.psi.amplitudes[:, None]) ** 2
+        for outcome, window in zip(("pass", "fail"), built.channel.windows(built.grid)):
+            prob = float(np.sum(density * window) * built.grid.dx)
             extra.append((f"slit {outcome} probability", _fmt(prob)))
     table = render_table(built, report, extra)
     return built, report, table

@@ -28,7 +28,6 @@ from .channels import (
     VonNeumannChannel,
     # unused here; perfbench's tracer test pins this binding in edlab.metrics
     apply_von_neumann,  # noqa: F401
-    branch_mass,
     check_confinement,
     check_kicks,
     kraus_of,
@@ -144,18 +143,17 @@ def _check_observable(observable: ObservableName) -> None:
         raise ValueError(f"observable must be 'X' or 'P', got {observable!r}")
 
 
-def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
-    """eta_P^2 = sum_m || P K_m psi - K_m P psi ||^2 over the Kraus blocks,
-    and the P law after the channel, sum_m |K_m psi|^2 on grid.p.
+def _kraus_sum(channel: Channel, psi: WaveFunction) -> float:
+    """eta_P^2 = sum_m || P K_m psi - K_m P psi ||^2 over the Kraus blocks.
 
-    A block that ``keeps`` psi (its one branch is psi, or psi reversed) takes
-    no transform: its law is ``momentum_mass``, read from psi's own
-    transform, as in ``busch_state_disturbance``.  For the flip, R P R = -P
-    but on the Nyquist cell, which R maps to itself, so the gap's momentum
-    amplitudes are 2 p_j times the mirrored ones there and 0 on the Nyquist
-    cell: eta_P^2 = 4 dp sum_(j >= 1) p_j^2 of the law after, as p_(-j)^2 =
-    p_j^2.  For a slit whose window covers psi, P K psi = P psi, so the gap
-    is P psi - w P psi = (1 - w) P psi, exactly 0 inside the window.
+    A block that ``keeps`` psi (its one branch is psi, or psi reversed) puts
+    no branch through a transform.  For the flip, R P R = -P but on the
+    Nyquist cell, which R maps to itself, so the gap's momentum amplitudes
+    are 2 p_j times the mirrored ones there and 0 on the Nyquist cell:
+    eta_P^2 = 4 dp sum_(j >= 1) p_j^2 of its ``momentum_mass``, the law
+    after, as p_(-j)^2 = p_j^2.  For a slit whose window covers psi,
+    P K psi = P psi, so the gap is P psi - w P psi = (1 - w) P psi, exactly
+    0 inside the window.
 
     Every other block is where P acts on branches: a chunk of a block's
     columns at a time, about BRANCH_ELEMS elements, so the pointer's (n_s, k)
@@ -170,32 +168,25 @@ def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
     buffer; a slit that cuts psi signs its chunks.  Each figure is
     bit-identical to a sign pass on unsigned weights.
 
-    The law adds up block by block: a block with a coherence kernel adds
-    its ``momentum_mass``, any other each chunk's ``branch_mass`` times the
-    scale of ``signed_fft``, read before the x p step so that no FFT runs
-    twice.  P psi is formed once, when a gap first needs it, so it is not
-    alive while the first share is squared.  A chunk without a kernel that
-    is exactly 0 (the slit's fail branch when the window covers psi) is not
-    transformed and adds nothing: its FFTs are exactly 0.  The pointer's
-    chunks are never 0, and are not checked.
+    P psi is formed once, when a gap first needs it.  A chunk without a
+    kernel that is exactly 0 (the slit's fail branch when the window covers
+    psi) is not transformed: its FFTs are exactly 0.  The pointer's chunks
+    are never 0, and are not checked.  The P law after is not formed here:
+    ``busch_state_disturbance`` reads it from ``KrausBlock.momentum_mass``.
     """
     g = psi.grid
     check_confinement(channel, psi)
     size = max(1, BRANCH_ELEMS // g.n_points)
-    law = np.zeros(g.n_points)
     p_psi = None
     total = 0.0
     for k in kraus_of(channel, g):
         if k.keeps(psi.amplitudes):
-            mass = k.momentum_mass(psi)
-            mass *= k.measure
-            law += mass
             if k.step == -1:
+                mass = k.momentum_mass(psi)
                 mass *= g.p
                 mass *= g.p
                 total += 4.0 * g.dp * float(mass[1:].sum())
                 continue
-            del mass
             if p_psi is None:
                 p_psi = _momentum_image(psi)
             k_b = k.weighted(p_psi, k.column_weights())
@@ -203,8 +194,6 @@ def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
             del k_b
             continue
         signed = k.coherence is not None
-        if signed:
-            law += k.momentum_mass(psi) * k.measure
         for j in range(0, k.n_branches, size):
             columns = slice(j, j + size)
             weights = k.column_weights(columns, signed=True) if signed else k.column_weights(columns)
@@ -213,8 +202,7 @@ def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
                 if signed:  # sigma is in the weights
                     np.fft.fft(b_k, axis=0, out=b_k)
                 else:
-                    scale = signed_fft(b_k, g)
-                    law += branch_mass(b_k) * scale * k.measure
+                    signed_fft(b_k, g)
                 b_k *= g.p[:, None]
                 np.fft.ifft(b_k, axis=0, out=b_k)
             if p_psi is None:
@@ -224,7 +212,7 @@ def _kraus_sum(channel: Channel, psi: WaveFunction) -> tuple[float, np.ndarray]:
                 k_b[1::2] *= -1.0  # sigma, as on b_k
             total += _squared_gap(b_k, k_b) * g.dx * k.measure
             del weights, b_k, k_b  # freed before the next chunk is built
-    return total, law
+    return total
 
 
 def _momentum_image(psi: WaveFunction) -> np.ndarray:
@@ -269,7 +257,7 @@ def ozawa_disturbance(channel: Channel, psi: WaveFunction, observable: Observabl
     """
     _check_observable(observable)
     if observable == "P":
-        return math.sqrt(_kraus_sum(channel, psi)[0])
+        return math.sqrt(_kraus_sum(channel, psi))
     g = psi.grid
     check_confinement(channel, psi)
     step = kraus_of(channel, g)[0].step
@@ -304,9 +292,10 @@ def busch_state_disturbance(
     The law after is sum_m |K_m psi|^2.  For X it is |psi[::step]|^2, since
     sum_m K_m^dag K_m = 1 and every block of a channel has the same step;
     for P each block adds its ``momentum_mass``, which does not build the
-    pointer's branch array.  ``compute_report`` reads the same P law from
-    the transforms its eta_P runs (see ``_kraus_sum``).  Any other
-    observable raises ValueError, as in the RMS figures.
+    pointer's branch array and transforms no branch that is psi, psi
+    mirrored or exactly 0.  ``check_kicks`` judges the P law after a
+    pointer, so a report is gated too.  Any other observable raises
+    ValueError, as in the RMS figures.
     """
     _check_observable(observable)
     g = psi.grid
@@ -319,22 +308,8 @@ def busch_state_disturbance(
     law = np.zeros(g.n_points)
     for k in blocks:
         law += k.momentum_mass(psi) * k.measure
-    return _momentum_w2(channel, psi, law)
-
-
-def _momentum_w2(channel: Channel, psi: WaveFunction, law: np.ndarray) -> float:
-    """W2 between psi's P law and ``law``, the law after on grid.p, once ``check_kicks`` passes it."""
-    g = psi.grid
     check_kicks(channel, law, g)
     return wasserstein2(distribution(psi, "momentum"), ProbabilityDistribution(g.p, law, g.dp))
-
-
-def _momentum_figures(channel: Channel, psi: WaveFunction) -> tuple[float, float]:
-    """eta_P and the W2 disturbance of P from one pass over the Kraus blocks:
-    the P law after is read from eta_P's own forward transforms, and it is
-    freed on return, before the report's other figures run."""
-    total, law = _kraus_sum(channel, psi)
-    return math.sqrt(total), _momentum_w2(channel, psi, law)
 
 
 def busch_state_error(channel: VonNeumannChannel, psi: WaveFunction) -> float:
@@ -445,21 +420,20 @@ def compute_report(channel: Channel, psi: WaveFunction) -> EDRReport:
     conventional error figure, labeled as such.  The probe coupling reports
     the RMS pointer error and both distribution-distance figures.
 
-    eta_P and the P law after share one forward FFT per Kraus branch
-    (``_momentum_figures``): ``_kraus_sum`` adds each branch's law from the
-    spectrum its P multiplier forms.  A branch that is psi or psi mirrored
-    takes none: the flip's, and the pass branch of a slit whose window
-    covers the state, read psi's own transform, and that slit's fail branch
-    is exactly 0 and is skipped.  So the flip runs 1 FFT (psi), a covering
-    slit 2 (psi and P psi), a slit that cuts the state 6 (psi, P psi, and
-    an FFT and an inverse FFT per branch), and the pointer runs
+    Each figure is the value of its public function.  eta_P
+    (``_kraus_sum``) applies P to every branch that is not psi or psi
+    mirrored, and W2_P reads each branch's law from ``momentum_mass``,
+    which transforms no branch that is psi, psi mirrored or exactly 0.  So
+    the flip runs 1 FFT (psi), a covering slit 2 (psi and P psi), a slit
+    that cuts the state 8 (psi, P psi, an FFT and an inverse FFT per branch
+    for eta_P and one FFT per branch for its law), and the pointer runs
     ``kernel_transform`` 3 times plus one inverse real FFT per block of
     table rows (psi, the ready state, the table and P psi) and an FFT and
-    an inverse FFT per chunk of branches.  Each figure is bit-identical to
-    its separate call.
+    an inverse FFT per chunk of branches.
     """
     mom = moments(psi)
-    eta_p, w2_p = _momentum_figures(channel, psi)
+    eta_p = ozawa_disturbance(channel, psi, "P")
+    w2_p = busch_state_disturbance(channel, psi, "P")
     eta_x = ozawa_disturbance(channel, psi, "X")
     w2_x = busch_state_disturbance(channel, psi, "X")
     if isinstance(channel, VonNeumannChannel):

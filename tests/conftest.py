@@ -22,7 +22,6 @@ from edlab.channels import (
     _shift_factors,
     _shift_phases,
     apply_von_neumann,
-    branch_mass,
     check_confinement,
     kraus_of,
 )
@@ -371,6 +370,16 @@ def unskipped_eta_p(channel, psi) -> float:
     return math.sqrt(total)
 
 
+def branch_fft_law(block, psi) -> np.ndarray:
+    """The P law of a block without a kernel by the FFT route: its branch
+    array through ``signed_fft``, then |.|^2 summed over the columns times
+    the scale, also where the branch is psi, psi mirrored or exactly 0.  The
+    oracle of ``KrausBlock.momentum_mass``, which transforms none of those."""
+    branches = block(psi.amplitudes)
+    scale = signed_fft(branches, psi.grid)
+    return np.sum(np.abs(branches) ** 2, axis=1) * scale
+
+
 def unchunked_ozawa_disturbance(channel, psi, observable: str) -> float:
     """eta^2 = sum_m || B K_m psi - K_m B psi ||^2 from whole branch arrays."""
 
@@ -408,14 +417,14 @@ def lund_wiseman_eta(channel, psi, observable: str) -> float:
     return math.sqrt(max(raw, 0.0))
 
 
-def unfused_kraus_sum(channel, psi, observable: str, law: np.ndarray | None = None) -> float:
+def unfused_kraus_sum(channel, psi, observable: str) -> float:
     """eta^2 from chunks of three (n_s, c) arrays, the unsigned weights, K psi
     and K B psi, each chunk of K psi signed in ``signed_fft`` and each of
     K B psi by a pass of its own: the package's earlier Kraus loop, kept as
     the oracle, bit for bit, of ``metrics._kraus_sum``, whose pointer
     chunks carry sigma in their weights, for every block that does not
-    keep psi; a kept block's law and gap come from psi's own transform
-    there, from this FFT route here.  ``law`` as there."""
+    keep psi; a kept block's gap comes from psi's own transform there, from
+    this FFT route here."""
     g = psi.grid
     check_confinement(channel, psi)
     size = max(1, BRANCH_ELEMS // g.n_points)
@@ -424,17 +433,13 @@ def unfused_kraus_sum(channel, psi, observable: str, law: np.ndarray | None = No
     for k in kraus_of(channel, g):
         if observable == "X" and k.step == 1:
             continue
-        if law is not None and k.coherence is not None:
-            law += k.momentum_mass(psi) * k.measure
         for j in range(0, k.n_branches, size):
             weights = k.column_weights(slice(j, j + size))
             b_k = k.weighted(psi.amplitudes, weights)
             if observable == "X":
                 np.multiply(g.x[:, None], b_k, out=b_k)
             elif k.coherence is not None or b_k.any():
-                scale = signed_fft(b_k, g)
-                if law is not None and k.coherence is None:
-                    law += branch_mass(b_k) * scale * k.measure
+                signed_fft(b_k, g)
                 b_k *= g.p[:, None]
                 np.fft.ifft(b_k, axis=0, out=b_k)
             if b_psi is None and observable == "X":

@@ -218,6 +218,18 @@ class TestSlit:
         assert pass_prob == pytest.approx(1.0, abs=1e-12)
         assert fail_prob == 0.0
 
+    def test_windows_are_built_once_per_grid(self, std_grid):
+        # the pass and fail windows, read-only, shared by every Kraus family
+        # of the channel on that grid; equal channels still compare equal
+        channel = SlitChannel(0.5, 2.0)
+        windows = channel.windows(std_grid)
+        assert channel.windows(std_grid) is windows
+        assert all(w.shape == (256, 1) and not w.flags.writeable for w in windows)
+        assert all(k.weights is w for k, w in zip(kraus_of(channel, std_grid), windows))
+        assert np.array_equal(windows[0], ~windows[1])
+        assert channel.windows(make_grid(128, -16.0, 16.0))[0].shape == (128, 1)
+        assert channel == SlitChannel(0.5, 2.0) and hash(channel) == hash(SlitChannel(0.5, 2.0))
+
     def test_probabilities_sum_to_one(self, corpus):
         for _, psi in corpus:
             _, (pass_prob, fail_prob) = slit(psi, 0.5, 2.0)

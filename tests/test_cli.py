@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from edlab import cli
-from edlab.channels import VonNeumannChannel
+from edlab.channels import VonNeumannChannel, kraus_of
 from edlab.cli import (
     _JOINT_BYTES_PER_POINT,
     _SCHEMA,
@@ -269,6 +269,16 @@ class TestScenarios:
         assert report.eq5_satisfied
         assert "VIOLATED" in table and "SATISFIED" in table
         assert "slit pass probability  1" in table
+
+    @pytest.mark.parametrize("width", (4.0, 1.5))
+    def test_slit_probabilities_equal_branch_norms(self, monkeypatch, width):
+        # |psi|^2 times each window is |K psi|^2 bit for bit, as a*1 = a and
+        # a*0 = 0: the window that covers the bump and one that cuts it
+        monkeypatch.setattr(cli, "_fmt", repr)
+        built, _, table = run_scenario("slit", load_config(None, [f"channel.width={width}"], "slit"))
+        for outcome, k in zip(("pass", "fail"), kraus_of(built.channel, built.grid)):
+            want = float(np.sum(np.abs(k(built.psi.amplitudes)) ** 2) * built.grid.dx) * k.measure
+            assert f"slit {outcome} probability  {want!r}" in table.splitlines(), table
 
     def test_vonneumann_defaults(self):
         cfg = load_config(None, [], "vonneumann")

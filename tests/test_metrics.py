@@ -36,6 +36,7 @@ from edlab import (
 
 from edlab import metrics
 from conftest import (
+    branch_fft_law,
     dense_pointer_eta_p,
     direct_ozawa_error,
     half_spectrum_fields,
@@ -447,14 +448,17 @@ class TestOzawaDisturbance:
         ],
     )
     def test_fused_chunks_match_unfused_loop(self, monkeypatch, n, n_probe, g, hbar, chunk_columns):
-        # eta_P and the P law after from the Kraus loop, whose pointer chunks
-        # carry sigma in their weights and take K P psi in their buffer,
-        # against the loop of three arrays a chunk with its sign passes, bit
-        # for bit, for the pointer and a slit that cuts psi.  The flip and a
-        # window that covers psi (both slits on the bump) read psi's own
-        # transform, where the oracle runs the FFT route on their branches:
-        # measured, eta_P within 7.3e-15 relative and the law within 7.9e-16
-        # of its peak, so the bounds are 2e-14 and 2e-15
+        # eta_P from the Kraus loop, whose pointer chunks carry sigma in
+        # their weights and take K P psi in their buffer, against the loop of
+        # three arrays a chunk with its sign passes, bit for bit, for the
+        # pointer and a slit that cuts psi.  The flip and a window that
+        # covers psi (both slits on the bump) read psi's own transform, where
+        # the oracle runs the FFT route on their branches: measured, eta_P
+        # within 7.3e-15 relative, so the bound is 2e-14.  The P law after
+        # is each block's momentum_mass: against the FFT route on its branch,
+        # bit for bit where the block transforms it or the branch is exactly
+        # 0, and within 7.9e-16 of the peak (bound 2e-15) where the block
+        # keeps psi; the pointer's kernel law has its own oracles
         if chunk_columns is not None:
             monkeypatch.setattr(metrics, "BRANCH_ELEMS", chunk_columns * n)
             monkeypatch.setattr("conftest.BRANCH_ELEMS", chunk_columns * n)
@@ -468,15 +472,21 @@ class TestOzawaDisturbance:
                 SlitChannel(0.0, 4.0),
             )
             for channel in channels:
-                law = np.zeros(n)
-                fused, fused_law = metrics._kraus_sum(channel, psi)
-                unfused = unfused_kraus_sum(channel, psi, "P", law=law)
-                if any(k.keeps(psi.amplitudes) for k in kraus_of(channel, grid)):
+                fused = metrics._kraus_sum(channel, psi)
+                unfused = unfused_kraus_sum(channel, psi, "P")
+                blocks = kraus_of(channel, grid)
+                if any(k.keeps(psi.amplitudes) for k in blocks):
                     assert rel_err(math.sqrt(fused), math.sqrt(unfused)) <= 2e-14, channel
-                    assert np.max(np.abs(fused_law - law)) <= 2e-15 * np.max(law), channel
                 else:
                     assert fused == unfused, channel
-                    assert np.array_equal(fused_law, law), channel
+                for k in blocks:
+                    if k.coherence is not None:
+                        continue
+                    law, want = k.momentum_mass(psi), branch_fft_law(k, psi)
+                    if k.keeps(psi.amplitudes):
+                        assert np.max(np.abs(law - want)) <= 2e-15 * np.max(want), channel
+                    else:
+                        assert np.array_equal(law, want), channel
                 # eta_X from the position map against the loop's X path
                 eta_x = math.sqrt(unfused_kraus_sum(channel, psi, "X"))
                 assert ozawa_disturbance(channel, psi, "X") == eta_x, channel
@@ -484,8 +494,9 @@ class TestOzawaDisturbance:
     @pytest.mark.parametrize("hbar, x_min, x_max", [(1.0, -8.0, 8.0), (2.0, -5.0, 11.0)])
     def test_p_multiplier_matches_dense_dft(self, monkeypatch, hbar, x_min, x_max):
         # eta_P^2 is sum_m ||P K_m psi - K_m P psi||^2 dx and the P law after
-        # sum_m |F K_m psi|^2 / dp, for P = F^dag diag(p) F from a dense
-        # unitary DFT F; the off-centre grid's plane-wave phase e_j is not 1.
+        # (the blocks' momentum_mass) sum_m |F K_m psi|^2 / dp, for
+        # P = F^dag diag(p) F from a dense unitary DFT F; the off-centre
+        # grid's plane-wave phase e_j is not 1.
         # For a block that cuts psi the Kraus loop's two operands are
         # sigma P K psi and sigma K P psi, sigma_i = (-1)^i; the flip and a
         # window that covers psi read psi's own transform instead.  eta_P^2
@@ -505,7 +516,11 @@ class TestOzawaDisturbance:
         ]
         if grid.is_symmetric():
             channels.append(FlipChannel())
-        figures = [metrics._kraus_sum(channel, psi) for channel in channels]
+        figures = [
+            (metrics._kraus_sum(channel, psi),
+             sum(k.momentum_mass(psi) * k.measure for k in kraus_of(channel, grid)))
+            for channel in channels
+        ]
         operands = []
 
         def keep(b_k, k_b):
@@ -549,7 +564,7 @@ class TestOzawaDisturbance:
         a = psi.amplitudes
         dense = float(np.sum(np.abs(dense_p @ a[::-1] - (dense_p @ a)[::-1]) ** 2)) * grid.dx
         p_norm = float(np.sum(np.abs(grid.p * psi.momentum) ** 2) * grid.dp)
-        assert abs(metrics._kraus_sum(FlipChannel(), psi)[0] - dense) <= 2e-14 * p_norm
+        assert abs(metrics._kraus_sum(FlipChannel(), psi) - dense) <= 2e-14 * p_norm
 
     def test_kraus_joint_equivalence(self):
         grid = make_grid(64, -8, 8)
@@ -628,8 +643,7 @@ def test_unknown_observable_is_rejected(std_grid, figure, observable):
 class TestReportMatchesSeparateCalls:
     @pytest.mark.parametrize("n", (256, 4096))
     def test_report_figures_equal_separate_calls(self, n):
-        # compute_report reads eta_P and the P law after from one Kraus pass;
-        # the separate calls form each on its own, the oracle of that pass
+        # compute_report's figures are the values of the public calls
         grid = make_grid(n, -16.0, 16.0)
         psi = make_state(grid, GaussianState(0.5, 1.0, 1.0))
         channels = (
@@ -664,13 +678,13 @@ class TestReportMatchesSeparateCalls:
     def test_flip_law_after_is_the_mirrored_law_before(self, std_grid, spec):
         # the flip maps index j of grid.p to (-j) mod n, the Nyquist cell to
         # itself: its P law after is the law before mirrored, bit for bit,
-        # in the report's one pass and in the separate call alike
+        # and its W2 that of the mirrored law, in the report and the separate
+        # call alike
         psi = make_state(std_grid, spec)
         before = distribution(psi, "momentum").weights
         mirrored = np.concatenate((before[:1], before[:0:-1]))
         (block,) = kraus_of(FlipChannel(), std_grid)
         assert np.array_equal(block.momentum_mass(psi), mirrored)
-        assert np.array_equal(metrics._kraus_sum(FlipChannel(), psi)[1], mirrored)
         after = ProbabilityDistribution(std_grid.p, mirrored, std_grid.dp)
         w2 = wasserstein2(distribution(psi, "momentum"), after)
         assert compute_report(FlipChannel(), psi).w2_disturbance_P == w2
@@ -891,12 +905,12 @@ class TestTransformCounts:
             # transform: 0, and P psi is not formed
             (GaussianState(1.0, 0.5, 1.0), FlipChannel(), 1),
             # validate 1 and P psi 1, both through kernel_transform; each
-            # block that cuts the bump: P's FFT forward and back, 2, and the
-            # P law after reads its forward FFT: 1 + 1 + 4 + 0
-            (BumpState(0.0, 1.0), SlitChannel(0.0, 1.0), 6),
+            # block that cuts the bump: P's FFT forward and back for eta_P,
+            # 2, and one FFT for its P law after: 1 + 1 + 4 + 2
+            (BumpState(0.0, 1.0), SlitChannel(0.0, 1.0), 8),
             # the window covers the bump: the pass branch is psi, its law
             # psi's own and its gap (1 - w) P psi, and the fail branch is
-            # exactly 0 and is not transformed: 1 + 1 + 0 + 0
+            # exactly 0, and neither figure transforms it: 1 + 1 + 0 + 0
             (BumpState(0.0, 1.0), SlitChannel(0.0, 4.0), 2),
         ],
     )
@@ -910,6 +924,15 @@ class TestTransformCounts:
         compute_report(channel, psi)
         assert transforms == ([-1] if isinstance(channel, FlipChannel) else [-1, 1]), transforms
         assert len(ffts) == expected, ffts
+
+    def test_covered_slit_law_after_takes_no_transform(self, std_grid, counts):
+        # W2 of P reads the pass branch's law from psi's own transform, and
+        # the fail branch is exactly 0: no FFT beyond psi's validation
+        transforms, ffts = counts
+        psi = make_state(std_grid, BumpState(0.0, 1.0))
+        assert transforms == [-1] and len(ffts) == 1
+        busch_state_disturbance(SlitChannel(0.0, 4.0), psi, "P")
+        assert transforms == [-1] and len(ffts) == 1, ffts
 
     def test_pointer_report_transforms_table_by_blocks(self, std_grid, counts, irfft_rows):
         # psi, the ready state and P psi; the table's real rows take one
