@@ -48,10 +48,10 @@ from .states import _normalized, gaussian_amplitudes
 
 CONFINEMENT_TOL = 1e-10
 # Elements that the pointer's table build and eta_P's chunks of branches
-# (metrics._kraus_sum) form at once: 512 KiB of complex branches, small enough to stay in L2.  A block of the
-# table holds about this many real elements of T, from half as many complex
-# ones of the half spectrum; it is whole anchor groups of ``_shift_factors``,
-# so one block may hold more.
+# (metrics._kraus_sum) form at once: 512 KiB of complex branches, small
+# enough to stay in L2.  A block of the table holds about this many real
+# elements of T, from half as many complex ones of the half spectrum; it is
+# whole anchor groups of ``_shift_factors``, so one block may hold more.
 BRANCH_ELEMS = 1 << 15
 # Probe momenta whose |m_q|^2 is at or below this fraction of the ready
 # state's largest carry no pointer branch: eps^2 = 2^-104 is the rounding of
@@ -154,11 +154,18 @@ class SlitChannel:
             raise ValueError(f"slit center must be finite, got {self.center}")
 
     def windows(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-        """The pass and fail windows on a system grid as read-only (n_s, 1)
-        boolean weights, built once per grid from ``slit_mask``."""
+        """The pass window |x - center| <= width/2 and the fail window, its
+        complement, on a system grid as read-only (n_s, 1) boolean weights,
+        built once per grid.  A slit that leaves the grid's domain raises
+        InvariantViolation."""
         windows = self._windows.get(grid)
         if windows is None:
-            mask = slit_mask(grid, self.center, self.width)
+            lo, hi = self.center - 0.5 * self.width, self.center + 0.5 * self.width
+            if lo < grid.x_min or hi > grid.x_max:
+                raise InvariantViolation(
+                    f"slit [{lo}, {hi}] outside grid domain [{grid.x_min}, {grid.x_max}]"
+                )
+            mask = np.abs(grid.x - self.center) <= 0.5 * self.width
             windows = self._windows[grid] = (mask[:, None], ~mask[:, None])
             for w in windows:
                 w.flags.writeable = False
@@ -475,15 +482,6 @@ def _pointer_table(grid: GridSpec, probe: ProbeSpec, g: float) -> PointerTable:
 Channel = Union[FlipChannel, SlitChannel, VonNeumannChannel]
 
 
-def slit_mask(grid: GridSpec, center: float, width: float) -> np.ndarray:
-    if center - 0.5 * width < grid.x_min or center + 0.5 * width > grid.x_max:
-        raise InvariantViolation(
-            f"slit [{center - 0.5 * width}, {center + 0.5 * width}] outside grid domain "
-            f"[{grid.x_min}, {grid.x_max}]"
-        )
-    return np.abs(grid.x - center) <= 0.5 * width
-
-
 def _shift_factors(
     system_grid: GridSpec, p: np.ndarray, g: float, hbar: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -584,7 +582,8 @@ def kraus_of(channel: Channel, grid: GridSpec) -> list[KrausBlock]:
     law after the channel is |a[::step]|^2:
 
     flip -> one 1-column block (the reversal), measure 1;
-    slit -> two 1-column blocks (pass and fail projectors), measure 1;
+    slit -> two 1-column blocks (pass and fail projectors), measure 1, whose
+    weights are the windows the channel keeps per grid (``SlitChannel.windows``);
     von_neumann -> one (n_s, k) block, the channel's cached ``PointerTable``
     on this grid itself: the branches of the kept probe momenta, k <= n_p,
     with the probe cell dy as measure; column q is K_q a / sqrt(dy) for

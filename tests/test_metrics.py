@@ -457,7 +457,7 @@ class TestOzawaDisturbance:
         # within 7.3e-15 relative, so the bound is 2e-14.  The P law after
         # is each block's momentum_mass: against the FFT route on its branch,
         # bit for bit where the block transforms it or the branch is exactly
-        # 0, and within 7.9e-16 of the peak (bound 2e-15) where the block
+        # 0, and within 5.9e-16 of the peak (bound 2e-15) where the block
         # keeps psi; the pointer's kernel law has its own oracles
         if chunk_columns is not None:
             monkeypatch.setattr(metrics, "BRANCH_ELEMS", chunk_columns * n)
